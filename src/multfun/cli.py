@@ -65,19 +65,16 @@ def parse_z(s: str):
         return RootOfUnity(0, 1)
     if s == "-1":
         return RootOfUnity(1, 2)
-    if s.startswith("val:"):
-        a, b = s[4:].split("/", 1)
-        return Fraction(int(a), int(b))
-    if "/" in s:
-        a, b = s.split("/", 1)
-        try:
-            return RootOfUnity(int(a), int(b))
-        except ValueError as exc:
-            raise InputError(f"cannot parse target {s!r}: {exc}") from exc
     try:
+        if s.startswith("val:"):
+            a, b = s[4:].split("/", 1)
+            return Fraction(int(a), int(b))
+        if "/" in s:
+            a, b = s.split("/", 1)
+            return RootOfUnity(int(a), int(b))
         return complex(s)
-    except ValueError as exc:
-        raise InputError(f"cannot parse target {s!r}") from exc
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"cannot parse target {s!r}: {exc}") from exc
 
 
 def parse_polys(s: str) -> PolynomialFamily:
@@ -91,12 +88,15 @@ def parse_polys(s: str) -> PolynomialFamily:
         for term in part.replace("-", "+-").split("+"):
             if not term:
                 continue
-            if "n" in term:
-                head, _, tail = term.partition("n")
-                c = int(head) if head not in ("", "-") else (-1 if head == "-" else 1)
-                k = int(tail[1:]) if tail.startswith("^") else 1
-            else:
-                c, k = int(term), 0
+            try:
+                if "n" in term:
+                    head, _, tail = term.partition("n")
+                    c = int(head) if head not in ("", "-") else (-1 if head == "-" else 1)
+                    k = int(tail[1:]) if tail.startswith("^") else 1
+                else:
+                    c, k = int(term), 0
+            except ValueError as exc:
+                raise InputError(f"cannot parse polynomial term {term!r} in {s!r}") from exc
             coeffs[k] = coeffs.get(k, 0) + c
         deg = max(coeffs) if coeffs else 0
         polys.append(tuple(coeffs.get(k, 0) for k in range(deg + 1)))
@@ -347,10 +347,18 @@ def cmd_divisibility(args):
     return {"report": jsonable(rep)}
 
 
+def _int_list(option: str, text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise InputError(f"{option} needs comma-separated integers, got {text!r}") from exc
+
+
 def _recurrence_common(args):
-    sizes = tuple(int(x) for x in args.m.split(","))
-    system = FiniteSystem(sizes)
-    A = [int(x) for x in args.A.split(",")]
+    """(system, A, polys, members, label, E); E is the level set the members
+    come from, or None for the naturals."""
+    system = FiniteSystem(tuple(_int_list("--m", args.m)))
+    A = _int_list("--A", args.A)
     polys = parse_polys(args.polys)
     if getattr(args, "set", None) or args.function:
         f, z = _named_level_set(args)
@@ -358,29 +366,27 @@ def _recurrence_common(args):
         members = E.members
         label = E.source
     else:
+        E = None
         members = np.arange(1, args.N + 1, dtype=np.int64)
         label = "naturals"
     if args.shift:
         members = members[members > args.shift] - args.shift
         label = f"{label} - {args.shift}"
-    return system, A, polys, members, label
+    return system, A, polys, members, label, E
 
 
 def cmd_recurrence(args):
-    system, A, polys, members, label = _recurrence_common(args)
+    system, A, polys, members, label, E = _recurrence_common(args)
     rep = recurrence_average(system, A, polys, members, args.Jmax)
-    if args.shift and (getattr(args, "set", None) or args.function):
-        f, z = _named_level_set(args)
-        E = level_set(f, z, args.N, tol=args.tol)
-        umax = max(system.sizes)
-        div = divisibility_report(E, args.shift, umax)
+    if args.shift and E is not None:
+        div = divisibility_report(E, args.shift, max(system.sizes))
         if div.verdict == "not_divisible":
             rep.certificate = div.certificate
     return {"sequence": label, "report": jsonable(rep)}
 
 
 def cmd_convergence(args):
-    system, A, polys, members, label = _recurrence_common(args)
+    system, A, polys, members, label, _ = _recurrence_common(args)
     rep = convergence_average(system, A, polys, members, args.Jmax)
     return {"sequence": label, "report": jsonable(rep)}
 

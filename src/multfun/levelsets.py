@@ -40,7 +40,7 @@ from .mf_core import (
     zero_free,
 )
 from .pretentious import PLATEAU_CAP, DistanceProfile, RapReport, _distance_profile, rap_test
-from .seminorms import gowers_fast
+from .seminorms import _FAST_U3_MAX_NT, gowers_fast
 
 __all__ = [
     "LevelSet",
@@ -328,6 +328,8 @@ def _observed_angles(table: SieveTable) -> np.ndarray:
 
 def _collision_free(gamma: float, angles: np.ndarray, height: int = 64,
                     eps: float = 1e-8) -> bool:
+    # repeated angles add no new difference: the set below is the same floats
+    angles = np.unique(angles)
     diffs = (angles[None, :] - angles[:, None]).ravel() % 1.0
     diffs = np.unique(np.round(diffs, 12))
     for n in range(1, height + 1):
@@ -467,7 +469,7 @@ def structure_pair(f: MultiplicativeFunction, z, N: int, k_max: int = 8,
     u_norms = []
     for n in u_grid:
         u_norms.append((int(n), 2, gowers_fast(u, int(n), 2)))
-        if with_u3 and (1 << 3) * n <= 1 << 15:
+        if with_u3 and (1 << 3) * n <= _FAST_U3_MAX_NT:
             u_norms.append((int(n), 3, gowers_fast(u, int(n), 3)))
     u_mean = float(u[1 : N + 1].mean())
     return StructurePair(E=E, R=R, k=k, chi=chi, dE=dE, dR=dR, u_norms=u_norms,

@@ -537,13 +537,16 @@ def _parse_xi(raw) -> Fraction | float:
         return raw
     if isinstance(raw, str):
         s = raw.strip()
-        if "/" in s:
-            a, b = s.split("/", 1)
-            return Fraction(int(a), int(b))
         try:
-            return Fraction(int(s), 1)
-        except ValueError:
-            return float(s)
+            if "/" in s:
+                a, b = s.split("/", 1)
+                return Fraction(int(a), int(b))
+            try:
+                return Fraction(int(s), 1)
+            except ValueError:
+                return float(s)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"cannot parse phase parameter xi from {raw!r}: {exc}") from exc
     raise InputError(f"cannot parse phase parameter xi from {raw!r}")
 
 
@@ -689,7 +692,10 @@ def parse_custom_file(path) -> tuple[dict[tuple[int, int], complex], str]:
     """
     rule_map: dict[tuple[int, int], complex] = {}
     default = "one"
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read custom function file {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -702,12 +708,16 @@ def parse_custom_file(path) -> tuple[dict[tuple[int, int], complex], str]:
         parts = body.split()
         if len(parts) != 4:
             raise InputError(f"{path}:{lineno}: expected 'p k re im', got {body!r}")
-        p, k = int(parts[0]), int(parts[1])
+        try:
+            p, k = int(parts[0]), int(parts[1])
+            value = complex(float(parts[2]), float(parts[3]))
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: expected 'p k re im', got {body!r}") from exc
         if not is_prime(p):
             raise InputError(f"{path}:{lineno}: {p} is not prime")
         if k < 1:
             raise InputError(f"{path}:{lineno}: exponent must be >= 1, got {k}")
         if (p, k) in rule_map:
             raise InputError(f"{path}:{lineno}: duplicate entry for {p}^{k}")
-        rule_map[(p, k)] = complex(float(parts[2]), float(parts[3]))
+        rule_map[(p, k)] = value
     return rule_map, default

@@ -8,6 +8,16 @@ into Z/(2^s N)Z with zero padding and the result is normalized by the same
 seminorm of the interval indicator 1_[N].  gowers_direct evaluates the
 definitional multi-difference sum by exhaustive summation (grouped, no
 transforms) and serves as the oracle for gowers_fast.
+
+gowers_fast works from the support instead.  No difference wraps around in
+the padded group, so the sums equal their sums over Z.  The U^2 sum is the
+additive energy, (1/m) sum |DFT_m f|^4 for any m >= 2N - 1.  The U^3 sum is
+||f||_{U^3}^8 = sum_h ||Delta_h f||_{U^2}^4 (Gowers, GAFA 11 (2001); Tao-Vu,
+Additive Combinatorics, ch. 11), where Delta_h f = f(. + h) conj f vanishes
+for |h| >= N, lives on an interval of length N - |h|, and Delta_{-h} f is a
+conjugated shift of Delta_h f.  So
+S3 = E(|f|^2) + 2 sum_{h=1}^{N-1} E(f[h:N] conj f[0:N-h]), each energy at
+the least power-of-two length that holds its support.
 """
 
 from __future__ import annotations
@@ -19,6 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .arith import e, geometric_grid
 from .errors import InputError, ResourceError
@@ -41,6 +52,7 @@ __all__ = [
 
 _DIRECT_OP_BUDGET = 2 ** 31
 _FAST_U3_MAX_NT = 1 << 15
+_ROW_BUDGET = 1 << 20           # complex entries per batch of transformed rows
 
 
 def _as_values(x, N=None):
@@ -211,43 +223,107 @@ def gowers_direct(values, N: int, s: int) -> float:
     return float((sf / s1) ** (1.0 / (1 << s)))
 
 
-def _S2_fft(buf):
-    # sum_{n,h1,h2} of the 2-fold multi-difference equals (1/Nt) sum |DFT|^4
-    # (verified against the direct sum; see the oracle-equivalence tests)
-    F = np.fft.fft(buf)
-    return float((np.abs(F) ** 4).sum() / len(buf))
+def _energy(x) -> float:
+    """Additive energy sum_h |sum_n x(n+h) conj x(n)|^2 of x on an interval.
+
+    Equals (1/m) sum |DFT_m x|^4 in every cyclic group of size
+    m >= 2 len(x) - 1, where no difference wraps around; m is the least
+    power of two of that size.
+    """
+    return float(_energies(x[None, :], _pow2(2 * len(x) - 1)).sum())
 
 
-def _S3_fft(buf, block=128):
-    nt = len(buf)
-    ar = np.arange(nt)
-    total = 0.0
-    cj = buf.conj()[None, :]
-    for b0 in range(0, nt, block):
-        hs = np.arange(b0, min(b0 + block, nt))
-        rows = buf[(ar[None, :] + hs[:, None]) % nt] * cj
-        F = np.fft.fft(rows, axis=1)
-        total += float((np.abs(F) ** 4).sum() / nt)
+def _pow2(k: int) -> int:
+    return 1 << max(0, k - 1).bit_length()
+
+
+def _energies(rows, m: int) -> np.ndarray:
+    F = np.fft.fft(rows, m, axis=1)
+    p = F.real ** 2 + F.imag ** 2
+    return (p * p).sum(axis=1) / m
+
+
+def _energy_u3(x) -> float:
+    """sum_h of the additive energy of Delta_h x, over all h.
+
+    Delta_h x(n) = x(n+h) conj x(n) vanishes unless |h| < L = len(x) and
+    then lives on an interval of length L - |h|; Delta_{-h} x is a
+    conjugated shift of Delta_h x, with the same energy.  Hence
+    E(|x|^2) + 2 sum_{h=1}^{L-1} E(x[h:] conj x[:L-h]), each energy taken
+    at the least power-of-two length >= 2(L-h) - 1, with the shifts that
+    share a length transformed as one batch.
+    """
+    L = len(x)
+    total = _energy(x * x.conj())
+    lo = L - 1                  # largest difference length still to do
+    top = _pow2(2 * lo - 1)
+    ext = np.concatenate([x, np.zeros(top, dtype=x.dtype)])
+    cj = ext[:top].conj()
+    while lo >= 1:
+        m = _pow2(2 * lo - 1)
+        hi, lo = lo, m // 4     # lengths in (m/4, m/2] share length m
+        # row h is ext[h : h + m] conj ext[:m] = Delta_h x, zero past L - h
+        win = sliding_window_view(ext, m)
+        step = max(1, _ROW_BUDGET // m)
+        for h0 in range(L - hi, L - lo, step):
+            h1 = min(h0 + step, L - lo)
+            total += 2.0 * float(_energies(win[h0:h1] * cj[:m], m).sum())
     return total
 
 
-def gowers_fast(values, N: int, s: int) -> float:
-    """U^s seminorm over [N]: closed form (s=1), DFT identity (s=2),
-    difference recursion over the FFT base case (s=3)."""
-    vals, n = _as_values(values, N)
+def _gowers_raw(x, s: int) -> float:
+    """Unnormalized U^s sum of x on an interval.
+
+    The same in Z and in the padded group Z/(2^s N)Z, because no
+    difference wraps around there; the fast degrees 1..3 use the support
+    identities above, higher degrees the definitional sum.
+    """
     if s == 1:
-        return float(abs(vals[1 : n + 1].sum()) / n)
-    if s not in (2, 3):
-        raise InputError(f"gowers_fast supports degrees 1..3, got s={s}")
-    nt = (1 << s) * n
-    if s == 3 and nt > _FAST_U3_MAX_NT:
-        raise ResourceError(
-            f"fast U^3 needs {nt} transforms of length {nt}; bound is {_FAST_U3_MAX_NT}"
-        )
-    buf, one = _embed(vals, n, s)
+        return float(abs(x.sum()) ** 2)
+    if np.iscomplexobj(x):
+        # x and conj x have equal sums; transforming one fixed representative
+        # (first nonzero imaginary part positive) makes the computed value
+        # exactly conjugation-invariant, which rounding alone does not
+        im = x.imag[x.imag != 0]
+        if len(im) and im[0] < 0:
+            x = x.conj()
     if s == 2:
-        return float((_S2_fft(buf) / _S2_fft(one)) ** 0.25)
-    return float((_S3_fft(buf) / _S3_fft(one)) ** 0.125)
+        return _energy(x)
+    if s == 3:
+        return _energy_u3(x)
+    buf = np.zeros((1 << s) * len(x), dtype=np.complex128)
+    buf[: len(x)] = x
+    return _S_group(buf, s)
+
+
+def _check_fast(n: int, s: int) -> None:
+    if s not in (1, 2, 3):
+        raise InputError(f"gowers_fast supports degrees 1..3, got s={s}")
+    if s == 3 and (1 << 3) * n > _FAST_U3_MAX_NT:
+        raise ResourceError(
+            f"fast U^3 at N={n} uses Ntilde = {(1 << 3) * n}; "
+            f"the cap is Ntilde <= {_FAST_U3_MAX_NT}"
+        )
+
+
+def _fast_value(x, raw_one: float, s: int) -> float:
+    if s == 1:
+        return float(abs(x.sum()) / len(x))
+    return float((_gowers_raw(x, s) / raw_one) ** (1.0 / (1 << s)))
+
+
+def gowers_fast(values, N: int, s: int) -> float:
+    """U^s seminorm over [N]: closed form (s=1), additive energy (s=2),
+    energies of the differences Delta_h f over |h| < N (s=3).
+
+    The padded-cyclic sums equal their sums over Z, so each energy is
+    taken at the least power-of-two length that holds its support, and
+    ||f||_{U^3}^8 = sum_h ||Delta_h f||_{U^2}^4 (Gowers, GAFA 11 (2001);
+    Tao-Vu, Additive Combinatorics, ch. 11) runs over |h| < N only.
+    """
+    vals, n = _as_values(values, N)
+    _check_fast(n, s)
+    return _fast_value(vals[1 : n + 1], _gowers_raw(np.ones(n), s), s)
 
 
 @dataclass
@@ -293,19 +369,6 @@ class GowersReport:
         return out.getvalue()
 
 
-def _interval_normalizer(n: int, s: int) -> float:
-    one = np.zeros((1 << s) * n, dtype=np.complex128)
-    one[:n] = 1.0
-    nt = len(one)
-    if s == 2:
-        raw = _S2_fft(one)
-    elif s == 3:
-        raw = _S3_fft(one)
-    else:
-        raw = abs(one.sum()) ** 2
-    return float((raw / nt ** (s + 1)) ** (1.0 / (1 << s)))
-
-
 def uniformity_profile(f: MultiplicativeFunction, s: int, n_grid,
                        method: str = "fast") -> GowersReport:
     """U^s values of f over an ascending N-grid, with decay diagnostics.
@@ -319,15 +382,21 @@ def uniformity_profile(f: MultiplicativeFunction, s: int, n_grid,
         raise InputError("empty N grid")
     if grid != sorted(set(grid)):
         raise InputError("N grid must be strictly ascending")
+    if method == "fast":
+        _check_fast(grid[-1], s)
     table = sieve_range(f, grid[-1])
-    evaluate = gowers_fast if method == "fast" else gowers_direct
     report = GowersReport(s=s, source=f.label)
     for n in grid:
-        value = evaluate(table.values, n, s)
         nt = (1 << s) * n
+        if method == "fast":
+            raw_one = _gowers_raw(np.ones(n), s)
+            value = _fast_value(table.values[1 : n + 1], raw_one, s)
+        else:
+            value = gowers_direct(table.values, n, s)
+            raw_one = _gowers_raw(np.ones(n), s)
         report.entries.append(
             GowersEntry(N=n, Ntilde=nt, value=value, method=method,
-                        normalizer=_interval_normalizer(n, s))
+                        normalizer=float((raw_one / nt ** (s + 1)) ** (1.0 / (1 << s))))
         )
         abs_mean = float(np.abs(table.values[1 : n + 1]).mean())
         lhs = value ** (2 ** (s + 1))

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from multfun.cli import parse_polys, parse_z, run
 from multfun.arith import ZERO, RootOfUnity
 
@@ -52,6 +54,22 @@ def test_invalid_target_exits_2(tmp_path):
     rc = run(["levelset", "--function", "moebius", "--z", "bogus",
               "--N", "100", "--out", str(out)])
     assert rc == 2
+    data = read(out)
+    assert data["error"]["type"] == "InputError"
+    assert data["error"]["exit_code"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["levelset", "--function", "lambda_xi", "--xi", "abc", "--z", "1", "--N", "100"],
+    ["levelset", "--function", "lambda_xi", "--xi", "1/0", "--z", "1", "--N", "100"],
+    ["levelset", "--function", "mu_squared", "--z", "val:1/0", "--N", "100"],
+    ["recurrence", "--A", "x", "--N", "1000", "--Jmax", "100"],
+    ["recurrence", "--polys", "n^", "--N", "1000", "--Jmax", "100"],
+    ["sieve", "--function", "custom_file", "--file", "no/such/file.txt", "--N", "100"],
+], ids=["xi-abc", "xi-1/0", "z-val:1/0", "A-x", "polys-n^", "file-missing"])
+def test_malformed_input_exits_2(tmp_path, argv):
+    out = tmp_path / "e.json"
+    assert run(argv + ["--out", str(out)]) == 2
     data = read(out)
     assert data["error"]["type"] == "InputError"
     assert data["error"]["exit_code"] == 2

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multfun import (
     InputError,
@@ -20,7 +22,7 @@ from multfun import (
     zero_repair,
 )
 from multfun.arith import ZERO, RootOfUnity
-from multfun.levelsets import GOLDEN_FRAC
+from multfun.levelsets import GOLDEN_FRAC, _collision_free
 from multfun.mf_core import MultiplicativeFunction, PrimePowerSpec
 from multfun.seminorms import gowers_fast
 
@@ -172,6 +174,36 @@ def test_zero_repair_keeps_zero_free_functions(lam, l13):
 def test_zero_repair_rejects_zero_target(mu):
     with pytest.raises(InputError):
         zero_repair(mu, ZERO)
+
+
+def collision_free_all_pairs(gamma, angles, height=64, eps=1e-8):
+    """No y^n (n <= height) lands within eps of any difference of two samples."""
+    a = np.asarray(angles, dtype=np.float64)
+    diffs = np.round((a[None, :] - a[:, None]).ravel() % 1.0, 12)
+    for n in range(1, height + 1):
+        d = np.abs(diffs - (n * gamma) % 1.0)
+        if np.min(np.minimum(d, 1.0 - d)) < eps:
+            return False
+    return True
+
+
+# angles of exact-coded functions sit on a few rational points; floats and
+# rational gammas make collisions possible as well as absent
+_angle = st.one_of(st.integers(0, 11).map(lambda k: k / 12),
+                   st.floats(0.0, 1.0, exclude_max=True))
+_gamma = st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                   st.tuples(st.integers(0, 23), st.integers(1, 24)).map(lambda t: t[0] / t[1]),
+                   st.integers(0, 62).map(lambda k: GOLDEN_FRAC / (2.0 + k)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(base=st.lists(_angle, min_size=1, max_size=12),
+       repeats=st.lists(st.integers(1, 40), min_size=12, max_size=12),
+       gamma=_gamma, seed=st.integers(0, 2 ** 32 - 1))
+def test_collision_free_matches_all_pairs(base, repeats, gamma, seed):
+    angles = np.repeat(base, repeats[: len(base)])
+    np.random.default_rng(seed).shuffle(angles)
+    assert _collision_free(gamma, angles) == collision_free_all_pairs(gamma, angles)
 
 
 # --------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from multfun import (
     ResourceError,
     besicovitch_profile,
     besicovitch_seminorm,
+    builtin,
     fourier_coefficient,
     gowers_direct,
     gowers_fast,
@@ -209,6 +210,47 @@ def test_gowers_norm_nesting():
         u3 = gowers_direct(vals_from(seq), 32, 3)
         assert u1 <= u2 + 1e-9
         assert u2 <= u3 + 1e-9
+
+
+@pytest.mark.parametrize("f", [
+    builtin("lambda_xi", {"xi": "1/3"}),
+    builtin("dirichlet_character", {"modulus": 5, "index": 1}),
+    builtin("moebius"),
+], ids=lambda f: f.label)
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 31, 48])
+@pytest.mark.parametrize("s", [2, 3])
+def test_fast_matches_direct_catalog(f, n, s):
+    vals = sieve_range(f, n).values
+    assert abs(gowers_fast(vals, n, s) - gowers_direct(vals, n, s)) < 1e-9
+
+
+def interval_energy(n):
+    """Additive energy of 1_[n]: sum over |h| < n of (n - |h|)^2."""
+    return (2 * n ** 3 + n) / 3
+
+
+@pytest.mark.parametrize("s", [2, 3])
+def test_profile_normalizer_closed_form(s):
+    grid = [1, 2, 3, 17, 100, 1000, 4096]
+    rep = uniformity_profile(unit_function(), s, grid)
+    for entry in rep.entries:
+        n = entry.N
+        if s == 2:
+            raw = interval_energy(n)
+        else:
+            raw = interval_energy(n) + 2 * sum(interval_energy(n - h) for h in range(1, n))
+        want = (raw / entry.Ntilde ** (s + 1)) ** (1 / 2 ** s)
+        assert entry.normalizer == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_profile_normalizer_direct_high_degree():
+    # 1_[1] has one cube, 1_[2] has 2(s+1): from each point, at most one h_i
+    # may step to the other point
+    s = 4
+    rep = uniformity_profile(unit_function(), s, [1, 2], method="direct")
+    for entry, raw in zip(rep.entries, (1, 2 * (s + 1))):
+        want = (raw / entry.Ntilde ** (s + 1)) ** (1 / 2 ** s)
+        assert entry.normalizer == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_direct_budget_error():
