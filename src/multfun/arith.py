@@ -3,6 +3,12 @@
 All bulk tables live in a SieveContext, built once per bound N and cached,
 so that several functions sieved at the same N share the smallest-prime-factor
 array and the additive statistics (Omega, omega, squarefree mask, tau, radical).
+
+Every sieve over [1, N] splits the primes at sqrt(N).  A small prime p <= sqrt(N)
+gets one strided slice per prime power p^k <= N.  The large primes q > sqrt(N)
+share one vectorized pass, `large_prime_multiples`: every n <= N has at most
+one such factor, and it is the largest, so each n is touched at most once and
+after all of its small primes.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ __all__ = [
     "SieveContext",
     "get_context",
     "primes_upto",
+    "large_prime_multiples",
     "factorize",
     "is_prime",
     "totient",
@@ -164,6 +171,22 @@ def _smallest_prime_factor(N: int) -> np.ndarray:
     return spf
 
 
+def large_prime_multiples(Q: np.ndarray, N: int):
+    """All multiples m*q <= N of the sorted primes q > sqrt(N) in Q.
+
+    Yields (m * Q[:c], c) for m = 1, 2, ..., N // Q[0], where Q[:c] are the
+    primes q <= N // m; a caller updates its table at the returned indices
+    with values taken from the first c entries of its per-prime arrays.  As
+    n <= N has at most one prime factor above sqrt(N), no index repeats
+    across the whole pass, so a plain `a[idx] op= v` is exact.
+    """
+    if len(Q) == 0:
+        return
+    for m in range(1, N // int(Q[0]) + 1):
+        c = int(np.searchsorted(Q, N // m, "right"))
+        yield m * Q[:c], c
+
+
 class SieveContext:
     """Factorization tables for [1, N]; additive statistics built lazily."""
 
@@ -178,14 +201,10 @@ class SieveContext:
         pr = np.flatnonzero(self.spf == np.arange(N + 1, dtype=np.int32))
         self.primes = pr[pr >= 2].astype(np.int64)
         self.primes.flags.writeable = False
-        self._prime_list: list[int] | None = None
+        split = int(np.searchsorted(self.primes, math.isqrt(N), "right"))
+        self.small_primes: list[int] = self.primes[:split].tolist()
+        self.large_primes = self.primes[split:]
         self._cache: dict[str, np.ndarray] = {}
-
-    @property
-    def prime_list(self) -> list[int]:
-        if self._prime_list is None:
-            self._prime_list = self.primes.tolist()
-        return self._prime_list
 
     def _lazy(self, key, builder):
         if key not in self._cache:
@@ -200,11 +219,13 @@ class SieveContext:
 
         def build():
             om = np.zeros(self.N + 1, dtype=np.int8)
-            for p in self.prime_list:
+            for p in self.small_primes:
                 pk = p
                 while pk <= self.N:
                     om[pk::pk] += 1
                     pk *= p
+            for idx, _ in large_prime_multiples(self.large_primes, self.N):
+                om[idx] += 1
             return om
 
         return self._lazy("big_omega", build)
@@ -215,8 +236,10 @@ class SieveContext:
 
         def build():
             w = np.zeros(self.N + 1, dtype=np.int8)
-            for p in self.prime_list:
+            for p in self.small_primes:
                 w[p::p] += 1
+            for idx, _ in large_prime_multiples(self.large_primes, self.N):
+                w[idx] += 1
             return w
 
         return self._lazy("small_omega", build)
@@ -228,10 +251,8 @@ class SieveContext:
         def build():
             m = np.ones(self.N + 1, dtype=bool)
             m[0] = False
-            for p in self.prime_list:
+            for p in self.small_primes:
                 pp = p * p
-                if pp > self.N:
-                    break
                 m[pp::pp] = False
             return m
 
@@ -244,7 +265,7 @@ class SieveContext:
         def build():
             t = np.ones(self.N + 1, dtype=np.int32)
             t[0] = 0
-            for p in self.prime_list:
+            for p in self.small_primes:
                 t[p::p] *= 2
                 pk, j = p * p, 2
                 while pk <= self.N:
@@ -253,6 +274,8 @@ class SieveContext:
                     sl *= j + 1
                     pk *= p
                     j += 1
+            for idx, _ in large_prime_multiples(self.large_primes, self.N):
+                t[idx] *= 2
             return t
 
         return self._lazy("tau", build)
@@ -264,8 +287,10 @@ class SieveContext:
         def build():
             r = np.ones(self.N + 1, dtype=np.int64)
             r[0] = 0
-            for p in self.prime_list:
+            for p in self.small_primes:
                 r[p::p] *= p
+            for idx, c in large_prime_multiples(self.large_primes, self.N):
+                r[idx] *= self.large_primes[:c]
             return r
 
         return self._lazy("radical", build)
@@ -306,6 +331,7 @@ def geometric_grid(lo: int, hi: int, per_decade: int = 8) -> np.ndarray:
 # Scalar factorization (64-bit), Miller-Rabin + Pollard's rho
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_TRIAL_BOUND = 1000
 
 
 def is_prime(n: int) -> bool:
@@ -361,13 +387,14 @@ def factorize(n: int) -> list[tuple[int, int]]:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    # trial division by 6k+-1 up to a small bound, then rho
+    # trial division by 6k-1 and 6k+1 (from 41 = 6*7-1) up to a small bound, then rho
     f = 41
-    while f * f <= n and f < 100_000:
-        while n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
-        f += 2
+    while f < _TRIAL_BOUND and f * f <= n:
+        for d in (f, f + 2):
+            while n % d == 0:
+                out[d] = out.get(d, 0) + 1
+                n //= d
+        f += 6
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()

@@ -77,8 +77,12 @@ def parse_z(s: str):
         raise InputError(f"cannot parse target {s!r}: {exc}") from exc
 
 
+MAX_POLY_DEGREE = 64
+
+
 def parse_polys(s: str) -> PolynomialFamily:
-    """Polynomials like 'n;2n;n^2;n^3+2n' (semicolon-separated, p(0)=0)."""
+    """Polynomials like 'n;2n;n^2;n^3+2n' (semicolon-separated, p(0)=0),
+    with exponents up to MAX_POLY_DEGREE (coefficients are stored densely)."""
     polys = []
     for part in s.split(";"):
         part = part.replace(" ", "")
@@ -97,6 +101,9 @@ def parse_polys(s: str) -> PolynomialFamily:
                     c, k = int(term), 0
             except ValueError as exc:
                 raise InputError(f"cannot parse polynomial term {term!r} in {s!r}") from exc
+            if k > MAX_POLY_DEGREE:
+                raise InputError(f"polynomial term {term!r} in {s!r} has degree {k}; "
+                                 f"the largest allowed is {MAX_POLY_DEGREE}")
             coeffs[k] = coeffs.get(k, 0) + c
         deg = max(coeffs) if coeffs else 0
         polys.append(tuple(coeffs.get(k, 0) for k in range(deg + 1)))

@@ -27,6 +27,7 @@ from .arith import (
     Zero,
     geometric_grid,
     get_context,
+    large_prime_multiples,
     primes_upto,
     snap_root_of_unity,
 )
@@ -604,12 +605,16 @@ def sp_set(prime_set, N: int) -> np.ndarray:
     ctx = get_context(N)
     mask = ctx.squarefree.copy()
     if callable(prime_set):
-        excluded = [p for p in ctx.prime_list if not prime_set(p)]
+        keep = prime_set
     else:
-        allowed = {int(p) for p in prime_set}
-        excluded = [p for p in ctx.prime_list if p not in allowed]
-    for p in excluded:
-        mask[p::p] = False
+        keep = {int(p) for p in prime_set}.__contains__
+    for p in ctx.small_primes:
+        if not keep(p):
+            mask[p::p] = False
+    Q = ctx.large_primes
+    excluded = np.fromiter((not keep(q) for q in Q.tolist()), dtype=bool, count=len(Q))
+    for idx, _ in large_prime_multiples(Q[excluded], N):
+        mask[idx] = False
     mask[0] = False
     if N >= 1:
         mask[1] = True

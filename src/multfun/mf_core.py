@@ -2,10 +2,13 @@
 
 A MultiplicativeFunction is defined by its values on prime powers.  Pointwise
 evaluation factors n and multiplies rule values; bulk evaluation sieves
-[1, N] in O(N) slice work per prime power.  Catalog entries with rational
-phase parameters additionally carry an exact finite-alphabet representation
-(ExactCodes): every nonzero value is e(code/order), value 0 is code -1.
-Level-set extraction downstream is integer-exact through these codes.
+[1, N] with one strided slice per power of a prime p <= sqrt(N) and one
+vectorized pass over the multiples of all primes above sqrt(N)
+(arith.large_prime_multiples), which multiply last as the largest factor of
+n.  Catalog entries with rational phase parameters additionally carry an
+exact finite-alphabet representation (ExactCodes): every nonzero value is
+e(code/order), value 0 is code -1.  Level-set extraction downstream is
+integer-exact through these codes.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .arith import (
     factorize,
     get_context,
     is_prime,
+    large_prime_multiples,
     root_table,
 )
 from .errors import InputError
@@ -302,8 +306,11 @@ def _sieve_squarefree(f, N, ctx):
 
 def _sieve_phi_ratio(f, N, ctx):
     v = np.ones(N + 1, dtype=np.float64)
-    for p in ctx.prime_list:
+    for p in ctx.small_primes:
         v[p::p] *= 1.0 - 1.0 / p
+    ratio = 1.0 - 1.0 / ctx.large_primes
+    for idx, c in large_prime_multiples(ctx.large_primes, N):
+        v[idx] *= ratio[:c]
     return v.astype(np.complex128), RadicalCodes(radical=ctx.radical)
 
 
@@ -340,7 +347,7 @@ def _sieve_repaired(f, N, ctx):
         return _sieve_generic(f, N, ctx)
     root = np.zeros(N + 1, dtype=np.int32)
     yexp = np.zeros(N + 1, dtype=np.int8)
-    for p in ctx.prime_list:
+    for p in ctx.small_primes:
         pe, eexp = p, 1
         prev_c, prev_z = 0, 0
         while pe <= N:
@@ -357,6 +364,13 @@ def _sieve_repaired(f, N, ctx):
             prev_c, prev_z = cc, z
             pe *= p
             eexp += 1
+    # a large prime q has q^2 > N, so only its first-power deltas enter
+    large = [ppow_code(base, q, 1) for q in ctx.large_primes.tolist()]
+    dc = np.array([0 if c is None else c for c in large], dtype=np.int32)
+    dz = np.array([c is None for c in large], dtype=np.int8)
+    for idx, c in large_prime_multiples(ctx.large_primes, N):
+        root[idx] += dc[:c]
+        yexp[idx] += dz[:c]
     root %= order
     codes = root
     codes[0] = -1
@@ -368,7 +382,7 @@ def _sieve_repaired(f, N, ctx):
 
 def _sieve_generic(f, N, ctx):
     values = np.ones(N + 1, dtype=np.complex128)
-    for p in ctx.prime_list:
+    for p in ctx.small_primes:
         vs = []
         pe = p
         while pe <= N:
@@ -398,6 +412,19 @@ def _sieve_generic(f, N, ctx):
                     idx = idx[(idx // pe) % p != 0]
                 values[idx] *= v
                 pe *= p
+    # A large prime q has q^2 > N, so f(q) is its only factor, applied as the
+    # ratio f(q) / 1 that the loop above forms (which sets signed zeros).  The
+    # product is taken out of place: numpy rounds out-of-place complex
+    # products, and in-place ones of two or more entries, by its vector kernel
+    # (fused on FMA hardware), but in-place one-entry products by the plain
+    # formula.  So it matches the strided slices values[q::q] *= r bit for bit;
+    # their one-entry case (q > N // 2) multiplies an exact 1.
+    Q = ctx.large_primes
+    r = np.array([_ppval(f, q, 1) / (1 + 0j) for q in Q.tolist()], dtype=np.complex128)
+    moves = r != 1
+    r = r[moves]
+    for idx, c in large_prime_multiples(Q[moves], N):
+        values[idx] = values[idx] * r[:c]
     return values, None
 
 

@@ -2,8 +2,13 @@ import json
 
 import pytest
 
-from multfun.cli import parse_polys, parse_z, run
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from multfun import InputError, MultfunError
+from multfun.cli import MAX_POLY_DEGREE, parse_polys, parse_z, run
 from multfun.arith import ZERO, RootOfUnity
+from multfun.mf_core import _parse_xi, parse_custom_file
 
 
 def read(path):
@@ -24,6 +29,9 @@ def test_parse_z_forms():
 def test_parse_polys():
     pf = parse_polys("n;2n;n^2;n^3+2n")
     assert pf.coeffs == ((0, 1), (0, 2), (0, 0, 1), (0, 2, 0, 1))
+    assert parse_polys(f"n^{MAX_POLY_DEGREE}").coeffs[0][-1] == 1
+    with pytest.raises(InputError, match="degree"):
+        parse_polys(f"n;n^{MAX_POLY_DEGREE + 1}")
 
 
 def test_structure_command(tmp_path):
@@ -66,13 +74,44 @@ def test_invalid_target_exits_2(tmp_path):
     ["recurrence", "--A", "x", "--N", "1000", "--Jmax", "100"],
     ["recurrence", "--polys", "n^", "--N", "1000", "--Jmax", "100"],
     ["sieve", "--function", "custom_file", "--file", "no/such/file.txt", "--N", "100"],
-], ids=["xi-abc", "xi-1/0", "z-val:1/0", "A-x", "polys-n^", "file-missing"])
+    ["convergence", "--m", "3", "--A", "0", "--polys", "n^1000000000", "--N", "1000",
+     "--Jmax", "100"],
+], ids=["xi-abc", "xi-1/0", "z-val:1/0", "A-x", "polys-n^", "file-missing", "polys-degree"])
 def test_malformed_input_exits_2(tmp_path, argv):
     out = tmp_path / "e.json"
     assert run(argv + ["--out", str(out)]) == 2
     data = read(out)
     assert data["error"]["type"] == "InputError"
     assert data["error"]["exit_code"] == 2
+
+
+# free text, plus near misses of each syntax: "a/b", "val:a/b", "cn^k", and
+# lines of whitespace-separated fields as in a custom-function file
+_NUM = st.sampled_from(["0", "1", "-1", "7", "", "x", "n", "0.5", "nan", "9" * 25])
+_PARSER_TEXT = st.one_of(
+    st.text(max_size=40),
+    st.builds("{}{}{}{}".format, st.sampled_from(["", "val:", "default:"]), _NUM,
+              st.sampled_from(["/", "^", "n^", "+", ";", "j", " "]), _NUM),
+    st.lists(st.lists(_NUM, min_size=1, max_size=5).map(" ".join), max_size=4).map("\n".join),
+)
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_PARSER_TEXT)
+@example(text="1/0")
+@example(text="val:1/0")
+@example(text="n^")
+@example(text="2 1 x 0")
+def test_parsers_raise_only_multfun_errors(text, tmp_path):
+    path = tmp_path / "custom.txt"
+    path.write_text(text, encoding="utf-8", errors="surrogatepass")
+    for parse, arg in ((_parse_xi, text), (parse_z, text), (parse_polys, text),
+                       (parse_custom_file, path)):
+        try:
+            parse(arg)
+        except MultfunError:
+            pass
 
 
 def test_resource_cap_exits_3(tmp_path, monkeypatch):
