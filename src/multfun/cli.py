@@ -420,8 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, n_default=None):
         p.add_argument("--out", default=None, help="JSON report path")
         p.add_argument("--csv", default=None, help="CSV table path (where defined)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker cap; results are identical at any setting")
         if n_default is not None:
             p.add_argument("--N", type=int, default=n_default)
 
@@ -518,8 +516,6 @@ def run(argv=None) -> int:
         # argparse reports its own message; map parse failures to exit 2
         return 0 if exc.code in (0, None) else 2
     out = args.out or f"multfun_{args.command}.json"
-    if args.threads is not None and args.threads < 1:
-        args.threads = 1
     try:
         result = args.func(args)
     except MultfunError as exc:

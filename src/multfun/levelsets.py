@@ -34,13 +34,23 @@ from .arith import (
 from .characters import DirichletCharacter, characters_mod, principal_character
 from .errors import InputError, SearchError
 from .mf_core import (
+    _KINDS,
     MultiplicativeFunction,
     SieveTable,
     make_repaired,
     sieve_range,
     zero_free,
 )
-from .pretentious import PLATEAU_CAP, DistanceProfile, RapReport, _distance_profile, rap_test
+from .pretentious import (
+    PLATEAU_CAP,
+    DistanceProfile,
+    RapReport,
+    _classify_trend,
+    _distance_profile,
+    _partials_at_grid,
+    _two_decades_back,
+    rap_test,
+)
 from .seminorms import _FAST_U3_MAX_NT, gowers_fast
 
 __all__ = [
@@ -256,11 +266,7 @@ def concentration_analysis(f: MultiplicativeFunction, P: int,
     off = dist > 1e-9
     tail_total = float(inv_p[off].sum())
     grid = geometric_grid(10, P)
-    cs = np.cumsum(np.where(off, inv_p, 0.0))
-    gidx = np.searchsorted(primes, grid, side="right")
-    tail_partial = [float(cs[i - 1]) if i > 0 else 0.0 for i in gidx]
-    from .pretentious import _classify_trend
-
+    tail_partial = _partials_at_grid(np.where(off, inv_p, 0.0), primes, grid).tolist()
     trend, _, _ = _classify_trend([int(x) for x in grid], tail_partial)
     fuzzy_outside = [v for v, _ in fuzzy if float(np.min(np.abs(gvals - v))) > 1e-9]
     if fuzzy_outside:
@@ -366,8 +372,7 @@ def find_k_and_character(g: MultiplicativeFunction, k_max: int = 8,
         raise InputError(f"{g.label} vanishes at some prime; repair zeros first")
     inv_p = 1.0 / primes
     grid = geometric_grid(10, P)
-    lo_cut = _grid_two_decades_cut(grid)
-    hi = primes > lo_cut
+    hi = primes > grid[_two_decades_back(grid)]
     sum_invp_hi = float(inv_p[hi].sum())
     for k in range(1, k_max + 1):
         gk = gp ** k
@@ -392,16 +397,6 @@ def find_k_and_character(g: MultiplicativeFunction, k_max: int = 8,
         f"no (k, chi) found for {g.label} with k <= {k_max}, modulus <= {Q_max}, "
         f"P = {P}; the bounds are knobs, failure does not refute existence"
     )
-
-
-def _grid_two_decades_cut(grid) -> int:
-    P = int(grid[-1])
-    target = max(P // 100, min(100, P))
-    cut = int(grid[0])
-    for p in grid:
-        if p <= target:
-            cut = int(p)
-    return cut
 
 
 # --------------------------------------------------------------------------
@@ -533,22 +528,15 @@ def divisibility_report(E: LevelSet, r: int, u_max: int, N: int | None = None,
                               certificate=certificate, floor=floor, weak_u=weak)
 
 
-def _squarefree_supported(f: MultiplicativeFunction | None) -> bool:
-    if f is None:
-        return False
-    if f.kind == "squarefree_indicator":
-        return True
-    if f.kind == "omega_phase" and f.meta.get("squarefree_only"):
-        return True
-    return False
-
-
 def _residue_obstruction(E: LevelSet, r: int, u: int) -> dict | None:
     """Symbolic proof that (E - r) ∩ uN is empty, when one exists."""
     f = E.function
+    if f is None:
+        return None
+    kind = _KINDS[f.kind]
     target = E.z
     # squarefree support: p^2 | u and p^2 | r force a square factor of n + r
-    if _squarefree_supported(f) and not isinstance(target, Zero):
+    if kind.squarefree_only(f) and not isinstance(target, Zero):
         for p, _ in _small_square_divisors(u):
             if r % (p * p) == 0:
                 return {
@@ -559,20 +547,14 @@ def _residue_obstruction(E: LevelSet, r: int, u: int) -> dict | None:
                         f"r ≡ 0 (mod {p*p}) force {p*p} | n + r for every n ∈ uN"
                     ),
                 }
-    # periodic constraint: members lie in fixed residue classes mod q
-    if f is not None and f.kind == "periodic":
-        chi = f.meta["char"]
-        q = chi.modulus
-        if isinstance(target, Zero):
-            allowed = [s for s in range(q) if chi.expo[s] < 0]
-        elif isinstance(target, RootOfUnity):
-            code = None
-            L = chi.expo_mod
-            if L % target.den == 0:
-                code = (target.num * (L // target.den)) % L
-            allowed = [s for s in range(q) if code is not None and chi.expo[s] == code]
-        else:
-            allowed = list(range(q))
+    # periodic constraint: members lie in fixed residue classes mod q, the
+    # residues whose code is the target's (-1 for zero); any other target
+    # allows every residue, and so never obstructs
+    period = kind.period_codes(f)
+    if period is not None and isinstance(target, (Zero, RootOfUnity)):
+        q = len(period.codes)
+        code = -1 if isinstance(target, Zero) else period.code_of(target)
+        allowed = [s for s, c in enumerate(period.codes.tolist()) if c == code]
         gqu = math.gcd(q, u)
         if all((s - r) % gqu != 0 for s in allowed):
             return {

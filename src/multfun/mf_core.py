@@ -9,6 +9,11 @@ n.  Catalog entries with rational phase parameters additionally carry an
 exact finite-alphabet representation (ExactCodes): every nonzero value is
 e(code/order), value 0 is code -1.  Level-set extraction downstream is
 integer-exact through these codes.
+
+_KINDS is the one place where a catalog kind is defined: f.kind names a
+_Kind record holding the kind's sieve, its values at primes, its exact
+prime-power codes and their order, and whether its functions are zero-free,
+supported on the squarefree integers or periodic.
 """
 
 from __future__ import annotations
@@ -98,7 +103,7 @@ class MultiplicativeFunction:
 
     def prime_values(self, ps: np.ndarray) -> np.ndarray:
         """Vectorized f(p) over an array of primes."""
-        return _prime_values(self, np.asarray(ps, dtype=np.int64))
+        return _KINDS[self.kind].prime_values(self, np.asarray(ps, dtype=np.int64))
 
     def __repr__(self):
         return f"MultiplicativeFunction({self.label})"
@@ -247,17 +252,16 @@ def eval_at(f: MultiplicativeFunction, n: int) -> complex:
 def sieve_range(f: MultiplicativeFunction, N: int) -> SieveTable:
     """Tabulate f on [1, N].
 
-    Dispatches on the catalog kind: additive-statistic kernels for the
-    Omega/omega/squarefree family, residue tables for periodic functions,
-    and a generic prime-power pass otherwise.  Exact codes are attached
-    whenever the kind supports them.
+    The kind's sieve (see _KINDS) builds the table: additive-statistic
+    kernels for the Omega/omega/squarefree family, residue tables for
+    periodic functions, and a generic prime-power pass otherwise.  Exact codes
+    are attached whenever the kind supports them.
     """
     if N < 1:
         raise InputError(f"sieve bound must be >= 1, got {N}")
     check_budget(30 * (N + 1), f"sieve of {f.label} to N={N}")
     ctx = get_context(N)
-    builder = _SIEVE_BUILDERS.get(f.kind, _sieve_generic)
-    values, exact = builder(f, N, ctx)
+    values, exact = _KINDS[f.kind].sieve(f, N, ctx)
     values[0] = 0
     if not f.spec.unbounded:
         peak = float(np.abs(values).max())
@@ -272,28 +276,6 @@ def _codes_to_values(codes: np.ndarray, order: int) -> np.ndarray:
     vals = roots[np.maximum(codes, 0) % order]
     vals[codes < 0] = 0
     return vals
-
-
-def _sieve_omega_phase(f, N, ctx, stat_attr="big_omega"):
-    stat = getattr(ctx, stat_attr)
-    sqf_only = f.meta.get("squarefree_only", False)
-    if "b" in f.meta:
-        a, b = f.meta["a"], f.meta["b"]
-        codes = ((stat.astype(np.int64) * a) % b).astype(np.int32)
-        if sqf_only:
-            codes[~ctx.squarefree] = -1
-        codes[0] = -1
-        values = _codes_to_values(codes, b)
-        return values, ExactCodes(order=b, codes=codes)
-    xi = f.meta["xi"]
-    values = e(xi * stat.astype(np.float64))
-    if sqf_only:
-        values[~ctx.squarefree] = 0
-    return values, None
-
-
-def _sieve_small_omega_phase(f, N, ctx):
-    return _sieve_omega_phase(f, N, ctx, stat_attr="small_omega")
 
 
 def _sieve_squarefree(f, N, ctx):
@@ -345,13 +327,14 @@ def _sieve_repaired(f, N, ctx):
     order = exact_order(base)
     if order is None:
         return _sieve_generic(f, N, ctx)
+    code = _KINDS[base.kind].ppow_code
     root = np.zeros(N + 1, dtype=np.int32)
     yexp = np.zeros(N + 1, dtype=np.int8)
     for p in ctx.small_primes:
         pe, eexp = p, 1
         prev_c, prev_z = 0, 0
         while pe <= N:
-            c = ppow_code(base, p, eexp)
+            c = code(base, p, eexp)
             z = 1 if c is None else 0
             cc = 0 if c is None else c
             # telescoped deltas: after all powers, an exact-exponent-e slot
@@ -365,7 +348,7 @@ def _sieve_repaired(f, N, ctx):
             pe *= p
             eexp += 1
     # a large prime q has q^2 > N, so only its first-power deltas enter
-    large = [ppow_code(base, q, 1) for q in ctx.large_primes.tolist()]
+    large = [code(base, q, 1) for q in ctx.large_primes.tolist()]
     dc = np.array([0 if c is None else c for c in large], dtype=np.int32)
     dz = np.array([c is None for c in large], dtype=np.int8)
     for idx, c in large_prime_multiples(ctx.large_primes, N):
@@ -428,70 +411,22 @@ def _sieve_generic(f, N, ctx):
     return values, None
 
 
-_SIEVE_BUILDERS = {
-    "omega_phase": _sieve_omega_phase,
-    "small_omega_phase": _sieve_small_omega_phase,
-    "squarefree_indicator": _sieve_squarefree,
-    "phi_ratio": _sieve_phi_ratio,
-    "periodic": _sieve_periodic,
-    "tau_character": _sieve_tau_character,
-    "repaired": _sieve_repaired,
-}
-
-
 # --------------------------------------------------------------------------
 # Exact prime-power codes (for zero repair and level-set machinery)
 
 def exact_order(f: MultiplicativeFunction) -> int | None:
     """Alphabet size of f's exact root-of-unity representation, if any."""
-    if f.kind in ("omega_phase", "small_omega_phase") and "b" in f.meta:
-        return f.meta["b"]
-    if f.kind == "squarefree_indicator":
-        return 1
-    if f.kind in ("periodic", "tau_character"):
-        return f.meta["char"].expo_mod
-    if f.kind == "repaired":
-        return exact_order(f.meta["base"])
-    return None
+    return _KINDS[f.kind].exact_order(f)
 
 
 def ppow_code(f: MultiplicativeFunction, p: int, k: int) -> int | None:
     """Exact code of f(p^k), or None when f(p^k) = 0."""
-    kind = f.kind
-    if kind == "omega_phase" and "b" in f.meta:
-        if f.meta.get("squarefree_only") and k >= 2:
-            return None
-        return (f.meta["a"] * k) % f.meta["b"]
-    if kind == "small_omega_phase" and "b" in f.meta:
-        return f.meta["a"] % f.meta["b"]
-    if kind == "squarefree_indicator":
-        return None if k >= 2 else 0
-    if kind == "periodic":
-        chi = f.meta["char"]
-        ex = int(chi.expo[pow(p, k, chi.modulus)])
-        return None if ex < 0 else ex
-    if kind == "tau_character":
-        chi = f.meta["char"]
-        ex = int(chi.expo[(k + 1) % chi.modulus])
-        return None if ex < 0 else ex
-    if kind == "repaired":
-        raise InputError("repaired functions are not repaired twice")
-    raise InputError(f"{f.label} has no exact prime-power codes")
+    return _KINDS[f.kind].ppow_code(f, p, k)
 
 
 def zero_free(f: MultiplicativeFunction) -> bool:
     """True when the kind structurally excludes zero values."""
-    if f.kind in ("omega_phase", "small_omega_phase"):
-        return not f.meta.get("squarefree_only", False)
-    if f.kind == "phi_ratio":
-        return True
-    if f.kind == "periodic":
-        return f.meta["char"].modulus == 1
-    if f.kind == "repaired":
-        return True
-    if f.kind == "power":
-        return zero_free(f.meta["base"])
-    return False
+    return _KINDS[f.kind].zero_free(f)
 
 
 def make_repaired(base: MultiplicativeFunction, y: complex, gamma: float) -> MultiplicativeFunction:
@@ -512,30 +447,133 @@ def make_repaired(base: MultiplicativeFunction, y: complex, gamma: float) -> Mul
 
 
 # --------------------------------------------------------------------------
-# Vectorized values at primes
+# The kind registry
 
-def _prime_values(f: MultiplicativeFunction, ps: np.ndarray) -> np.ndarray:
-    kind = f.kind
-    if kind in ("omega_phase", "small_omega_phase"):
-        if "b" in f.meta:
-            v = root_table(f.meta["b"])[f.meta["a"] % f.meta["b"]]
-        else:
-            v = complex(e(f.meta["xi"]))
-        return np.full(len(ps), v, dtype=np.complex128)
-    if kind == "squarefree_indicator":
-        return np.ones(len(ps), dtype=np.complex128)
-    if kind == "phi_ratio":
-        return (1.0 - 1.0 / ps).astype(np.complex128)
-    if kind == "periodic":
-        return f.meta["char"].values_at(ps)
-    if kind == "tau_character":
-        return np.full(len(ps), complex(f.meta["char"](2)), dtype=np.complex128)
-    if kind == "repaired":
-        base_vals = _prime_values(f.meta["base"], ps)
-        return np.where(base_vals == 0, f.meta["y"], base_vals)
-    if kind == "power":
-        return _prime_values(f.meta["base"], ps) ** f.meta["k"]
+def _generic_prime_values(f, ps):
     return np.array([_ppval(f, int(p), 1) for p in ps], dtype=np.complex128)
+
+
+def _no_codes(f, p, k):
+    raise InputError(f"{f.label} has no exact prime-power codes")
+
+
+def _repaired_code(f, p, k):
+    raise InputError("repaired functions are not repaired twice")
+
+
+def _repaired_prime_values(f, ps):
+    base_vals = f.meta["base"].prime_values(ps)
+    return np.where(base_vals == 0, f.meta["y"], base_vals)
+
+
+def _unit_code(chi, n: int) -> int | None:
+    ex = int(chi.expo[n % chi.modulus])
+    return None if ex < 0 else ex
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """What one catalog kind knows about its functions f.  The defaults are
+    the generic behaviour: a prime-power sieve, prime values from the rule,
+    no exact codes, no structural zeros or support."""
+
+    sieve: Callable = _sieve_generic                # (f, N, ctx) -> (values, exact)
+    prime_values: Callable = _generic_prime_values  # (f, primes) -> f(p) as complex
+    ppow_code: Callable = _no_codes                 # (f, p, k) -> code, None when 0
+    exact_order: Callable = lambda f: None          # alphabet size of the codes
+    zero_free: Callable = lambda f: False           # f(n) != 0 for every n
+    squarefree_only: Callable = lambda f: False     # f(n) = 0 off the squarefree n
+    period_codes: Callable = lambda f: None         # a periodic f's codes on [0, period)
+
+
+def _squarefree_only(f) -> bool:
+    return f.meta.get("squarefree_only", False)
+
+
+def _phase_kind(stat: str, weight: Callable[[int], int]) -> _Kind:
+    """The phases e(xi * stat(n)) of one prime-factor count, stat(p^k) = weight(k).
+
+    A rational xi = a/b gives the codes a * stat(n) mod b; the squarefree_only
+    members vanish off the squarefree n.
+    """
+
+    def sieve(f, N, ctx):
+        counts = getattr(ctx, stat)
+        sqf = _squarefree_only(f)
+        if "b" in f.meta:
+            a, b = f.meta["a"], f.meta["b"]
+            codes = ((counts.astype(np.int64) * a) % b).astype(np.int32)
+            if sqf:
+                codes[~ctx.squarefree] = -1
+            codes[0] = -1
+            return _codes_to_values(codes, b), ExactCodes(order=b, codes=codes)
+        values = e(f.meta["xi"] * counts.astype(np.float64))
+        if sqf:
+            values[~ctx.squarefree] = 0
+        return values, None
+
+    def code(f, p, k):
+        if "b" not in f.meta:
+            return _no_codes(f, p, k)
+        if _squarefree_only(f) and k >= 2:
+            return None
+        return (f.meta["a"] * weight(k)) % f.meta["b"]
+
+    def prime_values(f, ps):
+        m = f.meta
+        v = root_table(m["b"])[m["a"] % m["b"]] if "b" in m else e(m["xi"])
+        return np.full(len(ps), v, dtype=np.complex128)
+
+    return _Kind(sieve=sieve, prime_values=prime_values, ppow_code=code,
+                 exact_order=lambda f: f.meta.get("b"),
+                 zero_free=lambda f: not _squarefree_only(f),
+                 squarefree_only=_squarefree_only)
+
+
+# The one place where a catalog kind is defined; f.kind selects the entry.
+_KINDS = {
+    "omega_phase": _phase_kind("big_omega", lambda k: k),
+    "small_omega_phase": _phase_kind("small_omega", lambda k: 1),
+    "squarefree_indicator": _Kind(
+        sieve=_sieve_squarefree,
+        prime_values=lambda f, ps: np.ones(len(ps), dtype=np.complex128),
+        ppow_code=lambda f, p, k: None if k >= 2 else 0,
+        exact_order=lambda f: 1,
+        squarefree_only=lambda f: True,
+    ),
+    "phi_ratio": _Kind(
+        sieve=_sieve_phi_ratio,
+        prime_values=lambda f, ps: (1.0 - 1.0 / ps).astype(np.complex128),
+        zero_free=lambda f: True,
+    ),
+    "periodic": _Kind(
+        sieve=_sieve_periodic,
+        prime_values=lambda f, ps: f.meta["char"].values_at(ps),
+        ppow_code=lambda f, p, k: _unit_code(f.meta["char"], p ** k),
+        exact_order=lambda f: f.meta["char"].expo_mod,
+        zero_free=lambda f: f.meta["char"].modulus == 1,
+        period_codes=lambda f: ExactCodes(f.meta["char"].expo_mod, f.meta["char"].expo),
+    ),
+    "tau_character": _Kind(
+        sieve=_sieve_tau_character,
+        prime_values=lambda f, ps: np.full(len(ps), complex(f.meta["char"](2)),
+                                           dtype=np.complex128),
+        ppow_code=lambda f, p, k: _unit_code(f.meta["char"], k + 1),
+        exact_order=lambda f: f.meta["char"].expo_mod,
+    ),
+    "repaired": _Kind(
+        sieve=_sieve_repaired,
+        prime_values=_repaired_prime_values,
+        ppow_code=_repaired_code,
+        exact_order=lambda f: exact_order(f.meta["base"]),
+        zero_free=lambda f: True,
+    ),
+    "power": _Kind(
+        prime_values=lambda f, ps: f.meta["base"].prime_values(ps) ** f.meta["k"],
+        zero_free=lambda f: zero_free(f.meta["base"]),
+    ),
+    "generic": _Kind(),
+}
 
 
 # --------------------------------------------------------------------------
@@ -589,53 +627,44 @@ def _xi_value(xi) -> complex:
     return complex(e(float(xi)))
 
 
+# name -> (kind, vanishes at p^k for k >= 2, completely multiplicative, fixed xi)
+_PHASE_ENTRIES = {
+    "liouville": ("omega_phase", False, True, Fraction(1, 2)),
+    "moebius": ("omega_phase", True, False, Fraction(1, 2)),
+    "lambda_xi": ("omega_phase", False, True, None),
+    "mu_xi": ("omega_phase", True, False, None),
+    "kappa_xi": ("small_omega_phase", False, False, None),
+}
+
+
+def _phase_function(name: str, params: dict) -> MultiplicativeFunction:
+    """The phase entries: e(xi Omega(n)) (mu_xi and moebius restricted to the
+    squarefree n) and e(xi omega(n)); liouville and moebius fix xi = 1/2."""
+    kind, squarefree_only, cm, xi = _PHASE_ENTRIES[name]
+    fixed = xi is not None
+    if not fixed:
+        xi = _parse_xi(params.get("xi"))
+    v = _xi_value(xi)
+    if squarefree_only:
+        rule = lambda p, k: v if k == 1 else 0.0
+        meta = dict(_phase_meta(xi), squarefree_only=True)
+    else:
+        rule = lambda p, k: v
+        meta = _phase_meta(xi)
+    return MultiplicativeFunction(
+        name,
+        PrimePowerSpec(rule, completely_multiplicative=cm),
+        params={} if fixed else {"xi": xi},
+        kind=kind,
+        meta=meta,
+    )
+
+
 def builtin(name: str, params: dict | None = None) -> MultiplicativeFunction:
     """Catalog constructor; see BUILTIN_NAMES for the available keys."""
     params = dict(params or {})
-    if name == "liouville":
-        return MultiplicativeFunction(
-            "liouville",
-            PrimePowerSpec(lambda p, k: -1.0, completely_multiplicative=True),
-            kind="omega_phase",
-            meta={"a": 1, "b": 2},
-        )
-    if name == "moebius":
-        return MultiplicativeFunction(
-            "moebius",
-            PrimePowerSpec(lambda p, k: -1.0 if k == 1 else 0.0),
-            kind="omega_phase",
-            meta={"a": 1, "b": 2, "squarefree_only": True},
-        )
-    if name == "lambda_xi":
-        xi = _parse_xi(params.get("xi"))
-        v = _xi_value(xi)
-        return MultiplicativeFunction(
-            "lambda_xi",
-            PrimePowerSpec(lambda p, k: v, completely_multiplicative=True),
-            params={"xi": xi},
-            kind="omega_phase",
-            meta=_phase_meta(xi),
-        )
-    if name == "mu_xi":
-        xi = _parse_xi(params.get("xi"))
-        v = _xi_value(xi)
-        return MultiplicativeFunction(
-            "mu_xi",
-            PrimePowerSpec(lambda p, k: v if k == 1 else 0.0),
-            params={"xi": xi},
-            kind="omega_phase",
-            meta=dict(_phase_meta(xi), squarefree_only=True),
-        )
-    if name == "kappa_xi":
-        xi = _parse_xi(params.get("xi"))
-        v = _xi_value(xi)
-        return MultiplicativeFunction(
-            "kappa_xi",
-            PrimePowerSpec(lambda p, k: v),
-            params={"xi": xi},
-            kind="small_omega_phase",
-            meta=_phase_meta(xi),
-        )
+    if name in _PHASE_ENTRIES:
+        return _phase_function(name, params)
     if name == "mu_squared":
         return MultiplicativeFunction(
             "mu_squared",

@@ -25,6 +25,7 @@ from .mf_core import (
     prime_power_value,
     sieve_range,
 )
+from .seminorms import besicovitch_profile
 
 __all__ = [
     "DistanceProfile",
@@ -76,11 +77,7 @@ class DistanceProfile:
 def _classify_trend(P_grid, partial):
     """Plateau / Mertens-rate divergence / indeterminate, from the profile tail."""
     P = P_grid[-1]
-    lo_target = max(P // 100, min(100, P))
-    i_lo = 0
-    for i, p in enumerate(P_grid):
-        if p <= lo_target:
-            i_lo = i
+    i_lo = _two_decades_back(P_grid)
     inc = partial[-1] - partial[i_lo]
     lo = max(P_grid[i_lo], 2)
     mertens = 2.0 * (math.log(math.log(P)) - math.log(math.log(lo))) if P > lo else 0.0
@@ -91,10 +88,23 @@ def _classify_trend(P_grid, partial):
     return "indeterminate", inc, mertens
 
 
-def _partials_at_grid(terms: np.ndarray, primes: np.ndarray, grid: np.ndarray):
-    cs = np.cumsum(terms)
+def _two_decades_back(grid) -> int:
+    """Index of the last grid point <= max(P // 100, min(100, P)), P = grid[-1]
+    (0 when there is none): where the last-two-decades tail starts."""
+    P = grid[-1]
+    target = max(P // 100, min(100, P))
+    i_lo = 0
+    for i, p in enumerate(grid):
+        if p <= target:
+            i_lo = i
+    return i_lo
+
+
+def _partials_at_grid(terms: np.ndarray, primes: np.ndarray, grid: np.ndarray,
+                      running=np.cumsum, empty=0.0) -> np.ndarray:
+    """running(terms) over the primes <= each grid point; empty before the first."""
     idx = np.searchsorted(primes, grid, side="right")
-    return [float(cs[i - 1]) if i > 0 else 0.0 for i in idx]
+    return np.concatenate(([empty], running(terms)))[idx]
 
 
 def _distance_profile(fp, gp, primes, P, t, f_name, g_name, grid=None) -> DistanceProfile:
@@ -104,7 +114,7 @@ def _distance_profile(fp, gp, primes, P, t, f_name, g_name, grid=None) -> Distan
         c = c * np.exp(-1j * t * np.log(primes.astype(np.float64)))
     # clamp float dust: terms are nonnegative for |f|, |g| <= 1
     terms = np.maximum((1.0 - c.real) / primes, 0.0)
-    partial = _partials_at_grid(terms, primes, g)
+    partial = _partials_at_grid(terms, primes, g).tolist()
     prof = DistanceProfile(f_name=f_name, g_name=g_name, t=float(t),
                            P_grid=[int(x) for x in g], partial=partial)
     prof.trend, prof.increment, prof.mertens_increment = _classify_trend(prof.P_grid, partial)
@@ -159,10 +169,8 @@ def euler_product_mean(f: MultiplicativeFunction, P: int,
             pk /= p
             inner += pk * prime_power_value(f, p, m)
         factors[i] = (1.0 - 1.0 / p) * inner
-    prods = np.cumprod(factors)
-    idx = np.searchsorted(primes, grid, side="right")
-    partials = [complex(prods[i - 1]) if i > 0 else 1 + 0j for i in idx]
-    value = complex(prods[-1])
+    partials = _partials_at_grid(factors, primes, grid, np.cumprod, 1.0).tolist()
+    value = partials[-1]
     lo = max(len(partials) - max(2, len(partials) // 4), 0)
     tailvals = partials[lo:]
     osc = max(abs(a - b) for a, b in zip(tailvals, tailvals[1:])) if len(tailvals) > 1 else 0.0
@@ -252,10 +260,7 @@ def halasz_classify(f: MultiplicativeFunction, P: int = 10 ** 6,
     grid = geometric_grid(10, P)
 
     # condition (i): complex series sum (1 - f(p))/p converges
-    terms_c = (1.0 - fp) * inv_p
-    cum = np.cumsum(terms_c)
-    gidx = np.searchsorted(primes, grid, side="right")
-    partials_c = [complex(cum[i - 1]) if i > 0 else 0j for i in gidx]
+    partials_c = _partials_at_grid((1.0 - fp) * inv_p, primes, grid).tolist()
     lo_i = _two_decades_back(grid)
     series_inc = abs(partials_c[-1] - partials_c[lo_i])
     series_converges = series_inc < PLATEAU_CAP
@@ -317,16 +322,6 @@ def halasz_classify(f: MultiplicativeFunction, P: int = 10 ** 6,
     }
     return MeanValueReport(f_name=f.label, empirical=empirical, euler=euler_pairs,
                            halasz_case=case, evidence=evidence)
-
-
-def _two_decades_back(grid) -> int:
-    P = grid[-1]
-    target = max(P // 100, min(100, P))
-    i_lo = 0
-    for i, p in enumerate(grid):
-        if p <= target:
-            i_lo = i
-    return i_lo
 
 
 class _TwistScan:
@@ -489,13 +484,11 @@ def rap_test(f: MultiplicativeFunction, Q_max: int = 60, P: int = 10 ** 6,
     }
     if N is not None:
         table = sieve_range(f, N)
-        prof = besicovitch_profile_from_table(table)
+        prof = besicovitch_profile(table.values, table.N)
         evidence["besicovitch_profile_tail"] = prof[-3:]
     if absprof.trend != "plateau":
         return RapReport("rap_trivial", None, True, evidence)
-    lo_i = _two_decades_back(grid)
-    lo_cut = grid[lo_i]
-    hi = primes > lo_cut
+    hi = primes > grid[_two_decades_back(grid)]
     sum_invp_hi = float(inv_p[hi].sum())
     for q in range(1, Q_max + 1):
         res = primes % q
@@ -506,9 +499,3 @@ def rap_test(f: MultiplicativeFunction, Q_max: int = 60, P: int = 10 ** 6,
                 evidence["char_increment"] = inc
                 return RapReport("rap_pretends", (q, chi.index), True, evidence)
     return RapReport("not_besicovitch", None, True, evidence)
-
-
-def besicovitch_profile_from_table(table) -> list[tuple[int, float]]:
-    from .seminorms import besicovitch_profile
-
-    return besicovitch_profile(table.values, table.N)

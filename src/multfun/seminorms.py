@@ -26,7 +26,6 @@ import io
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -182,12 +181,6 @@ def _embed(vals, n, s):
     return buf, one
 
 
-@lru_cache(maxsize=4)
-def _roll_index(nt: int) -> np.ndarray:
-    ar = np.arange(nt, dtype=np.int32)
-    return (ar[:, None] + ar[None, :]) % nt
-
-
 def _delta(buf, h):
     return np.roll(buf, -h) * np.conj(buf)
 
@@ -199,11 +192,9 @@ def _S_group(buf, s):
     if s == 1:
         return abs(buf.sum()) ** 2
     if s == 2 and nt <= 4096:
-        idx = _roll_index(nt)
-        g = buf[idx] * buf.conj()[None, :]
+        # row h of the window over the doubled buffer is buf shifted by h
+        g = sliding_window_view(np.concatenate([buf, buf[:-1]]), nt) * buf.conj()
         return float((np.abs(g.sum(axis=1)) ** 2).sum())
-    if s == 2:
-        return float(sum(abs(_delta(buf, h).sum()) ** 2 for h in range(nt)))
     return float(sum(_S_group(_delta(buf, h), s - 1) for h in range(nt)))
 
 

@@ -250,11 +250,3 @@ def test_mean_command(tmp_path):
     ep = res["euler_product"]["value"]["re"]
     emp = res["empirical_mean"]["re"]
     assert abs(ep - emp) < 2e-3
-
-
-def test_threads_flag_recorded(tmp_path):
-    out = tmp_path / "t.json"
-    rc = run(["sieve", "--function", "liouville", "--N", "1000",
-              "--threads", "4", "--out", str(out)])
-    assert rc == 0
-    assert read(out)["config"]["threads"] == 4

@@ -4,8 +4,16 @@ import numpy as np
 import pytest
 
 from multfun import InputError, builtin, eval_at, sieve_range
-from multfun.arith import e, totient
-from multfun.mf_core import parse_custom_file, prime_power_value
+from multfun.arith import e, primes_upto, root_table, totient
+from multfun.levelsets import zero_repair
+from multfun.mf_core import (
+    _KINDS,
+    exact_order,
+    parse_custom_file,
+    ppow_code,
+    prime_power_value,
+    zero_free,
+)
 
 from conftest import catalog_functions, oracle_eval, squarefree_count_oracle, trial_factor
 
@@ -240,3 +248,80 @@ def test_exact_codes_partition(l13):
     counts = np.bincount(codes, minlength=3)
     assert counts.sum() == 10 ** 4
     assert t.exact.order == 3
+
+
+# custom file with a zero at 2^2, a zero first power followed by a nonzero
+# second power at 5, and a value inside the unit disc at 7^3
+REGISTRY_CUSTOM = "default: one\n2 1 0 1\n2 2 0 0\n3 1 0.6 0.8\n5 1 0 0\n5 2 -1 0\n7 3 0.5 0\n"
+
+REGISTRY_CASES = {
+    "liouville": lambda path: builtin("liouville"),
+    "moebius": lambda path: builtin("moebius"),
+    "lambda_xi(1/3)": lambda path: builtin("lambda_xi", {"xi": "1/3"}),
+    "lambda_xi(0.3)": lambda path: builtin("lambda_xi", {"xi": 0.3}),
+    "mu_xi(1/4)": lambda path: builtin("mu_xi", {"xi": "1/4"}),
+    "kappa_xi(2/5)": lambda path: builtin("kappa_xi", {"xi": "2/5"}),
+    "mu_squared": lambda path: builtin("mu_squared"),
+    "phi_over_n": lambda path: builtin("phi_over_n"),
+    "chi mod 5": lambda path: builtin("dirichlet_character", {"modulus": 5, "index": 1}),
+    "chi mod 1": lambda path: builtin("dirichlet_character", {"modulus": 1, "index": 0}),
+    "chi_of_tau(5)": lambda path: builtin("chi_of_tau", {"modulus": 5}),
+    "custom_file": lambda path: builtin("custom_file", {"path": str(path)}),
+    "moebius#repaired": lambda path: zero_repair(builtin("moebius"), 1),
+    "liouville^2": lambda path: builtin("liouville") ** 2,
+}
+
+
+@pytest.fixture
+def custom_path(tmp_path):
+    path = tmp_path / "registry.txt"
+    path.write_text(REGISTRY_CUSTOM)
+    return path
+
+
+def test_registry_cases_cover_every_kind(custom_path):
+    assert {case(custom_path).kind for case in REGISTRY_CASES.values()} == set(_KINDS)
+
+
+@pytest.mark.parametrize("name", list(REGISTRY_CASES))
+def test_kind_registry_conformance(name, custom_path):
+    """Each kind's values at primes, prime-power codes, zero-freeness, squarefree
+    support and period agree with pointwise evaluation and with its sieve."""
+    f = REGISTRY_CASES[name](custom_path)
+    kind = _KINDS[f.kind]
+    N = 10 ** 4
+    primes = primes_upto(N)
+    want = np.array([eval_at(f, p) for p in primes.tolist()])
+    assert np.max(np.abs(f.prime_values(primes) - want)) < 1e-12
+
+    order = exact_order(f)
+    if f.kind == "repaired":
+        # a repaired value carries y off the alphabet; its codes live in the table
+        with pytest.raises(InputError, match="repaired twice"):
+            ppow_code(f, 2, 1)
+    elif order is not None:
+        roots = root_table(order)
+        for p in primes.tolist():
+            pk, k = p, 1
+            while pk <= N:
+                c = ppow_code(f, p, k)
+                got = 0 if c is None else roots[c]
+                assert abs(got - eval_at(f, pk)) < 1e-12, (p, k)
+                pk, k = pk * p, k + 1
+    else:
+        with pytest.raises(InputError, match="no exact prime-power codes"):
+            ppow_code(f, 2, 1)
+
+    values = sieve_range(f, N).values
+    if zero_free(f):
+        assert np.all(values[1:] != 0)
+    if kind.squarefree_only(f):
+        square_multiple = np.zeros(N + 1, dtype=bool)
+        for p in primes[primes * primes <= N].tolist():
+            square_multiple[p * p :: p * p] = True
+        assert np.all(values[square_multiple] == 0)
+    period = kind.period_codes(f)
+    if period is not None:
+        c = period.codes[np.arange(1, N + 1) % len(period.codes)]
+        vals = np.where(c >= 0, root_table(period.order)[np.maximum(c, 0)], 0)
+        assert np.max(np.abs(values[1:] - vals)) < 1e-12
