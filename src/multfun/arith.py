@@ -40,6 +40,7 @@ __all__ = [
     "mem_cap_bytes",
     "check_budget",
     "geometric_grid",
+    "residue_sums",
 ]
 
 
@@ -140,7 +141,8 @@ DEFAULT_MEM_CAP_MB = 4096
 
 
 def mem_cap_bytes() -> int:
-    """Configured sieve memory cap (env MULTFUN_MEM_CAP_MB, default 4096)."""
+    """Configured memory cap for sieves and twist scans (env MULTFUN_MEM_CAP_MB,
+    default 4096)."""
     raw = os.environ.get("MULTFUN_MEM_CAP_MB", "").strip()
     mb = int(raw) if raw else DEFAULT_MEM_CAP_MB
     return mb * 1024 * 1024
@@ -325,6 +327,16 @@ def geometric_grid(lo: int, hi: int, per_decade: int = 8) -> np.ndarray:
     if g[-1] != hi:
         g = np.append(g, hi)
     return g
+
+
+def residue_sums(c: np.ndarray, res: np.ndarray, q: int) -> np.ndarray:
+    """Complex class sums: entry a is the sum of c[i] over the i with res[i] == a,
+    for a = 0..q-1 in increasing order.  The real and imaginary parts are each
+    one np.bincount, so the sums run in index order."""
+    out = np.zeros(q, dtype=np.complex128)
+    out.real = np.bincount(res, weights=c.real, minlength=q)
+    out.imag = np.bincount(res, weights=c.imag, minlength=q)
+    return out
 
 
 # --------------------------------------------------------------------------

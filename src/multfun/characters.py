@@ -1,15 +1,16 @@
 """Dirichlet characters mod q: full group, induction, progression decomposition.
 
-Characters are stored as dense value tables over the residues 0..q-1 together
-with an exact exponent table: chi(n) = e(expo[n % q] / expo_mod) for residues
-coprime to q, and 0 elsewhere.  The group is enumerated from the cyclic
-decomposition of (Z/qZ)* via CRT; the exponent-vector ordering is
-lexicographic, so the listing is deterministic and the principal character
-always comes first.
+The characters of one modulus are the rows of one dense value table over the
+residues 0..q-1 (character_table), each with an exact exponent table:
+chi(n) = e(expo[n % q] / expo_mod) for residues coprime to q, and 0
+elsewhere.  The group is enumerated from the cyclic decomposition of (Z/qZ)*
+via CRT; the exponent-vector ordering is lexicographic, so the listing is
+deterministic and the principal character always comes first.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -23,6 +24,7 @@ from .errors import InputError, ResourceError
 __all__ = [
     "DirichletCharacter",
     "characters_mod",
+    "character_table",
     "principal_character",
     "induce",
     "indicator_decomposition",
@@ -117,30 +119,11 @@ def _primitive_root_mod_prime_power(p: int, a: int) -> int:
 
 def _dlog_tables(q: int, gens: list[tuple[int, int]]) -> np.ndarray:
     """dlogs[i, n] = exponent of generator i in n, or 0 for non-units."""
-    k = len(gens)
-    dlogs = np.zeros((k, q), dtype=np.int64)
-    # enumerate all units as products of generator powers
-    idx = [0] * k
-    x = 1
-    total = math.prod(d for _, d in gens) if gens else 1
-    seen = 0
-    # iterate mixed-radix counter over exponent vectors
-    while seen < total:
-        for i in range(k):
-            dlogs[i, x] = idx[i]
-        seen += 1
-        # increment
-        j = 0
-        while j < k:
-            idx[j] += 1
-            x = x * gens[j][0] % q
-            if idx[j] < gens[j][1]:
-                break
-            # wrap: multiply by g^{-order} == back to exponent 0
-            idx[j] = 0
-            j += 1
-        if j == k:
-            break
+    dlogs = np.zeros((len(gens), q), dtype=np.int64)
+    # every unit is one product of generator powers
+    for ev in itertools.product(*(range(d) for _, d in gens)):
+        x = math.prod(pow(g, ei, q) for (g, _), ei in zip(gens, ev)) % q
+        dlogs[:, x] = ev
     return dlogs
 
 
@@ -149,17 +132,23 @@ def _group_data(q: int):
     gens = _unit_group_structure(q)
     dlogs = _dlog_tables(q, gens)
     orders = [d for _, d in gens]
-    L = 1
-    for d in orders:
-        L = L * d // math.gcd(L, d)
     coprime = np.array([math.gcd(n, q) == 1 for n in range(q)], dtype=bool)
-    if q == 1:
-        coprime = np.array([True])
-    return gens, dlogs, orders, max(L, 1), coprime
+    return gens, dlogs, orders, math.lcm(*orders), coprime
 
 
 def characters_mod(q: int) -> list[DirichletCharacter]:
     """All phi(q) Dirichlet characters mod q, principal first, ordering fixed."""
+    return _character_group(q)[1]
+
+
+def character_table(q: int) -> np.ndarray:
+    """Read-only phi(q) x q complex array of all characters mod q, cached with
+    them.  Rows follow the characters_mod(q) listing: row j is the table of
+    the character of index j, and column a holds the values at residue a."""
+    return _character_group(q)[0]
+
+
+def _character_group(q: int) -> tuple[np.ndarray, list[DirichletCharacter]]:
     if q < 1:
         raise InputError(f"modulus must be >= 1, got {q}")
     if q > 10**6:
@@ -168,30 +157,23 @@ def characters_mod(q: int) -> list[DirichletCharacter]:
     check = 16 * q * phi_q
     if check > 2 * 1024**3:
         raise ResourceError(f"character group mod {q} needs ~{check // 1024**2} MB of tables")
-    return _characters_mod_cached(q)
+    return _character_group_cached(q)
 
 
-@lru_cache(maxsize=32)
-def _characters_mod_cached(q: int) -> list[DirichletCharacter]:
+@lru_cache(maxsize=64)
+def _character_group_cached(q: int) -> tuple[np.ndarray, list[DirichletCharacter]]:
     gens, dlogs, orders, L, coprime = _group_data(q)
-    roots = root_table(L)
-    out = []
-    exp_vectors = _lex_vectors(orders)
-    for index, ev in enumerate(exp_vectors):
-        expo = np.zeros(q, dtype=np.int64)
-        for i, ei in enumerate(ev):
-            expo += ei * (L // orders[i]) * dlogs[i]
-        expo %= L
-        expo[~coprime] = -1
-        table = np.where(expo >= 0, roots[np.maximum(expo, 0)], 0.0)
-        unit_expos = expo[coprime]
-        g_all = 0
-        for v in unit_expos:
-            g_all = math.gcd(g_all, int(v))
-        order = L // math.gcd(L, g_all) if g_all else 1
-        table.flags.writeable = False
-        expo.flags.writeable = False
-        out.append(
+    # one row per character: exponent vectors in lexicographic order
+    evs = np.array(list(itertools.product(*(range(d) for d in orders))), dtype=np.int64)
+    expos = ((evs * (L // np.array(orders, dtype=np.int64))) @ dlogs) % L
+    expos[:, ~coprime] = -1
+    tables = np.where(expos >= 0, root_table(L)[np.maximum(expos, 0)], 0.0)
+    tables.flags.writeable = False
+    expos.flags.writeable = False
+    chars = []
+    for index, (table, expo) in enumerate(zip(tables, expos)):
+        order = L // math.gcd(L, *expo[coprime].tolist())
+        chars.append(
             DirichletCharacter(
                 modulus=q,
                 table=table,
@@ -202,17 +184,7 @@ def _characters_mod_cached(q: int) -> list[DirichletCharacter]:
                 index=index,
             )
         )
-    return out
-
-
-def _lex_vectors(orders: list[int]):
-    if not orders:
-        return [()]
-    out = [()]
-    for d in orders:
-        out = [v + (j,) for v in out for j in range(d)]
-    # lexicographic in the original component order
-    return sorted(out)
+    return tables, chars
 
 
 def principal_character(q: int) -> DirichletCharacter:
@@ -233,11 +205,7 @@ def induce(chi: DirichletCharacter, k: int) -> DirichletCharacter:
     if k == 1:
         table[0] = 1.0
         expo[0] = 0
-    unit = expo[expo >= 0]
-    g_all = 0
-    for v in unit:
-        g_all = math.gcd(g_all, int(v))
-    order = chi.expo_mod // math.gcd(chi.expo_mod, g_all) if g_all else 1
+    order = chi.expo_mod // math.gcd(chi.expo_mod, *expo[expo >= 0].tolist())
     return DirichletCharacter(
         modulus=k,
         table=table,

@@ -42,13 +42,12 @@ from .mf_core import (
     zero_free,
 )
 from .pretentious import (
-    PLATEAU_CAP,
     DistanceProfile,
     RapReport,
     _classify_trend,
     _distance_profile,
+    _first_plateau_character,
     _partials_at_grid,
-    _two_decades_back,
     rap_test,
 )
 from .seminorms import _FAST_U3_MAX_NT, gowers_fast
@@ -170,9 +169,6 @@ class DensityProfile:
     density: float               # |E cap [N]| / N
     cells: dict                 # (q, r) -> count of members ≡ r (mod q)
     empty_cells: list
-
-    def cell_density(self, q: int, r: int) -> float:
-        return self.cells[(q, r)] / self.N
 
 
 def density_profile(E: LevelSet, q_max: int) -> DensityProfile:
@@ -372,20 +368,15 @@ def find_k_and_character(g: MultiplicativeFunction, k_max: int = 8,
         raise InputError(f"{g.label} vanishes at some prime; repair zeros first")
     inv_p = 1.0 / primes
     grid = geometric_grid(10, P)
-    hi = primes > grid[_two_decades_back(grid)]
-    sum_invp_hi = float(inv_p[hi].sum())
     for k in range(1, k_max + 1):
         gk = gp ** k
-        ck = (gk * inv_p)[hi]
-        for q in range(1, Q_max + 1):
-            res = primes[hi] % q
-            for chi in characters_mod(q):
-                inc = sum_invp_hi - float((ck * np.conj(chi.table[res])).sum().real)
-                if inc < PLATEAU_CAP:
-                    prof = _distance_profile(gk, chi.values_at(primes), primes, P,
-                                             0.0, f"{g.label}^{k}", chi.label,
-                                             grid=grid)
-                    return FindKResult(k=k, chi=chi, profile=prof)
+        found = _first_plateau_character(gk * inv_p, primes, grid, Q_max)
+        if found is not None:
+            q, index, _ = found
+            chi = characters_mod(q)[index]
+            prof = _distance_profile(gk, chi.values_at(primes), primes, P,
+                                     0.0, f"{g.label}^{k}", chi.label, grid=grid)
+            return FindKResult(k=k, chi=chi, profile=prof)
     conc = concentration_analysis(g, max(P, 10 ** 3))
     if conc.verdict == "concentrated" and conc.group_size and conc.group_size <= k_max * 8:
         k = conc.group_size

@@ -144,11 +144,6 @@ class ExactCodes:
             return None
         return (z.num * (self.order // z.den)) % self.order
 
-    def value_of_code(self, c: int) -> complex:
-        if c < 0:
-            return 0j
-        return complex(root_table(self.order)[c % self.order])
-
     def member_mask(self, target, power: int = 1) -> np.ndarray:
         """Boolean mask over 0..N of {n : f(n)^power == target}."""
         if power < 1:

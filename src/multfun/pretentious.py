@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import geometric_grid, primes_upto
-from .characters import DirichletCharacter, characters_mod
+from .arith import check_budget, geometric_grid, primes_upto, residue_sums
+from .characters import DirichletCharacter, character_table, characters_mod
 from .errors import InputError
 from .mf_core import (
     MultiplicativeFunction,
@@ -105,6 +105,23 @@ def _partials_at_grid(terms: np.ndarray, primes: np.ndarray, grid: np.ndarray,
     """running(terms) over the primes <= each grid point; empty before the first."""
     idx = np.searchsorted(primes, grid, side="right")
     return np.concatenate(([empty], running(terms)))[idx]
+
+
+def _first_plateau_character(terms: np.ndarray, primes: np.ndarray, grid: np.ndarray,
+                             Q_max: int):
+    """First (q, index, increment), q = 1..Q_max and then the character listing,
+    whose untwisted increment sum 1/p - Re sum terms(p) conj chi(p) over the
+    primes above grid[_two_decades_back(grid)] is below PLATEAU_CAP; None if
+    there is none.  terms(p) = f(p)/p."""
+    hi = primes > grid[_two_decades_back(grid)]
+    p_hi, c_hi = primes[hi], terms[hi]
+    sum_invp_hi = float((1.0 / p_hi).sum())
+    for q in range(1, Q_max + 1):
+        inc = sum_invp_hi - (character_table(q).conj() @ residue_sums(c_hi, p_hi % q, q)).real
+        below = np.flatnonzero(inc < PLATEAU_CAP)
+        if len(below):
+            return q, int(below[0]), float(inc[below[0]])
+    return None
 
 
 def _distance_profile(fp, gp, primes, P, t, f_name, g_name, grid=None) -> DistanceProfile:
@@ -217,14 +234,9 @@ def ap_mean(f: MultiplicativeFunction, q: int, r: int, N: int,
     decomposition = None
     if math.gcd(q, r) == 1:
         window = np.arange(r + 1, q * M + r + 1)
-        fw = vals[window]
-        res = window % q
-        chars = characters_mod(q)
-        acc = 0j
-        for chi in chars:
-            s = complex((fw * chi.table[res]).sum())
-            acc += chi.conj_at(r) * s
-        decomposition = complex(acc / (len(chars) * M))
+        chars = character_table(q)
+        sums = chars @ residue_sums(vals[window], window % q, q)
+        decomposition = complex(chars[:, r].conj() @ sums / (len(chars) * M))
     return ApMeanReport(q=q, r=r, N=N, M=M, direct=direct, decomposition=decomposition)
 
 
@@ -333,9 +345,19 @@ class _TwistScan:
     in every decade window with the same t, so divergence is scored by the
     maximum over windows of the increment relative to the Mertens rate,
     while plateaus keep using the last-two-decades tail.
+
+    Each window (lo, hi] that holds a prime keeps its lower bound and its
+    matrix of p^{-it}, so every exponential is computed once.  The tail is
+    the sum of the windows whose lower bound is >= bounds[-3] (bounds[0]
+    when there are only two bounds), which covers the primes in
+    (bounds[-3], P]; when no window qualifies (P <= 10) it is the fallback
+    window of all primes <= P.
     """
 
     def __init__(self, primes: np.ndarray, t_grid: np.ndarray, P: int):
+        # the window matrices plus one window's np.outer temporary
+        check_budget(32 * len(t_grid) * len(primes),
+                     f"twist scan over {len(t_grid)} t and {len(primes)} primes")
         # windows start at 10: the wider the total log-span, the harder it is
         # for a single t to hold p^{it} coherent across every window
         bounds = [min(10, P)]
@@ -351,30 +373,27 @@ class _TwistScan:
                 continue
             Z = np.exp(np.outer(-1j * t_grid, logp[mask]))
             mert = 2.0 * (math.log(math.log(hi)) - math.log(math.log(max(lo, 2))))
-            self.windows.append((mask, Z, float(inv_p[mask].sum()), mert))
+            self.windows.append((lo, mask, Z, float(inv_p[mask].sum()), mert))
         if not self.windows:
             mask = primes <= P
             Z = np.exp(np.outer(-1j * t_grid, logp[mask]))
             mert = 2.0 * max(math.log(math.log(max(P, 3))), 0.1)
-            self.windows.append((mask, Z, float(inv_p[mask].sum()), mert))
-        # the last two decades, for plateau detection
+            self.windows.append((0, mask, Z, float(inv_p[mask].sum()), mert))
+        # the last two decades, for plateau detection; windows are in
+        # increasing order, so the last one qualifies when no other does
         lo2 = bounds[-3] if len(bounds) >= 3 else bounds[0]
-        mask2 = (primes > lo2) & (primes <= P)
-        if not mask2.any():
-            mask2 = primes <= P
-        self.tail_mask = mask2
-        self.tail_Z = np.exp(np.outer(-1j * t_grid, logp[mask2]))
-        self.tail_invp = float(inv_p[mask2].sum())
+        self.tail_lo = min(lo2, self.windows[-1][0])
 
     def scan(self, cvec: np.ndarray):
         """cvec = f(p) conj(chi(p)) / p.  Returns, per t: the last-two-decade
         increment and the max windowed ratio against the Mertens rate."""
-        tail_inc = self.tail_invp - (self.tail_Z @ cvec[self.tail_mask]).real
-        max_ratio = None
-        for mask, Z, s_invp, mert in self.windows:
+        tail_inc = max_ratio = None
+        for lo, mask, Z, s_invp, mert in self.windows:
             inc = s_invp - (Z @ cvec[mask]).real
             ratio = inc / mert if mert > 0 else inc * 0
             max_ratio = ratio if max_ratio is None else np.maximum(max_ratio, ratio)
+            if lo >= self.tail_lo:
+                tail_inc = inc if tail_inc is None else tail_inc + inc
         return tail_inc, max_ratio
 
 
@@ -410,25 +429,19 @@ def aperiodicity_test(f: MultiplicativeFunction, Q_max: int = 60,
     t_grid = np.asarray(t_grid, dtype=float)
     scan = _TwistScan(primes, t_grid, P)
 
-    best_tail = None    # (tail increment, q, index, |t|, t): plateau candidate
-    best_score = None   # (max-window ratio, q, index, |t|, t): divergence floor
+    # (value, q, index, |t|, t) per character: the least tail increment
+    # (plateau candidate) and the least max-window ratio (divergence floor)
+    tails, scores = [], []
     for q in range(1, Q_max + 1):
         res = primes % q
         for chi in characters_mod(q):
             cvec = fp * np.conj(chi.table[res]) * inv_p
-            tail_inc, ratio = scan.scan(cvec)
-            jt = int(np.argmin(tail_inc))
-            jr = int(np.argmin(ratio))
-            cand_t = (float(tail_inc[jt]), q, chi.index,
-                      abs(float(t_grid[jt])), float(t_grid[jt]))
-            cand_r = (float(ratio[jr]), q, chi.index,
-                      abs(float(t_grid[jr])), float(t_grid[jr]))
-            if best_tail is None or cand_t < best_tail:
-                best_tail = cand_t
-            if best_score is None or cand_r < best_score:
-                best_score = cand_r
-    min_tail, q_b, idx_b, _, t_b = best_tail
-    min_score = best_score[0]
+            for best, vals in zip((tails, scores), scan.scan(cvec)):
+                j = int(np.argmin(vals))
+                best.append((float(vals[j]), q, chi.index,
+                             abs(float(t_grid[j])), float(t_grid[j])))
+    min_tail, q_b, idx_b, _, t_b = min(tails)
+    min_score = min(scores)[0]
     evidence = {
         "min_tail_increment": min_tail,
         "min_max_window_ratio": min_score,
@@ -488,14 +501,9 @@ def rap_test(f: MultiplicativeFunction, Q_max: int = 60, P: int = 10 ** 6,
         evidence["besicovitch_profile_tail"] = prof[-3:]
     if absprof.trend != "plateau":
         return RapReport("rap_trivial", None, True, evidence)
-    hi = primes > grid[_two_decades_back(grid)]
-    sum_invp_hi = float(inv_p[hi].sum())
-    for q in range(1, Q_max + 1):
-        res = primes % q
-        for chi in characters_mod(q):
-            cvec = (fp * np.conj(chi.table[res]) * inv_p)[hi]
-            inc = sum_invp_hi - float(cvec.sum().real)
-            if inc < PLATEAU_CAP:
-                evidence["char_increment"] = inc
-                return RapReport("rap_pretends", (q, chi.index), True, evidence)
-    return RapReport("not_besicovitch", None, True, evidence)
+    found = _first_plateau_character(fp * inv_p, primes, grid, Q_max)
+    if found is None:
+        return RapReport("not_besicovitch", None, True, evidence)
+    q, index, inc = found
+    evidence["char_increment"] = inc
+    return RapReport("rap_pretends", (q, index), True, evidence)

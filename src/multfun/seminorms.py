@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .arith import e, geometric_grid
+from .arith import e, geometric_grid, residue_sums
 from .errors import InputError, ResourceError
 from .mf_core import MultiplicativeFunction, SieveTable, sieve_range
 
@@ -122,10 +122,7 @@ def spectrum_scan(values, q_max: int, N: int | None = None,
     res_idx = np.arange(1, n + 1)
     points = []
     for q in range(1, q_max + 1):
-        sums = np.zeros(q, dtype=np.complex128)
-        rr = res_idx % q
-        sums.real = np.bincount(rr, weights=vals.real[1 : n + 1], minlength=q)
-        sums.imag = np.bincount(rr, weights=vals.imag[1 : n + 1], minlength=q)
+        sums = residue_sums(vals[1 : n + 1], res_idx % q, q)
         for a in range(q):
             if math.gcd(a, q) != 1:
                 continue
@@ -161,9 +158,7 @@ def periodic_approximant(values, m: int, N: int | None = None) -> PeriodicApprox
         raise InputError(f"period m={m} outside the reliable range [1, N/10] for N={n}")
     res = np.arange(1, n + 1) % m
     counts = np.bincount(res, minlength=m)
-    pv = np.zeros(m, dtype=np.complex128)
-    pv.real = np.bincount(res, weights=vals.real[1 : n + 1], minlength=m)
-    pv.imag = np.bincount(res, weights=vals.imag[1 : n + 1], minlength=m)
+    pv = residue_sums(vals[1 : n + 1], res, m)
     pv /= np.maximum(counts, 1)
     residual = float(np.abs(vals[1 : n + 1] - pv[res]).mean())
     return PeriodicApproximant(period=m, values=pv, residual=residual)
@@ -187,14 +182,19 @@ def _delta(buf, h):
 
 def _S_group(buf, s):
     """The definitional sum over (n, h_1..h_s) of the s-fold multi-difference,
-    evaluated by exhaustive grouped summation (base case |sum f|^2)."""
+    evaluated by exhaustive grouped summation (base case |sum f|^2).  The last
+    difference is taken for a block of shifts at once: row h of the window
+    over the doubled buffer is buf shifted by h, and a block holds at most
+    _ROW_BUDGET entries."""
     nt = len(buf)
     if s == 1:
         return abs(buf.sum()) ** 2
-    if s == 2 and nt <= 4096:
-        # row h of the window over the doubled buffer is buf shifted by h
-        g = sliding_window_view(np.concatenate([buf, buf[:-1]]), nt) * buf.conj()
-        return float((np.abs(g.sum(axis=1)) ** 2).sum())
+    if s == 2:
+        win = sliding_window_view(np.concatenate([buf, buf[:-1]]), nt)
+        cj = buf.conj()
+        step = max(1, _ROW_BUDGET // nt)
+        return float(sum((np.abs((win[h : h + step] * cj).sum(axis=1)) ** 2).sum()
+                         for h in range(0, nt, step)))
     return float(sum(_S_group(_delta(buf, h), s - 1) for h in range(nt)))
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from multfun import builtin, sieve_range
-from multfun.arith import SieveContext, factorize, primes_upto, root_table
+from multfun.arith import SieveContext, factorize, primes_upto, residue_sums, root_table
 from multfun.levelsets import sp_set
 from multfun.mf_core import make_repaired, prime_power_value
 
@@ -216,3 +216,18 @@ def test_factorize_large_inputs():
     assert (p * q).bit_length() == 62
     assert factorize(p * q) == [(p, 1), (q, 1)]
     assert factorize(1009 * p) == [(1009, 1), (p, 1)]
+
+
+def test_residue_sums_in_residue_order():
+    rng = np.random.default_rng(3)
+    c = rng.random(500) + 1j * rng.random(500)
+    res = rng.integers(0, 7, 500)
+    got = residue_sums(c, res, 9)
+    assert got.shape == (9,)
+    for a in range(9):
+        want = complex(0.0)
+        for x in c[res == a]:
+            want += x
+        assert abs(got[a] - want) < 1e-12, a
+    assert got[7] == 0 and got[8] == 0
+    assert np.array_equal(residue_sums(c.real, res, 7).imag, np.zeros(7))

@@ -11,6 +11,7 @@ from multfun import (
     induce,
     principal_character,
 )
+from multfun.characters import character_table
 
 
 def phi_oracle(q):
@@ -179,3 +180,15 @@ def test_json_export():
     data = json.loads(chi.to_json())
     assert data["modulus"] == 4
     assert data["values"] == [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]
+
+
+def test_character_table_rows_follow_listing():
+    for q in (1, 2, 4, 5, 12, 60, 97):
+        table = character_table(q)
+        chars = characters_mod(q)
+        assert table.shape == (len(chars), q)
+        assert not table.flags.writeable
+        for j, chi in enumerate(chars):
+            assert chi.index == j
+            assert np.array_equal(table[j], chi.table)
+        assert character_table(q) is table

@@ -123,6 +123,19 @@ def test_resource_cap_exits_3(tmp_path, monkeypatch):
     assert read(out)["error"]["type"] == "ResourceError"
 
 
+def test_twist_matrices_charged_to_cap(tmp_path, monkeypatch):
+    # the sieve context for 10^5 (~2.6 MB) fits under 16 MB, the twist
+    # matrices of 201 t over 9592 primes (~59 MB) do not
+    monkeypatch.setenv("MULTFUN_MEM_CAP_MB", "16")
+    out = tmp_path / "c.json"
+    rc = run(["classify", "--function", "liouville", "--P", "100000",
+              "--N", "100000", "--out", str(out)])
+    assert rc == 3
+    err = read(out)["error"]
+    assert err["type"] == "ResourceError"
+    assert "twist scan" in err["message"]
+
+
 def test_search_failure_exits_4(tmp_path):
     out = tmp_path / "f.json"
     rc = run(["structure", "--function", "dirichlet_character", "--modulus", "5",

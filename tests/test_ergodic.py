@@ -8,11 +8,14 @@ from multfun import (
     InputError,
     PolynomialFamily,
     TorusRotation,
+    builtin,
     convergence_average,
+    divisibility_report,
     intersection_measure,
     level_set,
     recurrence_average,
 )
+from multfun.levelsets import _residue_obstruction
 
 
 def test_intersection_cyclic_multiples_of_period():
@@ -194,3 +197,22 @@ def test_report_csv_header():
     rep = recurrence_average(FiniteSystem(2), [0], PolynomialFamily(((0, 1),)),
                              np.arange(1, 100), 100)
     assert rep.to_csv().splitlines()[0] == "J,average"
+
+
+def test_cyclic_recurrence_matches_divisibility_counts():
+    """Recurrence and divisibility share no code but measure the same thing.
+    On Z/u with A = {0} and p(n) = n, mu(A ∩ T^{-n} A) is 1/u when u | n and
+    0 otherwise, so the average along E - r is count_u / (u |E - r|)."""
+    N, r = 10 ** 5, 4
+    E = level_set(builtin("mu_squared"), 1, N)
+    rep = divisibility_report(E, r, 10)
+    shifted = E.members[E.members > r] - r
+    n_linear = PolynomialFamily(((0, 1),))
+    certified = {u for u in range(1, 11)
+                 if (_residue_obstruction(E, r, u) or {}).get("type") == "square_factor"}
+    assert certified == {4, 8}
+    for u, count, _ in rep.rows:
+        avg = recurrence_average(FiniteSystem((u,)), [0], n_linear, shifted, len(shifted))
+        want = count / (u * len(shifted))
+        assert abs(avg.limit_estimate - want) <= 1e-12 * want, u
+        assert (avg.positivity == "zero_exact") == (u in certified), u

@@ -5,17 +5,29 @@ import numpy as np
 import pytest
 
 from multfun import (
+    InputError,
     ap_mean,
     aperiodicity_test,
     builtin,
+    characters_mod,
     euler_product_mean,
+    find_k_and_character,
     halasz_classify,
     pretentious_distance,
     rap_test,
     sieve_range,
+    zero_repair,
 )
+from multfun import pretentious
+from multfun.arith import geometric_grid, primes_upto
 from multfun.mf_core import MultiplicativeFunction, PrimePowerSpec
-from multfun.pretentious import unit_function
+from multfun.pretentious import (
+    PLATEAU_CAP,
+    _first_plateau_character,
+    _TwistScan,
+    _two_decades_back,
+    unit_function,
+)
 
 from conftest import catalog_functions
 
@@ -264,3 +276,144 @@ def test_mean_consistency(name):
     emp = complex(sieve_range(f, 10 ** 7).values[1:].mean())
     ep = euler_product_mean(f, 10 ** 5)
     assert abs(emp - ep.value) < 2e-3
+
+
+# --------------------------------------------------------------------------
+# Twist-scan tail and character scans against per-character oracles
+
+def tail_oracle(primes, cvec, t_grid, P):
+    """Last-two-decades increment from its definition: sum 1/p - Re sum
+    p^{-it} cvec(p) over the primes in (bounds[-3], P], or over all primes
+    <= P when that range holds none."""
+    bounds = [min(10, P)]
+    while bounds[-1] * 10 < P:
+        bounds.append(bounds[-1] * 10)
+    bounds.append(P)
+    lo = bounds[-3] if len(bounds) >= 3 else bounds[0]
+    mask = (primes > lo) & (primes <= P)
+    if not mask.any():
+        mask = primes <= P
+    p = primes[mask].astype(np.float64)
+    out = []
+    for t in t_grid:
+        twisted = sum(complex(c) * complex(math.cos(t * math.log(x)), -math.sin(t * math.log(x)))
+                      for c, x in zip(cvec[mask], p))
+        out.append(sum(1.0 / x for x in p) - twisted.real)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("P", [2, 7, 10, 11, 50, 100, 101, 1000, 1001, 1005, 1008, 1009,
+                               10 ** 4, 10005, 10 ** 5, 100002])
+def test_twist_scan_tail_matches_definition(P, l13):
+    primes = primes_upto(P)
+    cvec = l13.prime_values(primes) / primes
+    t_grid = np.array([-3.5, 0.0, 1.25, 7.0])
+    tail_inc, _ = _TwistScan(primes, t_grid, P).scan(cvec)
+    assert np.max(np.abs(tail_inc - tail_oracle(primes, cvec, t_grid, P))) < 1e-12
+
+
+def _tail_set(primes, P):
+    """The primes above the two-decades cut, and their sum of 1/p."""
+    grid = geometric_grid(10, P)
+    hi = primes > grid[_two_decades_back(grid)]
+    return hi, float((1.0 / primes)[hi].sum())
+
+
+def first_character_oracle(terms, primes, P, Q_max):
+    """The per-character loop: first (q, index, increment) whose untwisted
+    tail increment of terms(p) = f(p)/p against chi is below PLATEAU_CAP."""
+    hi, sum_invp_hi = _tail_set(primes, P)
+    for q in range(1, Q_max + 1):
+        res = primes % q
+        for chi in characters_mod(q):
+            inc = sum_invp_hi - float((terms * np.conj(chi.table[res]))[hi].sum().real)
+            if inc < PLATEAU_CAP:
+                return q, chi.index, inc
+    return None
+
+
+def test_first_plateau_character_takes_lowest_index(monkeypatch):
+    # Re chi(p), chi complex mod 5, lies halfway between chi and its conjugate
+    # (index 3); with the cap at 0.6 of the tail's sum of 1/p both qualify
+    # and nothing of a smaller modulus does, so listing order decides
+    P = 10 ** 4
+    primes = primes_upto(P)
+    chi = characters_mod(5)[1]
+    _, sum_invp_hi = _tail_set(primes, P)
+    monkeypatch.setattr(pretentious, "PLATEAU_CAP", 0.6 * sum_invp_hi)
+    found = _first_plateau_character(chi.values_at(primes).real / primes, primes,
+                                     geometric_grid(10, P), 10)
+    assert found[:2] == (5, 1)
+
+
+def find_k_oracle(g, P, Q_max, k_max=8):
+    primes = primes_upto(P)
+    gp = g.prime_values(primes)
+    if np.min(np.abs(gp)) < 1e-9:
+        return "vanishes"
+    for k in range(1, k_max + 1):
+        found = first_character_oracle(gp ** k / primes, primes, P, Q_max)
+        if found is not None:
+            return (k,) + found[:2]
+    return None
+
+
+def ap_decomposition_oracle(f, q, r, N):
+    vals = sieve_range(f, N).values
+    M = (N - r) // q
+    window = np.arange(r + 1, q * M + r + 1)
+    chars = characters_mod(q)
+    acc = 0j
+    for chi in chars:
+        acc += chi.conj_at(r) * complex((vals[window] * chi.table[window % q]).sum())
+    return acc / (len(chars) * M)
+
+
+ORACLE_CASES = {
+    "mu_squared": builtin("mu_squared"),
+    "liouville": builtin("liouville"),
+    "lambda_1/3": builtin("lambda_xi", {"xi": "1/3"}),
+    "chi4": builtin("dirichlet_character", {"modulus": 4, "index": 1}),
+    "chi5_complex": builtin("dirichlet_character", {"modulus": 5, "index": 1}),
+    "repaired_moebius": zero_repair(builtin("moebius"), 1),
+}
+
+
+@pytest.mark.parametrize("P", [10 ** 4, 10 ** 5])
+@pytest.mark.parametrize("Q", [5, 20, 60])
+@pytest.mark.parametrize("name", list(ORACLE_CASES))
+def test_character_scans_match_per_character_loops(name, Q, P):
+    f = ORACLE_CASES[name]
+    primes = primes_upto(P)
+    fp = f.prime_values(primes)
+    grid = geometric_grid(10, P)
+    for k in (1, 2, 3):
+        terms = fp ** k / primes
+        got = _first_plateau_character(terms, primes, grid, Q)
+        want = first_character_oracle(terms, primes, P, Q)
+        assert (got is None) == (want is None), k
+        if got is not None:
+            assert got[:2] == want[:2], k
+            assert abs(got[2] - want[2]) < 1e-12, k
+
+    rep = rap_test(f, Q_max=Q, P=P)
+    want = first_character_oracle(fp / primes, primes, P, Q)
+    if want is None:
+        assert rep.verdict == "not_besicovitch"
+    else:
+        assert (rep.verdict, rep.chi) == ("rap_pretends", want[:2])
+        assert abs(rep.evidence["char_increment"] - want[2]) < 1e-12
+
+    want = find_k_oracle(f, P, Q)
+    if want == "vanishes":
+        with pytest.raises(InputError):
+            find_k_and_character(f, Q_max=Q, P=P)
+    elif want is not None:
+        res = find_k_and_character(f, Q_max=Q, P=P)
+        assert (res.k, res.chi.modulus, res.chi.index) == want
+        assert not res.fallback
+
+    for r in range(Q):
+        if math.gcd(Q, r) == 1:
+            rep = ap_mean(f, Q, r, P)
+            assert abs(rep.decomposition - ap_decomposition_oracle(f, Q, r, P)) < 1e-12

@@ -19,6 +19,7 @@ from multfun import (
     spectrum_scan,
     uniformity_profile,
 )
+from multfun import seminorms
 from multfun.arith import e
 from multfun.pretentious import unit_function
 
@@ -147,6 +148,26 @@ def test_direct_matches_bruteforce(s, n):
     got = gowers_direct(vals_from(seq), n, s)
     want = brute_gowers_norm(seq, n, s)
     assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_direct_row_blocks_match_bruteforce(monkeypatch):
+    # row blocks of 1, 2 or 3 shifts (the last one partial), or one block
+    rng = np.random.default_rng(7)
+    for s, n in ((2, 5), (3, 2)):
+        seq = e(rng.random(n))
+        want = brute_gowers_norm(seq, n, s)
+        nt = (1 << s) * n
+        for budget in (1, 2 * nt, 3 * nt, 10 ** 6):
+            monkeypatch.setattr(seminorms, "_ROW_BUDGET", budget)
+            got = gowers_direct(vals_from(seq), n, s)
+            assert got == pytest.approx(want, abs=1e-12), (s, budget)
+
+
+@pytest.mark.parametrize("n", [257, 300])
+def test_direct_matches_fast_over_several_blocks(n):
+    # 4n > 1024 shifts: the s = 2 window spans more than one row block
+    vals = sieve_range(builtin("lambda_xi", {"xi": "0.3"}), n).values
+    assert abs(gowers_direct(vals, n, 2) - gowers_fast(vals, n, 2)) < 1e-12
 
 
 def test_gowers_constant_one_normalization():
