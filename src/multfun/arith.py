@@ -1,8 +1,10 @@
 """Shared integer machinery: prime sieves, factorization, exact roots of unity.
 
 All bulk tables live in a SieveContext, built once per bound N and cached,
-so that several functions sieved at the same N share the smallest-prime-factor
-array and the additive statistics (Omega, omega, squarefree mask, tau, radical).
+so that several functions sieved at the same N share the primes and the
+additive statistics (Omega, omega, squarefree mask, tau, radical).  The primes
+come from a boolean sieve of Eratosthenes; every statistic, and the
+smallest-prime-factor array, is built on first use.
 
 Every sieve over [1, N] splits the primes at sqrt(N).  A small prime p <= sqrt(N)
 gets one strided slice per prime power p^k <= N.  The large primes q > sqrt(N)
@@ -160,6 +162,16 @@ def check_budget(nbytes: int, what: str) -> None:
 # --------------------------------------------------------------------------
 # Sieve context
 
+def _prime_mask(N: int) -> np.ndarray:
+    """Boolean sieve of Eratosthenes: entry n is True exactly for the primes n <= N."""
+    is_p = np.ones(N + 1, dtype=bool)
+    is_p[:2] = False
+    for p in range(2, math.isqrt(N) + 1):
+        if is_p[p]:
+            is_p[p * p :: p] = False
+    return is_p
+
+
 def _smallest_prime_factor(N: int) -> np.ndarray:
     spf = np.zeros(N + 1, dtype=np.int32)
     for p in range(2, math.isqrt(N) + 1):
@@ -190,18 +202,16 @@ def large_prime_multiples(Q: np.ndarray, N: int):
 
 
 class SieveContext:
-    """Factorization tables for [1, N]; additive statistics built lazily."""
+    """The primes up to N; spf and the additive statistics built lazily."""
 
     def __init__(self, N: int):
         if N < 1:
             raise InputError(f"sieve bound must be >= 1, got {N}")
-        # spf (4 bytes) + room for one values array (16) and codes (4)
+        # the prime mask (1 byte), spf once read (4) and room for one values
+        # array (16) and its codes (4)
         check_budget(26 * (N + 1), f"sieve context for N={N}")
         self.N = N
-        self.spf = _smallest_prime_factor(N)
-        self.spf.flags.writeable = False
-        pr = np.flatnonzero(self.spf == np.arange(N + 1, dtype=np.int32))
-        self.primes = pr[pr >= 2].astype(np.int64)
+        self.primes = np.flatnonzero(_prime_mask(N)).astype(np.int64)
         self.primes.flags.writeable = False
         split = int(np.searchsorted(self.primes, math.isqrt(N), "right"))
         self.small_primes: list[int] = self.primes[:split].tolist()
@@ -214,6 +224,11 @@ class SieveContext:
             arr.flags.writeable = False
             self._cache[key] = arr
         return self._cache[key]
+
+    @property
+    def spf(self) -> np.ndarray:
+        """Smallest prime factor of n (int32); spf[1] = 1 and spf[0] = 0."""
+        return self._lazy("spf", lambda: _smallest_prime_factor(self.N))
 
     @property
     def big_omega(self) -> np.ndarray:
@@ -370,19 +385,42 @@ def is_prime(n: int) -> bool:
     return True
 
 
+_RHO_BLOCK = 128
+
+
 def _pollard_rho(n: int) -> int:
+    """A nontrivial factor of the composite n: Brent's variant of Pollard's rho.
+
+    The walk y -> y^2 + c mod n is compared with a saved point x that moves
+    to y at each power-of-two step count.  The products of x - y mod n are
+    batched into one gcd per block of _RHO_BLOCK steps; a block whose gcd is
+    n is replayed one step at a time from its start.  A walk that still ends
+    at n is retried with the next seed.
+    """
     if n % 2 == 0:
         return 2
     seed = 1
     while True:
-        x = y = 2 + seed
         c = 1 + seed
-        d = 1
+        y, r, acc, d = 2 + seed, 1, 1, 1
         while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and d == 1:
+                block_start = y
+                for _ in range(min(_RHO_BLOCK, r - k)):
+                    y = (y * y + c) % n
+                    acc = acc * (x - y) % n
+                d = math.gcd(acc, n)
+                k += _RHO_BLOCK
+            r *= 2
+        if d == n:
+            y, d = block_start, 1
+            while d == 1:
+                y = (y * y + c) % n
+                d = math.gcd(x - y, n)
         if d != n:
             return d
         seed += 1

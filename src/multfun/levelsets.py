@@ -38,6 +38,7 @@ from .mf_core import (
     MultiplicativeFunction,
     SieveTable,
     make_repaired,
+    sieve_codes,
     sieve_range,
     zero_free,
 )
@@ -134,9 +135,20 @@ def _members_from_mask(mask: np.ndarray) -> np.ndarray:
 
 def level_set(f: MultiplicativeFunction, z, N: int, tol: float | None = None,
               table: SieveTable | None = None) -> LevelSet:
-    """E(f, z) on [1, N]; exact when codes allow, else |f(n) - z| <= tol."""
+    """E(f, z) on [1, N]; exact when codes allow, else |f(n) - z| <= tol.
+
+    Without a table, an exact target is read from the codes alone
+    (mf_core.sieve_codes); only kinds without codes, and complex targets,
+    sieve the values.
+    """
     target = normalize_target(z)
     if table is None or table.N < N:
+        if not isinstance(target, complex):
+            exact = sieve_codes(f, N)
+            if exact is not None:
+                return LevelSet(f.label, target, N,
+                                _members_from_mask(exact.member_mask(target)), True,
+                                function=f)
         table = sieve_range(f, N)
     if isinstance(target, Zero) and table.exact is None:
         mask = table.values[: N + 1] == 0
@@ -175,13 +187,14 @@ def density_profile(E: LevelSet, q_max: int) -> DensityProfile:
     """Global density and every progression-cell density d(E cap (qN + r))."""
     if E.count == 0:
         raise InputError("density profile of an empty truncation is meaningless")
+    ind = E.indicator()
     cells = {}
     empty = []
     for q in range(1, q_max + 1):
-        counts = np.bincount(E.members % q, minlength=q)
         for r in range(q):
-            cells[(q, r)] = int(counts[r])
-            if counts[r] == 0:
+            count = int(np.count_nonzero(ind[r::q]))
+            cells[(q, r)] = count
+            if count == 0:
                 empty.append((q, r))
     return DensityProfile(N=E.N, count=E.count, density=E.count / E.N,
                           cells=cells, empty_cells=empty)
@@ -492,14 +505,15 @@ def divisibility_report(E: LevelSet, r: int, u_max: int, N: int | None = None,
     n = N if N is not None else E.N
     if r >= n / 2:
         raise InputError(f"shift r={r} too large for truncation N={n}")
-    mem = E.members[(E.members > r) & (E.members <= n)]
-    shifted = mem - r
+    # ind[m] marks the members m in (r, n]; those in r + uN are ind[r+u::u]
+    ind = np.zeros(n + 1, dtype=bool)
+    ind[E.members[(E.members > r) & (E.members <= n)]] = True
     rows = []
     witness = None
     certificate = None
     weak = []
     for u in range(1, u_max + 1):
-        count = int((shifted % u == 0).sum())
+        count = int(np.count_nonzero(ind[r + u :: u]))
         dens = count / (n - r)
         rows.append((u, count, dens))
         if count == 0 and witness is None:

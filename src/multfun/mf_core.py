@@ -7,13 +7,15 @@ vectorized pass over the multiples of all primes above sqrt(N)
 (arith.large_prime_multiples), which multiply last as the largest factor of
 n.  Catalog entries with rational phase parameters additionally carry an
 exact finite-alphabet representation (ExactCodes): every nonzero value is
-e(code/order), value 0 is code -1.  Level-set extraction downstream is
-integer-exact through these codes.
+e(code/order), value 0 is code -1; phi(n)/n is determined by rad(n)
+(RadicalCodes).  A kind builds its codes first and its complex values from
+them; sieve_codes stops after the codes, so level-set extraction downstream
+is integer-exact and never builds the values.
 
 _KINDS is the one place where a catalog kind is defined: f.kind names a
-_Kind record holding the kind's sieve, its values at primes, its exact
-prime-power codes and their order, and whether its functions are zero-free,
-supported on the squarefree integers or periodic.
+_Kind record holding the kind's codes and sieve, its values at primes, its
+exact prime-power codes and their order, and whether its functions are
+zero-free, supported on the squarefree integers or periodic.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ __all__ = [
     "RadicalCodes",
     "eval_at",
     "sieve_range",
+    "sieve_codes",
     "builtin",
     "BUILTIN_NAMES",
     "parse_custom_file",
@@ -208,14 +211,18 @@ class RadicalCodes:
 
 @dataclass(eq=False)
 class SieveTable:
-    """Dense values of f on [1, N] plus the smallest-prime-factor array."""
+    """Dense values of f on [1, N] and, when the kind has them, exact codes."""
 
     N: int
     values: np.ndarray
-    spf: np.ndarray
     source: str
     exact: ExactCodes | RadicalCodes | None = None
     function: MultiplicativeFunction | None = None
+
+    @property
+    def spf(self) -> np.ndarray:
+        """The smallest-prime-factor array of the cached context for N."""
+        return get_context(self.N).spf
 
 
 # --------------------------------------------------------------------------
@@ -244,51 +251,60 @@ def eval_at(f: MultiplicativeFunction, n: int) -> complex:
 # --------------------------------------------------------------------------
 # Bulk sieving
 
-def sieve_range(f: MultiplicativeFunction, N: int) -> SieveTable:
-    """Tabulate f on [1, N].
-
-    The kind's sieve (see _KINDS) builds the table: additive-statistic
-    kernels for the Omega/omega/squarefree family, residue tables for
-    periodic functions, and a generic prime-power pass otherwise.  Exact codes
-    are attached whenever the kind supports them.
-    """
+def _sieve_context(f: MultiplicativeFunction, N: int):
     if N < 1:
         raise InputError(f"sieve bound must be >= 1, got {N}")
     check_budget(30 * (N + 1), f"sieve of {f.label} to N={N}")
-    ctx = get_context(N)
-    values, exact = _KINDS[f.kind].sieve(f, N, ctx)
+    return get_context(N)
+
+
+def sieve_codes(f: MultiplicativeFunction, N: int) -> ExactCodes | RadicalCodes | None:
+    """The exact codes of f on [0, N] that sieve_range attaches, without the
+    values; None when the kind has no exact codes."""
+    return _KINDS[f.kind].codes(f, N, _sieve_context(f, N))
+
+
+def sieve_range(f: MultiplicativeFunction, N: int) -> SieveTable:
+    """Tabulate f on [1, N].
+
+    The kind (see _KINDS) builds its exact codes first, when it has them,
+    and then the values: from the codes for the finite alphabets, from the
+    additive statistics for irrational phases and phi(n)/n, and by a generic
+    prime-power pass otherwise.
+    """
+    ctx = _sieve_context(f, N)
+    kind = _KINDS[f.kind]
+    exact = kind.codes(f, N, ctx)
+    values = kind.sieve(f, N, ctx, exact)
     values[0] = 0
     if not f.spec.unbounded:
         peak = float(np.abs(values).max())
         if peak > _MOD_BOUND:
             raise InputError(f"{f.label} exceeds the |f| <= 1 modulus bound (max {peak})")
     values.flags.writeable = False
-    return SieveTable(N=N, values=values, spf=ctx.spf, source=f.label, exact=exact, function=f)
+    return SieveTable(N=N, values=values, source=f.label, exact=exact, function=f)
 
 
-def _codes_to_values(codes: np.ndarray, order: int) -> np.ndarray:
-    roots = root_table(order)
-    vals = roots[np.maximum(codes, 0) % order]
-    vals[codes < 0] = 0
-    return vals
+def _codes_values(f, N, ctx, exact: ExactCodes) -> np.ndarray:
+    """e(code/order) at each code, 0 at code -1: one lookup in the roots of
+    unity with a 0 appended, as the kinds' codes lie in [-1, order)."""
+    return np.append(root_table(exact.order), 0)[exact.codes]
 
 
-def _sieve_squarefree(f, N, ctx):
-    sq = ctx.squarefree
-    codes = np.where(sq, 0, -1).astype(np.int32)
+def _squarefree_codes(f, N, ctx):
+    codes = np.where(ctx.squarefree, 0, -1).astype(np.int32)
     codes[0] = -1
-    values = sq.astype(np.complex128)
-    return values, ExactCodes(order=1, codes=codes)
+    return ExactCodes(order=1, codes=codes)
 
 
-def _sieve_phi_ratio(f, N, ctx):
+def _sieve_phi_ratio(f, N, ctx, exact):
     v = np.ones(N + 1, dtype=np.float64)
     for p in ctx.small_primes:
         v[p::p] *= 1.0 - 1.0 / p
     ratio = 1.0 - 1.0 / ctx.large_primes
     for idx, c in large_prime_multiples(ctx.large_primes, N):
         v[idx] *= ratio[:c]
-    return v.astype(np.complex128), RadicalCodes(radical=ctx.radical)
+    return v.astype(np.complex128)
 
 
 def _tile(table: np.ndarray, N: int) -> np.ndarray:
@@ -297,31 +313,25 @@ def _tile(table: np.ndarray, N: int) -> np.ndarray:
     return np.tile(table, reps)[: N + 1]
 
 
-def _sieve_periodic(f, N, ctx):
+def _periodic_codes(f, N, ctx):
     chi = f.meta["char"]
-    values = _tile(chi.table, N)
     codes = _tile(chi.expo, N).astype(np.int32)
     codes[0] = -1 if chi.modulus > 1 else codes[0]
-    return values.copy(), ExactCodes(order=chi.expo_mod, codes=codes)
+    return ExactCodes(order=chi.expo_mod, codes=codes)
 
 
-def _sieve_tau_character(f, N, ctx):
+def _tau_character_codes(f, N, ctx):
     chi = f.meta["char"]
-    b = chi.modulus
-    tmod = (ctx.tau % b).astype(np.int64)
-    codes = chi.expo[tmod].astype(np.int32)
+    codes = chi.expo[ctx.tau % chi.modulus].astype(np.int32)
     codes[0] = -1
-    values = chi.table[tmod]
-    values[0] = 0
-    return values, ExactCodes(order=chi.expo_mod, codes=codes)
+    return ExactCodes(order=chi.expo_mod, codes=codes)
 
 
-def _sieve_repaired(f, N, ctx):
+def _repaired_codes(f, N, ctx):
     base = f.meta["base"]
-    y = f.meta["y"]
     order = exact_order(base)
     if order is None:
-        return _sieve_generic(f, N, ctx)
+        return None
     code = _KINDS[base.kind].ppow_code
     root = np.zeros(N + 1, dtype=np.int32)
     yexp = np.zeros(N + 1, dtype=np.int8)
@@ -352,13 +362,19 @@ def _sieve_repaired(f, N, ctx):
     root %= order
     codes = root
     codes[0] = -1
-    values = _codes_to_values(codes, order).astype(np.complex128)
-    has_y = yexp > 0
-    values[has_y] = values[has_y] * (y ** yexp[has_y].astype(np.float64))
-    return values, ExactCodes(order=order, codes=codes, yexp=yexp)
+    return ExactCodes(order=order, codes=codes, yexp=yexp)
 
 
-def _sieve_generic(f, N, ctx):
+def _sieve_repaired(f, N, ctx, exact):
+    if exact is None:
+        return _sieve_generic(f, N, ctx, exact)
+    values = _codes_values(f, N, ctx, exact)
+    has_y = exact.yexp > 0
+    values[has_y] = values[has_y] * (f.meta["y"] ** exact.yexp[has_y].astype(np.float64))
+    return values
+
+
+def _sieve_generic(f, N, ctx, exact):
     values = np.ones(N + 1, dtype=np.complex128)
     for p in ctx.small_primes:
         vs = []
@@ -403,7 +419,7 @@ def _sieve_generic(f, N, ctx):
     r = r[moves]
     for idx, c in large_prime_multiples(Q[moves], N):
         values[idx] = values[idx] * r[:c]
-    return values, None
+    return values
 
 
 # --------------------------------------------------------------------------
@@ -469,10 +485,11 @@ def _unit_code(chi, n: int) -> int | None:
 @dataclass(frozen=True)
 class _Kind:
     """What one catalog kind knows about its functions f.  The defaults are
-    the generic behaviour: a prime-power sieve, prime values from the rule,
-    no exact codes, no structural zeros or support."""
+    the generic behaviour: no exact codes, a prime-power sieve, prime values
+    from the rule, no structural zeros or support."""
 
-    sieve: Callable = _sieve_generic                # (f, N, ctx) -> (values, exact)
+    codes: Callable = lambda f, N, ctx: None        # (f, N, ctx) -> exact codes or None
+    sieve: Callable = _sieve_generic                # (f, N, ctx, codes) -> values
     prime_values: Callable = _generic_prime_values  # (f, primes) -> f(p) as complex
     ppow_code: Callable = _no_codes                 # (f, p, k) -> code, None when 0
     exact_order: Callable = lambda f: None          # alphabet size of the codes
@@ -492,20 +509,23 @@ def _phase_kind(stat: str, weight: Callable[[int], int]) -> _Kind:
     members vanish off the squarefree n.
     """
 
-    def sieve(f, N, ctx):
-        counts = getattr(ctx, stat)
-        sqf = _squarefree_only(f)
-        if "b" in f.meta:
-            a, b = f.meta["a"], f.meta["b"]
-            codes = ((counts.astype(np.int64) * a) % b).astype(np.int32)
-            if sqf:
-                codes[~ctx.squarefree] = -1
-            codes[0] = -1
-            return _codes_to_values(codes, b), ExactCodes(order=b, codes=codes)
-        values = e(f.meta["xi"] * counts.astype(np.float64))
-        if sqf:
+    def codes(f, N, ctx):
+        if "b" not in f.meta:
+            return None
+        a, b = f.meta["a"], f.meta["b"]
+        c = ((getattr(ctx, stat).astype(np.int64) * a) % b).astype(np.int32)
+        if _squarefree_only(f):
+            c[~ctx.squarefree] = -1
+        c[0] = -1
+        return ExactCodes(order=b, codes=c)
+
+    def sieve(f, N, ctx, exact):
+        if exact is not None:
+            return _codes_values(f, N, ctx, exact)
+        values = e(f.meta["xi"] * getattr(ctx, stat).astype(np.float64))
+        if _squarefree_only(f):
             values[~ctx.squarefree] = 0
-        return values, None
+        return values
 
     def code(f, p, k):
         if "b" not in f.meta:
@@ -519,7 +539,7 @@ def _phase_kind(stat: str, weight: Callable[[int], int]) -> _Kind:
         v = root_table(m["b"])[m["a"] % m["b"]] if "b" in m else e(m["xi"])
         return np.full(len(ps), v, dtype=np.complex128)
 
-    return _Kind(sieve=sieve, prime_values=prime_values, ppow_code=code,
+    return _Kind(codes=codes, sieve=sieve, prime_values=prime_values, ppow_code=code,
                  exact_order=lambda f: f.meta.get("b"),
                  zero_free=lambda f: not _squarefree_only(f),
                  squarefree_only=_squarefree_only)
@@ -530,19 +550,22 @@ _KINDS = {
     "omega_phase": _phase_kind("big_omega", lambda k: k),
     "small_omega_phase": _phase_kind("small_omega", lambda k: 1),
     "squarefree_indicator": _Kind(
-        sieve=_sieve_squarefree,
+        codes=_squarefree_codes,
+        sieve=_codes_values,
         prime_values=lambda f, ps: np.ones(len(ps), dtype=np.complex128),
         ppow_code=lambda f, p, k: None if k >= 2 else 0,
         exact_order=lambda f: 1,
         squarefree_only=lambda f: True,
     ),
     "phi_ratio": _Kind(
+        codes=lambda f, N, ctx: RadicalCodes(radical=ctx.radical),
         sieve=_sieve_phi_ratio,
         prime_values=lambda f, ps: (1.0 - 1.0 / ps).astype(np.complex128),
         zero_free=lambda f: True,
     ),
     "periodic": _Kind(
-        sieve=_sieve_periodic,
+        codes=_periodic_codes,
+        sieve=_codes_values,
         prime_values=lambda f, ps: f.meta["char"].values_at(ps),
         ppow_code=lambda f, p, k: _unit_code(f.meta["char"], p ** k),
         exact_order=lambda f: f.meta["char"].expo_mod,
@@ -550,13 +573,15 @@ _KINDS = {
         period_codes=lambda f: ExactCodes(f.meta["char"].expo_mod, f.meta["char"].expo),
     ),
     "tau_character": _Kind(
-        sieve=_sieve_tau_character,
+        codes=_tau_character_codes,
+        sieve=_codes_values,
         prime_values=lambda f, ps: np.full(len(ps), complex(f.meta["char"](2)),
                                            dtype=np.complex128),
         ppow_code=lambda f, p, k: _unit_code(f.meta["char"], k + 1),
         exact_order=lambda f: f.meta["char"].expo_mod,
     ),
     "repaired": _Kind(
+        codes=_repaired_codes,
         sieve=_sieve_repaired,
         prime_values=_repaired_prime_values,
         ppow_code=_repaired_code,

@@ -355,8 +355,8 @@ class _TwistScan:
     """
 
     def __init__(self, primes: np.ndarray, t_grid: np.ndarray, P: int):
-        # the window matrices plus one window's np.outer temporary
-        check_budget(32 * len(t_grid) * len(primes),
+        # the window matrices, each exponentiated in place
+        check_budget(16 * len(t_grid) * len(primes),
                      f"twist scan over {len(t_grid)} t and {len(primes)} primes")
         # windows start at 10: the wider the total log-span, the harder it is
         # for a single t to hold p^{it} coherent across every window
@@ -371,12 +371,14 @@ class _TwistScan:
             mask = (primes > lo) & (primes <= hi)
             if not mask.any():
                 continue
-            Z = np.exp(np.outer(-1j * t_grid, logp[mask]))
+            Z = np.outer(-1j * t_grid, logp[mask])
+            np.exp(Z, out=Z)
             mert = 2.0 * (math.log(math.log(hi)) - math.log(math.log(max(lo, 2))))
             self.windows.append((lo, mask, Z, float(inv_p[mask].sum()), mert))
         if not self.windows:
             mask = primes <= P
-            Z = np.exp(np.outer(-1j * t_grid, logp[mask]))
+            Z = np.outer(-1j * t_grid, logp[mask])
+            np.exp(Z, out=Z)
             mert = 2.0 * max(math.log(math.log(max(P, 3))), 0.1)
             self.windows.append((0, mask, Z, float(inv_p[mask].sum()), mert))
         # the last two decades, for plateau detection; windows are in

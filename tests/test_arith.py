@@ -1,21 +1,35 @@
 """Sieve tables against definitions written from `factorize`, at bounds N at
 and around prime squares (where a prime moves between the strided
-small-prime slices and the large-prime pass), and `factorize` against plain
+small-prime slices and the large-prime pass), the codes-only level-set path
+against level sets read from a full table, and `factorize` against plain
 trial division."""
 
 import math
 import random
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from multfun import builtin, sieve_range
-from multfun.arith import SieveContext, factorize, primes_upto, residue_sums, root_table
-from multfun.levelsets import sp_set
-from multfun.mf_core import make_repaired, prime_power_value
+from multfun import InputError, builtin, sieve_range
+from multfun.arith import (
+    MINUS_ONE,
+    ONE,
+    ZERO,
+    RootOfUnity,
+    SieveContext,
+    _pollard_rho,
+    factorize,
+    is_prime,
+    primes_upto,
+    residue_sums,
+    root_table,
+)
+from multfun.levelsets import level_set, sp_set
+from multfun.mf_core import make_repaired, prime_power_value, sieve_codes
 
-from conftest import trial_factor
+from conftest import REGISTRY_CASES, trial_factor
 
 NS = [1, 2, 3, 4, 8, 9, 10, 24, 25, 26, 48, 49, 50, 120, 121, 122, 168, 169, 170,
       10 ** 4, 10 ** 4 + 1]
@@ -88,6 +102,19 @@ def code_table(N, order, code_of):
         c = code_of(fs)
         out[n] = 0 if c is None else roots[c % order]
     return out
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 8, 9, 10, 24, 25, 26, 48, 49, 50, 120, 121, 122,
+                               10 ** 4])
+def test_context_primes_without_spf(N):
+    ctx = SieveContext(N)
+    assert "spf" not in ctx._cache
+    assert ctx.primes.dtype == np.int64
+    want = [n for n in range(2, N + 1) if trial_factor(n) == [(n, 1)]]
+    assert ctx.primes.tolist() == want
+    spf = ctx.spf
+    assert "spf" in ctx._cache
+    assert ctx.primes.tolist() == [n for n in range(2, N + 1) if spf[n] == n]
 
 
 @pytest.mark.parametrize("N", NS)
@@ -189,6 +216,44 @@ def test_generic_rounds_like_slices(N, tmp_path):
         assert_identical(sieve_range(f, N).values, slice_sieve(f, N))
 
 
+LEVEL_TARGETS = [ONE, MINUS_ONE, ZERO, RootOfUnity(1, 3), RootOfUnity(1, 4),
+                 Fraction(1, 2), Fraction(4, 15)]
+
+
+def level_or_error(f, z, N, table=None):
+    try:
+        return level_set(f, z, N, table=table)
+    except InputError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("N", NS)
+def test_level_set_codes_path(N, custom_path):
+    """level_set without a table reads the codes alone; the level set read from
+    a full sieve table is the oracle."""
+    for name, case in REGISTRY_CASES.items():
+        f = case(custom_path)
+        table = sieve_range(f, N)
+        codes = sieve_codes(f, N)
+        assert (codes is None) == (table.exact is None), name
+        for key in ("codes", "yexp", "radical"):
+            want = getattr(table.exact, key, None)
+            got = getattr(codes, key, None)
+            assert (got is None) == (want is None), (name, key)
+            if want is not None:
+                assert_identical(got, want)
+        if codes is not None and hasattr(codes, "order"):
+            assert codes.order == table.exact.order
+        for z in LEVEL_TARGETS:
+            want = level_or_error(f, z, N, table=table)
+            got = level_or_error(f, z, N)
+            if isinstance(want, str):
+                assert got == want, (name, z)
+                continue
+            assert_identical(got.members, want.members)
+            assert (got.exact, got.source, got.z) == (want.exact, want.source, want.z)
+
+
 @pytest.mark.parametrize("N", NS)
 def test_sp_set(N):
     def want(keep):
@@ -216,6 +281,38 @@ def test_factorize_large_inputs():
     assert (p * q).bit_length() == 62
     assert factorize(p * q) == [(p, 1), (q, 1)]
     assert factorize(1009 * p) == [(1009, 1), (p, 1)]
+
+
+def test_factorize_semiprimes_and_prime_squares():
+    """Seeded 62-bit semiprimes and squares of primes near 2^31 and 2^20; the
+    primes are drawn by trial division, the oracle that shares no code with rho."""
+    rng = random.Random(62)
+
+    def prime_near(bits):
+        while True:
+            p = rng.randrange(1 << (bits - 1), 1 << bits) | 1
+            if trial_factor(p) == [(p, 1)]:
+                return p
+
+    for _ in range(6):
+        p, q = prime_near(31), prime_near(31)
+        assert factorize(p * q) == sorted([(p, 1), (q, 1)] if p != q else [(p, 2)])
+    for bits in (31, 20):
+        p = prime_near(bits)
+        assert factorize(p * p) == [(p, 2)]
+        assert factorize(p * p * 3) == [(3, 1), (p, 2)]
+    p, q, r = prime_near(20), prime_near(20), prime_near(20)
+    assert factorize(p * q * r) == trial_factor(p * q * r)
+
+
+def test_pollard_rho_finds_a_divisor_of_every_odd_composite():
+    # small composites make a block's product vanish mod n, which sends
+    # rho through the step-by-step replay and the next-seed retry
+    for n in range(9, 20000, 2):
+        if is_prime(n):
+            continue
+        d = _pollard_rho(n)
+        assert 1 < d < n and n % d == 0, n
 
 
 def test_residue_sums_in_residue_order():

@@ -125,7 +125,7 @@ def test_resource_cap_exits_3(tmp_path, monkeypatch):
 
 def test_twist_matrices_charged_to_cap(tmp_path, monkeypatch):
     # the sieve context for 10^5 (~2.6 MB) fits under 16 MB, the twist
-    # matrices of 201 t over 9592 primes (~59 MB) do not
+    # matrices of 201 t over 9592 primes (~29 MB) do not
     monkeypatch.setenv("MULTFUN_MEM_CAP_MB", "16")
     out = tmp_path / "c.json"
     rc = run(["classify", "--function", "liouville", "--P", "100000",

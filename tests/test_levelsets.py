@@ -21,8 +21,8 @@ from multfun import (
     structure_pair,
     zero_repair,
 )
-from multfun.arith import ZERO, RootOfUnity
-from multfun.levelsets import GOLDEN_FRAC, _collision_free
+from multfun.arith import ONE, ZERO, RootOfUnity
+from multfun.levelsets import GOLDEN_FRAC, LevelSet, _collision_free
 from multfun.mf_core import MultiplicativeFunction, PrimePowerSpec
 from multfun.seminorms import gowers_fast
 
@@ -348,6 +348,44 @@ def test_divisibility_bare_empty_count_stays_inconclusive(lam):
     assert rep.rows[22][1] == 0
     assert rep.verdict == "inconclusive"
     assert rep.witness_u is None
+
+
+def modulo_rows(E, r, u_max, N=None):
+    """(u, count, density) of (E - r) ∩ uN by one % pass per u."""
+    n = N if N is not None else E.N
+    shifted = E.members[(E.members > r) & (E.members <= n)] - r
+    rows = []
+    for u in range(1, u_max + 1):
+        count = int((shifted % u == 0).sum())
+        rows.append((u, count, count / (n - r)))
+    return rows
+
+
+def modulo_cells(E, q_max):
+    """Members ≡ r (mod q) for q <= q_max by one bincount of members % q per q."""
+    cells = {}
+    for q in range(1, q_max + 1):
+        counts = np.bincount(E.members % q, minlength=q)
+        for r in range(q):
+            cells[(q, r)] = int(counts[r])
+    return cells
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), EN=st.integers(1, 300), u_max=st.integers(1, 12),
+       q_max=st.integers(1, 12))
+def test_indicator_counts_match_modulo_counts(data, EN, u_max, q_max):
+    members = data.draw(st.sets(st.integers(1, EN), min_size=1))
+    E = LevelSet("random", ONE, EN, np.array(sorted(members), dtype=np.int64), True)
+    N = data.draw(st.none() | st.integers(1, EN))
+    n = EN if N is None else N
+    r = data.draw(st.integers(0, (n - 1) // 2))
+    rep = divisibility_report(E, r, u_max, N=N)
+    assert rep.rows == modulo_rows(E, r, u_max, N)
+    prof = density_profile(E, q_max)
+    cells = modulo_cells(E, q_max)
+    assert prof.cells == cells
+    assert prof.empty_cells == [key for key, c in cells.items() if c == 0]
 
 
 # --------------------------------------------------------------------------

@@ -5,7 +5,6 @@ import pytest
 
 from multfun import InputError, builtin, eval_at, sieve_range
 from multfun.arith import e, primes_upto, root_table, totient
-from multfun.levelsets import zero_repair
 from multfun.mf_core import (
     _KINDS,
     exact_order,
@@ -15,7 +14,13 @@ from multfun.mf_core import (
     zero_free,
 )
 
-from conftest import catalog_functions, oracle_eval, squarefree_count_oracle, trial_factor
+from conftest import (
+    REGISTRY_CASES,
+    catalog_functions,
+    oracle_eval,
+    squarefree_count_oracle,
+    trial_factor,
+)
 
 
 def test_eval_liouville_at_12(lam):
@@ -248,35 +253,6 @@ def test_exact_codes_partition(l13):
     counts = np.bincount(codes, minlength=3)
     assert counts.sum() == 10 ** 4
     assert t.exact.order == 3
-
-
-# custom file with a zero at 2^2, a zero first power followed by a nonzero
-# second power at 5, and a value inside the unit disc at 7^3
-REGISTRY_CUSTOM = "default: one\n2 1 0 1\n2 2 0 0\n3 1 0.6 0.8\n5 1 0 0\n5 2 -1 0\n7 3 0.5 0\n"
-
-REGISTRY_CASES = {
-    "liouville": lambda path: builtin("liouville"),
-    "moebius": lambda path: builtin("moebius"),
-    "lambda_xi(1/3)": lambda path: builtin("lambda_xi", {"xi": "1/3"}),
-    "lambda_xi(0.3)": lambda path: builtin("lambda_xi", {"xi": 0.3}),
-    "mu_xi(1/4)": lambda path: builtin("mu_xi", {"xi": "1/4"}),
-    "kappa_xi(2/5)": lambda path: builtin("kappa_xi", {"xi": "2/5"}),
-    "mu_squared": lambda path: builtin("mu_squared"),
-    "phi_over_n": lambda path: builtin("phi_over_n"),
-    "chi mod 5": lambda path: builtin("dirichlet_character", {"modulus": 5, "index": 1}),
-    "chi mod 1": lambda path: builtin("dirichlet_character", {"modulus": 1, "index": 0}),
-    "chi_of_tau(5)": lambda path: builtin("chi_of_tau", {"modulus": 5}),
-    "custom_file": lambda path: builtin("custom_file", {"path": str(path)}),
-    "moebius#repaired": lambda path: zero_repair(builtin("moebius"), 1),
-    "liouville^2": lambda path: builtin("liouville") ** 2,
-}
-
-
-@pytest.fixture
-def custom_path(tmp_path):
-    path = tmp_path / "registry.txt"
-    path.write_text(REGISTRY_CUSTOM)
-    return path
 
 
 def test_registry_cases_cover_every_kind(custom_path):
