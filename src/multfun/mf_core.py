@@ -21,6 +21,7 @@ zero-free, supported on the squarefree integers or periodic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable
@@ -35,6 +36,7 @@ from .arith import (
     factorize,
     get_context,
     is_prime,
+    _smallest_prime_factor,
     large_prime_multiples,
     root_table,
 )
@@ -162,8 +164,11 @@ class ExactCodes:
         j = self.code_of(target)
         if j is None:
             return np.zeros(len(self.codes), dtype=bool)
-        m = self.codes >= 0
-        m &= (self.codes.astype(np.int64) * power - j) % self.order == 0
+        if power == 1:
+            m = self.codes == j     # codes are reduced mod order already
+        else:
+            m = self.codes >= 0
+            m &= (self.codes.astype(np.int64) * power - j) % self.order == 0
         if self.yexp is not None:
             m &= self.yexp == 0
         m[0] = False
@@ -219,10 +224,11 @@ class SieveTable:
     exact: ExactCodes | RadicalCodes | None = None
     function: MultiplicativeFunction | None = None
 
-    @property
+    @cached_property
     def spf(self) -> np.ndarray:
-        """The smallest-prime-factor array of the cached context for N."""
-        return get_context(self.N).spf
+        """The smallest-prime-factor array of 0..N, built once per table and
+        outside the context cache, so reading it evicts no cached context."""
+        return _smallest_prime_factor(self.N)
 
 
 # --------------------------------------------------------------------------

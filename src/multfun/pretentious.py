@@ -211,13 +211,23 @@ class ApMeanReport:
         return abs(self.direct - self.decomposition)
 
 
+def _class_sums(window: np.ndarray, q: int, first: int) -> np.ndarray:
+    """Sums of window over the residue classes mod q of its indices, in
+    residue order, where window[0] sits at index first.  Slice k of stride q
+    holds the class of first + k; numpy sums each slice pairwise."""
+    return np.roll([window[k::q].sum() for k in range(q)], first)
+
+
 def ap_mean(f: MultiplicativeFunction, q: int, r: int, N: int,
             table=None) -> ApMeanReport:
     """Mean of f along the progression qn + r, n = 1..M, M = floor((N-r)/q).
 
-    For gcd(q, r) = 1 the same mean is recomputed through the character
-    decomposition of the progression indicator over the identical index
-    window, so the two values agree to floating-point accuracy.
+    The direct mean sums the strided view vals[q + r :: q].  For
+    gcd(q, r) = 1 the same mean is recomputed through the character
+    decomposition of the progression indicator over the window
+    r + 1 .. qM + r, whose q residue classes are q strided slices of M
+    terms each.  numpy sums every slice pairwise, the class of r is the
+    direct slice itself, so the two values agree to floating-point accuracy.
     """
     if q < 1 or N < q:
         raise InputError(f"need N >= q >= 1, got q={q}, N={N}")
@@ -229,13 +239,11 @@ def ap_mean(f: MultiplicativeFunction, q: int, r: int, N: int,
     M = (N - r) // q
     if M < 1:
         raise InputError(f"no progression terms: q={q}, r={r}, N={N}")
-    idx = q * np.arange(1, M + 1) + r
-    direct = complex(vals[idx].sum() / M)
+    direct = complex(vals[q + r : q * M + r + 1 : q].sum() / M)
     decomposition = None
     if math.gcd(q, r) == 1:
-        window = np.arange(r + 1, q * M + r + 1)
         chars = character_table(q)
-        sums = chars @ residue_sums(vals[window], window % q, q)
+        sums = chars @ _class_sums(vals[r + 1 : q * M + r + 1], q, r + 1)
         decomposition = complex(chars[:, r].conj() @ sums / (len(chars) * M))
     return ApMeanReport(q=q, r=r, N=N, M=M, direct=direct, decomposition=decomposition)
 

@@ -17,7 +17,9 @@ Additive Combinatorics, ch. 11), where Delta_h f = f(. + h) conj f vanishes
 for |h| >= N, lives on an interval of length N - |h|, and Delta_{-h} f is a
 conjugated shift of Delta_h f.  So
 S3 = E(|f|^2) + 2 sum_{h=1}^{N-1} E(f[h:N] conj f[0:N-h]), each energy at
-the least power-of-two length that holds its support.
+the least power-of-two length that holds its support.  The normalizing
+sums of 1_[N] are closed forms (_interval_raw), and a real f, or a complex
+f with vanishing imaginary parts, is transformed with real FFTs.
 """
 
 from __future__ import annotations
@@ -219,7 +221,7 @@ def _energy(x) -> float:
 
     Equals (1/m) sum |DFT_m x|^4 in every cyclic group of size
     m >= 2 len(x) - 1, where no difference wraps around; m is the least
-    power of two of that size.
+    power of two of that size.  A real x is transformed with a real FFT.
     """
     return float(_energies(x[None, :], _pow2(2 * len(x) - 1)).sum())
 
@@ -229,9 +231,24 @@ def _pow2(k: int) -> int:
 
 
 def _energies(rows, m: int) -> np.ndarray:
-    F = np.fft.fft(rows, m, axis=1)
+    """(1/m) sum_k |DFT_m row|^4 for each row.
+
+    Real rows take the half spectrum of np.fft.rfft: bin k and bin m - k
+    have equal modulus, so every bin counts twice except bin 0 and, for
+    even m, bin m/2.  At m = 1 the one bin is bin 0 and counts once.
+    """
+    if np.iscomplexobj(rows):
+        F = np.fft.fft(rows, m, axis=1)
+        p = F.real ** 2 + F.imag ** 2
+        return (p * p).sum(axis=1) / m
+    F = np.fft.rfft(rows, m, axis=1)
     p = F.real ** 2 + F.imag ** 2
-    return (p * p).sum(axis=1) / m
+    p *= p
+    w = np.full(F.shape[1], 2.0)
+    w[0] = 1.0
+    if m % 2 == 0:
+        w[-1] = 1.0
+    return (p @ w) / m
 
 
 def _energy_u3(x) -> float:
@@ -245,7 +262,7 @@ def _energy_u3(x) -> float:
     share a length transformed as one batch.
     """
     L = len(x)
-    total = _energy(x * x.conj())
+    total = _energy(x.real ** 2 + x.imag ** 2)     # |x|^2, a real row
     lo = L - 1                  # largest difference length still to do
     top = _pow2(2 * lo - 1)
     ext = np.concatenate([x, np.zeros(top, dtype=x.dtype)])
@@ -262,21 +279,48 @@ def _energy_u3(x) -> float:
     return total
 
 
+def _interval_energy(n: int) -> int:
+    """Additive energy of 1_[n]: sum over |h| < n of (n - |h|)^2."""
+    return n * (2 * n * n + 1) // 3
+
+
+def _interval_raw(n: int, s: int) -> float:
+    """Unnormalized U^s sum of the interval indicator 1_[n].
+
+    Delta_h 1_[n] is a shift of 1_[n - |h|], so the sums are n^2 (s = 1),
+    the energy n(2n^2 + 1)/3 (s = 2) and E(n) + 2 sum_{L<n} E(L) (s = 3),
+    exact in integers; higher degrees take the definitional sum.
+    """
+    if s == 1:
+        return float(n * n)
+    if s == 2:
+        return float(_interval_energy(n))
+    if s == 3:
+        k = n * (n - 1) // 2    # sum_{L<n} L; sum_{L<n} L^3 = k^2
+        return float(_interval_energy(n) + 2 * ((2 * k * k + k) // 3))
+    return _gowers_raw(np.ones(n), s)
+
+
 def _gowers_raw(x, s: int) -> float:
     """Unnormalized U^s sum of x on an interval.
 
     The same in Z and in the padded group Z/(2^s N)Z, because no
     difference wraps around there; the fast degrees 1..3 use the support
-    identities above, higher degrees the definitional sum.
+    identities above, higher degrees the definitional sum.  A real x, or a
+    complex x whose imaginary parts all vanish, is taken as real, so its
+    transforms are real FFTs.
     """
     if s == 1:
         return float(abs(x.sum()) ** 2)
     if np.iscomplexobj(x):
-        # x and conj x have equal sums; transforming one fixed representative
-        # (first nonzero imaginary part positive) makes the computed value
-        # exactly conjugation-invariant, which rounding alone does not
         im = x.imag[x.imag != 0]
-        if len(im) and im[0] < 0:
+        if not len(im):
+            x = x.real
+        elif im[0] < 0:
+            # x and conj x have equal sums; transforming one fixed
+            # representative (first nonzero imaginary part positive) makes
+            # the computed value exactly conjugation-invariant, which
+            # rounding alone does not
             x = x.conj()
     if s == 2:
         return _energy(x)
@@ -310,11 +354,12 @@ def gowers_fast(values, N: int, s: int) -> float:
     The padded-cyclic sums equal their sums over Z, so each energy is
     taken at the least power-of-two length that holds its support, and
     ||f||_{U^3}^8 = sum_h ||Delta_h f||_{U^2}^4 (Gowers, GAFA 11 (2001);
-    Tao-Vu, Additive Combinatorics, ch. 11) runs over |h| < N only.
+    Tao-Vu, Additive Combinatorics, ch. 11) runs over |h| < N only.  The
+    same sums of 1_[N] normalize the value in closed form.
     """
     vals, n = _as_values(values, N)
     _check_fast(n, s)
-    return _fast_value(vals[1 : n + 1], _gowers_raw(np.ones(n), s), s)
+    return _fast_value(vals[1 : n + 1], _interval_raw(n, s), s)
 
 
 @dataclass
@@ -379,12 +424,11 @@ def uniformity_profile(f: MultiplicativeFunction, s: int, n_grid,
     report = GowersReport(s=s, source=f.label)
     for n in grid:
         nt = (1 << s) * n
+        raw_one = _interval_raw(n, s)
         if method == "fast":
-            raw_one = _gowers_raw(np.ones(n), s)
             value = _fast_value(table.values[1 : n + 1], raw_one, s)
         else:
             value = gowers_direct(table.values, n, s)
-            raw_one = _gowers_raw(np.ones(n), s)
         report.entries.append(
             GowersEntry(N=n, Ntilde=nt, value=value, method=method,
                         normalizer=float((raw_one / nt ** (s + 1)) ** (1.0 / (1 << s))))

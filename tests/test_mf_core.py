@@ -4,13 +4,26 @@ import numpy as np
 import pytest
 
 from multfun import InputError, builtin, eval_at, sieve_range
-from multfun.arith import e, primes_upto, root_table, totient
+from multfun import arith
+from multfun.arith import (
+    ONE,
+    ZERO,
+    RootOfUnity,
+    Zero,
+    e,
+    get_context,
+    primes_upto,
+    root_table,
+    totient,
+)
 from multfun.mf_core import (
     _KINDS,
+    ExactCodes,
     exact_order,
     parse_custom_file,
     ppow_code,
     prime_power_value,
+    sieve_codes,
     zero_free,
 )
 
@@ -72,6 +85,46 @@ def test_sieve_table_invariants(mu):
     assert t.values[1] == 1
     for n in range(2, 1001):
         assert t.spf[n] == trial_factor(n)[0][0]
+
+
+def test_sieve_table_spf_keeps_the_context_cache(mu):
+    t = sieve_range(mu, 10 ** 6)
+    get_context(10 ** 5)
+    get_context(2 * 10 ** 5)
+    keys = list(arith._CONTEXTS)
+    spf = t.spf
+    assert list(arith._CONTEXTS) == keys
+    assert t.spf is spf
+    assert spf[999_983] == 999_983 and spf[10 ** 6] == 2
+
+
+def member_mask_oracle(exact, target, power):
+    """The int64 residue formula for {n : f(n)^power == target}."""
+    codes = exact.codes
+    if isinstance(target, Zero):
+        m = codes == -1 if exact.yexp is None else np.zeros(len(codes), dtype=bool)
+    else:
+        j = exact.code_of(target)
+        m = np.zeros(len(codes), dtype=bool)
+        if j is not None:
+            m = (codes >= 0) & ((codes.astype(np.int64) * power - j) % exact.order == 0)
+            if exact.yexp is not None:
+                m &= exact.yexp == 0
+    m[0] = False
+    return m
+
+
+@pytest.mark.parametrize("name", list(REGISTRY_CASES))
+def test_member_mask_matches_residue_formula(name, custom_path):
+    exact = sieve_codes(REGISTRY_CASES[name](custom_path), 10 ** 4)
+    if not isinstance(exact, ExactCodes):
+        pytest.skip("no finite-alphabet codes")
+    targets = [ONE, RootOfUnity(1, 2), ZERO, RootOfUnity(1, 3), RootOfUnity(1, 4)]
+    for target in targets:
+        for power in (1, 2, 3):
+            np.testing.assert_array_equal(exact.member_mask(target, power),
+                                          member_mask_oracle(exact, target, power),
+                                          err_msg=f"{target} power {power}")
 
 
 @pytest.mark.parametrize("f", catalog_functions(), ids=lambda f: f.label)

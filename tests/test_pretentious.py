@@ -19,12 +19,13 @@ from multfun import (
     zero_repair,
 )
 from multfun import pretentious
-from multfun.arith import geometric_grid, primes_upto
+from multfun.arith import geometric_grid, primes_upto, residue_sums
 from multfun.mf_core import MultiplicativeFunction, PrimePowerSpec
 from multfun.pretentious import (
     PLATEAU_CAP,
     _first_plateau_character,
     _TwistScan,
+    _class_sums,
     _two_decades_back,
     unit_function,
 )
@@ -180,6 +181,35 @@ def test_ap_mean_identity_on_random_inputs():
         assert rep.decomposition is not None
         assert rep.agreement < 1e-12, (f.label, q, r)
         done += 1
+
+
+def test_ap_mean_direct_is_the_gathered_mean(l13):
+    # the strided view visits the gathered indices in the same order
+    N = 10 ** 5
+    t = sieve_range(l13, N)
+    for q in range(1, 11):
+        for r in range(q):
+            rep = ap_mean(l13, q, r, N, table=t)
+            idx = q * np.arange(1, rep.M + 1) + r
+            assert rep.direct == complex(t.values[idx].sum() / rep.M), (q, r)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 7, 10, 97])
+def test_class_sums_match_residue_sums(q):
+    rng = np.random.default_rng(q)
+    window = rng.standard_normal(q * 1000) + 1j * rng.standard_normal(q * 1000)
+    for first in (0, 1, q - 1, q + 3):
+        want = residue_sums(window, (first + np.arange(len(window))) % q, q)
+        got = _class_sums(window, q, first)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-11)
+
+
+def test_ap_mean_agreement_stays_at_rounding(l13):
+    # index-order class sums drifted to 2.2e-14 here; pairwise ones do not
+    N = 10 ** 6
+    t = sieve_range(l13, N)
+    for q, r in [(5, 2), (7, 3), (2, 1), (3, 1)]:
+        assert ap_mean(l13, q, r, N, table=t).agreement <= 1e-15, (q, r)
 
 
 def test_ap_mean_validates_residue(mu):

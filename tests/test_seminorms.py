@@ -274,6 +274,65 @@ def test_profile_normalizer_direct_high_degree():
         assert entry.normalizer == pytest.approx(want, rel=1e-12, abs=0)
 
 
+def interval_cube_count(n, s):
+    """Brute-force count of the (x, h_1..h_s) whose 2^s cube vertices
+    x + eps.h all lie in [0, n): the U^s sum of 1_[n] over Z."""
+    grids = np.meshgrid(np.arange(n), *([np.arange(1 - n, n)] * s), indexing="ij")
+    x, hs = grids[0], grids[1:]
+    inside = np.ones(x.shape, dtype=bool)
+    for eps in itertools.product((0, 1), repeat=s):
+        v = x + sum(h * ee for h, ee in zip(hs, eps))
+        inside &= (v >= 0) & (v < n)
+    return int(inside.sum())
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_interval_raw_matches_cube_count(s):
+    for n in range(1, 13):
+        assert seminorms._interval_raw(n, s) == interval_cube_count(n, s), n
+
+
+@pytest.mark.parametrize("s,n", [(s, n) for s in (1, 2) for n in (1, 2, 3, 1000, 2 ** 16)]
+                         + [(3, n) for n in (1, 2, 3, 1000)])
+def test_interval_raw_matches_transformed_ones(s, n):
+    # U^3 at 2^16 is past the fast cap (Ntilde <= 2^15); n = 1000 covers
+    # several batch lengths there
+    want = seminorms._gowers_raw(np.ones(n), s)
+    assert seminorms._interval_raw(n, s) == pytest.approx(want, rel=1e-14, abs=0)
+
+
+def exact_energy(row):
+    """Additive energy of an integer row, in integers."""
+    c = np.correlate(row, row, "full").astype(object)
+    return int((c * c).sum())
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 8, 2 ** 10, 2 ** 14])
+def test_real_energies_match_complex_energies(m):
+    rng = np.random.default_rng(m)
+    for width in sorted({1, (m + 1) // 2, m}):
+        rows = rng.choice([-2, -1, 1, 2], (3, width))
+        real = seminorms._energies(rows.astype(np.float64), m)
+        cplx = seminorms._energies(rows.astype(np.complex128), m)
+        assert real.dtype == np.float64
+        np.testing.assert_allclose(real, cplx, rtol=1e-14, atol=0)
+        if 2 * width - 1 <= m:      # no difference wraps: the energy itself
+            want = [exact_energy(row) for row in rows]
+            np.testing.assert_allclose(real, want, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 31, 48])
+@pytest.mark.parametrize("s", [2, 3])
+def test_fast_matches_direct_by_input_type(n, s):
+    rng = np.random.default_rng(100 * s + n)
+    real = np.concatenate([[0.0], rng.standard_normal(n)])
+    cplx = np.concatenate([[0j], e(rng.random(n)) * rng.random(n)])
+    for vals in (real, real.astype(np.complex128), cplx):
+        assert abs(gowers_fast(vals, n, s) - gowers_direct(vals, n, s)) < 1e-9
+    # a zero imaginary part takes the real path: the same value, bit for bit
+    assert gowers_fast(real, n, s) == gowers_fast(real.astype(np.complex128), n, s)
+
+
 def test_direct_budget_error():
     with pytest.raises(ResourceError, match="gowers_fast"):
         gowers_direct(vals_from([1.0] * 512), 512, 3)
