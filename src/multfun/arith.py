@@ -43,6 +43,7 @@ __all__ = [
     "check_budget",
     "geometric_grid",
     "residue_sums",
+    "class_sums",
 ]
 
 
@@ -352,6 +353,15 @@ def residue_sums(c: np.ndarray, res: np.ndarray, q: int) -> np.ndarray:
     out.real = np.bincount(res, weights=c.real, minlength=q)
     out.imag = np.bincount(res, weights=c.imag, minlength=q)
     return out
+
+
+def class_sums(window: np.ndarray, q: int, first: int) -> np.ndarray:
+    """residue_sums for a contiguous window: entry a is the sum of window[i]
+    over the i with first + i == a (mod q), where window[0] sits at index
+    first.  Slice k of stride q holds the class of first + k; numpy sums each
+    slice pairwise, with no index array or modulo pass."""
+    sums = np.array([window[k::q].sum() for k in range(q)], dtype=np.complex128)
+    return np.roll(sums, first)
 
 
 # --------------------------------------------------------------------------

@@ -36,9 +36,10 @@ from .arith import (
     factorize,
     get_context,
     is_prime,
-    _smallest_prime_factor,
     large_prime_multiples,
     root_table,
+    _CONTEXTS,
+    _smallest_prime_factor,
 )
 from .errors import InputError
 from . import characters as characters_mod_pkg
@@ -226,8 +227,14 @@ class SieveTable:
 
     @cached_property
     def spf(self) -> np.ndarray:
-        """The smallest-prime-factor array of 0..N, built once per table and
-        outside the context cache, so reading it evicts no cached context."""
+        """The smallest-prime-factor array of 0..N.  Read from the context
+        for N when that one is cached; otherwise built once per table (4 B
+        per entry, charged to the cap) outside the context cache, so reading
+        it builds or evicts no cached context."""
+        ctx = _CONTEXTS.get(self.N)
+        if ctx is not None:
+            return ctx.spf
+        check_budget(4 * (self.N + 1), f"smallest prime factors for N={self.N}")
         return _smallest_prime_factor(self.N)
 
 

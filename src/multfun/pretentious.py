@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import check_budget, geometric_grid, primes_upto, residue_sums
+from .arith import check_budget, class_sums, geometric_grid, primes_upto, residue_sums
 from .characters import DirichletCharacter, character_table, characters_mod
 from .errors import InputError
 from .mf_core import (
@@ -211,13 +211,6 @@ class ApMeanReport:
         return abs(self.direct - self.decomposition)
 
 
-def _class_sums(window: np.ndarray, q: int, first: int) -> np.ndarray:
-    """Sums of window over the residue classes mod q of its indices, in
-    residue order, where window[0] sits at index first.  Slice k of stride q
-    holds the class of first + k; numpy sums each slice pairwise."""
-    return np.roll([window[k::q].sum() for k in range(q)], first)
-
-
 def ap_mean(f: MultiplicativeFunction, q: int, r: int, N: int,
             table=None) -> ApMeanReport:
     """Mean of f along the progression qn + r, n = 1..M, M = floor((N-r)/q).
@@ -243,7 +236,7 @@ def ap_mean(f: MultiplicativeFunction, q: int, r: int, N: int,
     decomposition = None
     if math.gcd(q, r) == 1:
         chars = character_table(q)
-        sums = chars @ _class_sums(vals[r + 1 : q * M + r + 1], q, r + 1)
+        sums = chars @ class_sums(vals[r + 1 : q * M + r + 1], q, r + 1)
         decomposition = complex(chars[:, r].conj() @ sums / (len(chars) * M))
     return ApMeanReport(q=q, r=r, N=N, M=M, direct=direct, decomposition=decomposition)
 

@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .arith import e, geometric_grid, residue_sums
+from .arith import class_sums, e, geometric_grid
 from .errors import InputError, ResourceError
 from .mf_core import MultiplicativeFunction, SieveTable, sieve_range
 
@@ -121,10 +121,9 @@ def spectrum_scan(values, q_max: int, N: int | None = None,
     vals, n = _as_values(values, N)
     if threshold is None:
         threshold = 5.0 * n ** (-1.0 / 3.0)
-    res_idx = np.arange(1, n + 1)
     points = []
     for q in range(1, q_max + 1):
-        sums = residue_sums(vals[1 : n + 1], res_idx % q, q)
+        sums = class_sums(vals[1 : n + 1], q, 1)
         for a in range(q):
             if math.gcd(a, q) != 1:
                 continue
@@ -160,7 +159,7 @@ def periodic_approximant(values, m: int, N: int | None = None) -> PeriodicApprox
         raise InputError(f"period m={m} outside the reliable range [1, N/10] for N={n}")
     res = np.arange(1, n + 1) % m
     counts = np.bincount(res, minlength=m)
-    pv = residue_sums(vals[1 : n + 1], res, m)
+    pv = class_sums(vals[1 : n + 1], m, 1)
     pv /= np.maximum(counts, 1)
     residual = float(np.abs(vals[1 : n + 1] - pv[res]).mean())
     return PeriodicApproximant(period=m, values=pv, residual=residual)
@@ -424,11 +423,14 @@ def uniformity_profile(f: MultiplicativeFunction, s: int, n_grid,
     report = GowersReport(s=s, source=f.label)
     for n in grid:
         nt = (1 << s) * n
-        raw_one = _interval_raw(n, s)
         if method == "fast":
+            raw_one = _interval_raw(n, s)
             value = _fast_value(table.values[1 : n + 1], raw_one, s)
         else:
+            # gowers_direct checks s and the operation budget first; only
+            # then may the normalizer take the definitional sum (s >= 4)
             value = gowers_direct(table.values, n, s)
+            raw_one = _interval_raw(n, s)
         report.entries.append(
             GowersEntry(N=n, Ntilde=nt, value=value, method=method,
                         normalizer=float((raw_one / nt ** (s + 1)) ** (1.0 / (1 << s))))

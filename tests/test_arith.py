@@ -20,6 +20,7 @@ from multfun.arith import (
     RootOfUnity,
     SieveContext,
     _pollard_rho,
+    class_sums,
     factorize,
     is_prime,
     primes_upto,
@@ -328,3 +329,16 @@ def test_residue_sums_in_residue_order():
         assert abs(got[a] - want) < 1e-12, a
     assert got[7] == 0 and got[8] == 0
     assert np.array_equal(residue_sums(c.real, res, 7).imag, np.zeros(7))
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 7, 10, 97])
+def test_class_sums_match_residue_sums(q):
+    rng = np.random.default_rng(q)
+    for length in (q * 1000, q * 1000 + q // 2, max(q - 1, 1)):
+        window = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+        for first in (0, 1, q - 1, q + 3):
+            want = residue_sums(window, (first + np.arange(length)) % q, q)
+            got = class_sums(window, q, first)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-11)
+    got = class_sums(window.real, q, 1)
+    assert got.dtype == np.complex128 and not got.imag.any()

@@ -98,6 +98,23 @@ def test_sieve_table_spf_keeps_the_context_cache(mu):
     assert spf[999_983] == 999_983 and spf[10 ** 6] == 2
 
 
+def test_sieve_table_spf_shares_a_cached_context(mu):
+    t = sieve_range(mu, 10 ** 4)
+    assert t.spf is get_context(10 ** 4).spf
+
+
+def test_sieve_table_spf_charged_to_cap(mu, monkeypatch):
+    from multfun import ResourceError
+
+    t = sieve_range(mu, 10 ** 6)
+    get_context(10 ** 5)
+    get_context(2 * 10 ** 5)
+    assert 10 ** 6 not in arith._CONTEXTS
+    monkeypatch.setenv("MULTFUN_MEM_CAP_MB", "3")     # the array needs ~3.8 MB
+    with pytest.raises(ResourceError, match="smallest prime factors"):
+        t.spf
+
+
 def member_mask_oracle(exact, target, power):
     """The int64 residue formula for {n : f(n)^power == target}."""
     codes = exact.codes

@@ -19,13 +19,12 @@ from multfun import (
     zero_repair,
 )
 from multfun import pretentious
-from multfun.arith import geometric_grid, primes_upto, residue_sums
+from multfun.arith import geometric_grid, primes_upto
 from multfun.mf_core import MultiplicativeFunction, PrimePowerSpec
 from multfun.pretentious import (
     PLATEAU_CAP,
     _first_plateau_character,
     _TwistScan,
-    _class_sums,
     _two_decades_back,
     unit_function,
 )
@@ -192,16 +191,6 @@ def test_ap_mean_direct_is_the_gathered_mean(l13):
             rep = ap_mean(l13, q, r, N, table=t)
             idx = q * np.arange(1, rep.M + 1) + r
             assert rep.direct == complex(t.values[idx].sum() / rep.M), (q, r)
-
-
-@pytest.mark.parametrize("q", [1, 2, 3, 7, 10, 97])
-def test_class_sums_match_residue_sums(q):
-    rng = np.random.default_rng(q)
-    window = rng.standard_normal(q * 1000) + 1j * rng.standard_normal(q * 1000)
-    for first in (0, 1, q - 1, q + 3):
-        want = residue_sums(window, (first + np.arange(len(window))) % q, q)
-        got = _class_sums(window, q, first)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-11)
 
 
 def test_ap_mean_agreement_stays_at_rounding(l13):

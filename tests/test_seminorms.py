@@ -274,6 +274,15 @@ def test_profile_normalizer_direct_high_degree():
         assert entry.normalizer == pytest.approx(want, rel=1e-12, abs=0)
 
 
+def test_profile_direct_checks_degree_and_budget_first():
+    # the normalizer must not run the definitional sum of 1_[n] before
+    # gowers_direct has refused the degree or the operation count
+    with pytest.raises(ResourceError, match="gowers_fast"):
+        uniformity_profile(unit_function(), 4, [100], method="direct")
+    with pytest.raises(InputError, match="degree"):
+        uniformity_profile(unit_function(), 0, [10], method="direct")
+
+
 def interval_cube_count(n, s):
     """Brute-force count of the (x, h_1..h_s) whose 2^s cube vertices
     x + eps.h all lie in [0, n): the U^s sum of 1_[n] over Z."""
