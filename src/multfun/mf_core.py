@@ -7,10 +7,14 @@ vectorized pass over the multiples of all primes above sqrt(N)
 (arith.large_prime_multiples), which multiply last as the largest factor of
 n.  Catalog entries with rational phase parameters additionally carry an
 exact finite-alphabet representation (ExactCodes): every nonzero value is
-e(code/order), value 0 is code -1; phi(n)/n is determined by rad(n)
-(RadicalCodes).  A kind builds its codes first and its complex values from
-them; sieve_codes stops after the codes, so level-set extraction downstream
-is integer-exact and never builds the values.
+e(code/order), value 0 is code -1.  A kind builds its int32 codes first, as
+one lookup of the table's additive statistic (or residue) in a table over the
+statistic's few values, and its complex values from them; sieve_codes stops
+after the codes, so level-set extraction downstream is integer-exact and never
+builds the values.  The |f| <= 1 bound of such a table is checked on its
+alphabet, the order-th roots of unity.  phi(n)/n is determined by rad(n)
+(RadicalCodes): its level set at phi(r)/r enumerates the n <= N with
+rad(n) = r directly, with no table over [0, N].
 
 _KINDS is the one place where a catalog kind is defined: f.kind names a
 _Kind record holding the kind's codes and sieve, its values at primes, its
@@ -178,25 +182,36 @@ class ExactCodes:
 
 @dataclass(eq=False)
 class RadicalCodes:
-    """Exact codes for phi(n)/n: the value is determined by rad(n)."""
+    """Exact codes for phi(n)/n on [0, N]: the value is determined by rad(n).
 
-    radical: np.ndarray
+    The level set at phi(r)/r is {n <= N : rad(n) = r}, the n = r * m with
+    every prime of m dividing r.  There are polylog(N) of them, enumerated
+    directly, so no radical table over [0, N] is built.
+    """
+
+    N: int
 
     def member_mask(self, target, power: int = 1) -> np.ndarray:
         if power != 1:
             raise InputError("exact level sets of powered ratio functions are unsupported")
-        if isinstance(target, Zero):
-            return np.zeros(len(self.radical), dtype=bool)
+        mask = np.zeros(self.N + 1, dtype=bool)
         if isinstance(target, RootOfUnity):
             target = Fraction(1, 1) if target.den == 1 else None
-        if not isinstance(target, Fraction):
-            return np.zeros(len(self.radical), dtype=bool)
+        if not isinstance(target, Fraction):    # phi(n)/n is never 0 or complex
+            return mask
         r = self.radical_for_ratio(target)
-        if r is None or r > len(self.radical) - 1:
-            return np.zeros(len(self.radical), dtype=bool)
-        m = self.radical == r
-        m[0] = False
-        return m
+        if r is None or r > self.N:
+            return mask
+        members = [r]
+        for p, _ in factorize(r):
+            grown = []
+            for n in members:
+                while n <= self.N:
+                    grown.append(n)
+                    n *= p
+            members = grown
+        mask[members] = True
+        return mask
 
     @staticmethod
     def radical_for_ratio(fr: Fraction) -> int | None:
@@ -291,7 +306,9 @@ def sieve_range(f: MultiplicativeFunction, N: int) -> SieveTable:
     values = kind.sieve(f, N, ctx, exact)
     values[0] = 0
     if not f.spec.unbounded:
-        peak = float(np.abs(values).max())
+        # root-of-unity codes draw every value from root_table(order) or 0
+        alphabet = isinstance(exact, ExactCodes) and exact.yexp is None
+        peak = float(np.abs(root_table(exact.order) if alphabet else values).max())
         if peak > _MOD_BOUND:
             raise InputError(f"{f.label} exceeds the |f| <= 1 modulus bound (max {peak})")
     values.flags.writeable = False
@@ -305,9 +322,8 @@ def _codes_values(f, N, ctx, exact: ExactCodes) -> np.ndarray:
 
 
 def _squarefree_codes(f, N, ctx):
-    codes = np.where(ctx.squarefree, 0, -1).astype(np.int32)
-    codes[0] = -1
-    return ExactCodes(order=1, codes=codes)
+    # squarefree[0] is False, so code 0 is -1 as well
+    return ExactCodes(order=1, codes=np.where(ctx.squarefree, np.int32(0), np.int32(-1)))
 
 
 def _sieve_phi_ratio(f, N, ctx, exact):
@@ -328,14 +344,15 @@ def _tile(table: np.ndarray, N: int) -> np.ndarray:
 
 def _periodic_codes(f, N, ctx):
     chi = f.meta["char"]
-    codes = _tile(chi.expo, N).astype(np.int32)
+    codes = _tile(chi.expo.astype(np.int32), N)
     codes[0] = -1 if chi.modulus > 1 else codes[0]
     return ExactCodes(order=chi.expo_mod, codes=codes)
 
 
 def _tau_character_codes(f, N, ctx):
     chi = f.meta["char"]
-    codes = chi.expo[ctx.tau % chi.modulus].astype(np.int32)
+    lut = chi.expo[np.arange(int(ctx.tau.max()) + 1) % chi.modulus].astype(np.int32)
+    codes = lut[ctx.tau]
     codes[0] = -1
     return ExactCodes(order=chi.expo_mod, codes=codes)
 
@@ -378,12 +395,19 @@ def _repaired_codes(f, N, ctx):
     return ExactCodes(order=order, codes=codes, yexp=yexp)
 
 
+# entries per block of y ** yexp factors, so that their temporaries stay small
+_Y_BLOCK = 1 << 14
+
+
 def _sieve_repaired(f, N, ctx, exact):
     if exact is None:
         return _sieve_generic(f, N, ctx, exact)
     values = _codes_values(f, N, ctx, exact)
-    has_y = exact.yexp > 0
-    values[has_y] = values[has_y] * (f.meta["y"] ** exact.yexp[has_y].astype(np.float64))
+    y = f.meta["y"]
+    for lo in range(0, N + 1, _Y_BLOCK):
+        v, yexp = values[lo : lo + _Y_BLOCK], exact.yexp[lo : lo + _Y_BLOCK]
+        has_y = yexp > 0
+        v[has_y] = v[has_y] * (y ** yexp[has_y].astype(np.float64))
     return values
 
 
@@ -519,14 +543,16 @@ def _phase_kind(stat: str, weight: Callable[[int], int]) -> _Kind:
     """The phases e(xi * stat(n)) of one prime-factor count, stat(p^k) = weight(k).
 
     A rational xi = a/b gives the codes a * stat(n) mod b; the squarefree_only
-    members vanish off the squarefree n.
+    members vanish off the squarefree n.  Codes and irrational phases are
+    looked up in a table over 0..max stat (at most log2 N).
     """
 
     def codes(f, N, ctx):
         if "b" not in f.meta:
             return None
         a, b = f.meta["a"], f.meta["b"]
-        c = ((getattr(ctx, stat).astype(np.int64) * a) % b).astype(np.int32)
+        s = getattr(ctx, stat)
+        c = ((a * np.arange(int(s.max()) + 1, dtype=np.int64)) % b).astype(np.int32)[s]
         if _squarefree_only(f):
             c[~ctx.squarefree] = -1
         c[0] = -1
@@ -535,7 +561,8 @@ def _phase_kind(stat: str, weight: Callable[[int], int]) -> _Kind:
     def sieve(f, N, ctx, exact):
         if exact is not None:
             return _codes_values(f, N, ctx, exact)
-        values = e(f.meta["xi"] * getattr(ctx, stat).astype(np.float64))
+        s = getattr(ctx, stat)
+        values = e(f.meta["xi"] * np.arange(int(s.max()) + 1, dtype=np.float64))[s]
         if _squarefree_only(f):
             values[~ctx.squarefree] = 0
         return values
@@ -571,7 +598,7 @@ _KINDS = {
         squarefree_only=lambda f: True,
     ),
     "phi_ratio": _Kind(
-        codes=lambda f, N, ctx: RadicalCodes(radical=ctx.radical),
+        codes=lambda f, N, ctx: RadicalCodes(N=N),
         sieve=_sieve_phi_ratio,
         prime_values=lambda f, ps: (1.0 - 1.0 / ps).astype(np.complex128),
         zero_free=lambda f: True,

@@ -4,6 +4,7 @@ small-prime slices and the large-prime pass), the codes-only level-set path
 against level sets read from a full table, and `factorize` against plain
 trial division."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -21,14 +22,24 @@ from multfun.arith import (
     SieveContext,
     _pollard_rho,
     class_sums,
+    e,
     factorize,
+    get_context,
     is_prime,
     primes_upto,
     residue_sums,
     root_table,
+    totient,
 )
+from multfun.characters import characters_mod
 from multfun.levelsets import level_set, sp_set
-from multfun.mf_core import make_repaired, prime_power_value, sieve_codes
+from multfun.mf_core import (
+    _Y_BLOCK,
+    _cyclic_unit_group,
+    make_repaired,
+    prime_power_value,
+    sieve_codes,
+)
 
 from conftest import REGISTRY_CASES, trial_factor
 
@@ -172,6 +183,106 @@ def test_sieve_repaired_moebius(N):
     has_y = yexp > 0
     want[has_y] = want[has_y] * (y ** yexp[has_y].astype(np.float64))
     assert_identical(t.values, want)
+
+
+@pytest.mark.parametrize("N", [_Y_BLOCK - 2, _Y_BLOCK - 1, _Y_BLOCK, 7 * _Y_BLOCK + 1])
+def test_sieve_repaired_blocks_match_one_pass(N):
+    """The y ** yexp factors, applied in blocks, against the same expression
+    over the whole table, across the block boundaries (7 * 2^14 - 1 = 3^2 * 12743
+    carries a y factor at the last entry of a block)."""
+    for base in (builtin("moebius"), builtin("mu_squared")):
+        for gamma in (0.1, 0.37, 0.5):
+            y = complex(np.exp(2j * np.pi * gamma))
+            t = sieve_range(make_repaired(base, y, gamma), N)
+            want = np.append(root_table(t.exact.order), 0)[t.exact.codes]
+            has_y = t.exact.yexp > 0
+            want[has_y] = want[has_y] * (y ** t.exact.yexp[has_y].astype(np.float64))
+            want[0] = 0
+            assert_identical(t.values, want)
+
+
+def formula_codes(f, ctx):
+    """The int64 expressions the kinds' lookup tables replaced."""
+    m = f.meta
+    if f.kind in ("omega_phase", "small_omega_phase"):
+        stat = ctx.big_omega if f.kind == "omega_phase" else ctx.small_omega
+        c = ((stat.astype(np.int64) * m["a"]) % m["b"]).astype(np.int32)
+        if m.get("squarefree_only"):
+            c[~ctx.squarefree] = -1
+    elif f.kind == "tau_character":
+        c = m["char"].expo[ctx.tau % m["char"].modulus].astype(np.int32)
+    elif f.kind == "periodic":
+        q = m["char"].modulus
+        c = np.tile(m["char"].expo, (ctx.N + q) // q)[: ctx.N + 1].astype(np.int32)
+        if q == 1:
+            return c
+    else:
+        c = np.where(ctx.squarefree, 0, -1).astype(np.int32)
+    c[0] = -1
+    return c
+
+
+def lookup_code_cases():
+    phases = [builtin(name, {"xi": xi}) for name in ("lambda_xi", "mu_xi", "kappa_xi")
+              for xi in ("1/3", "2/7", "5/3", "1/2", "0", "7/10")]
+    # a > b, as a caller may set the meta without reducing a mod b
+    phases += [dataclasses.replace(builtin("lambda_xi", {"xi": "2/3"}), meta={"a": 5, "b": 3}),
+               dataclasses.replace(builtin("mu_xi", {"xi": "3/4"}),
+                                   meta={"a": 11, "b": 4, "squarefree_only": True})]
+    taus = [builtin("chi_of_tau", {"modulus": b}) for b in range(1, 31) if _cyclic_unit_group(b)]
+    chars = [builtin("dirichlet_character", {"modulus": q, "index": i})
+             for q in (1, 3, 4, 15) for i in range(len(characters_mod(q)))]
+    return [builtin("liouville"), builtin("moebius"), *phases, *taus, *chars,
+            builtin("mu_squared")]
+
+
+@pytest.mark.parametrize("N", NS)
+def test_lookup_codes_match_the_formulas(N):
+    ctx = get_context(N)
+    for f in lookup_code_cases():
+        assert_identical(sieve_codes(f, N).codes, formula_codes(f, ctx))
+    for name in ("lambda_xi", "mu_xi", "kappa_xi"):
+        for xi in (0.3, 1 / 7, 0.5 + 1e-9, math.sqrt(2), -0.3, 0.0):
+            f = builtin(name, {"xi": xi})
+            stat = ctx.small_omega if name == "kappa_xi" else ctx.big_omega
+            want = e(xi * stat.astype(np.float64))
+            if name == "mu_xi":
+                want[~ctx.squarefree] = 0
+            want[0] = 0
+            assert_identical(sieve_range(f, N).values, want)
+
+
+SQUAREFREE_R = [r for r in range(1, 2001) if all(k == 1 for _, k in factorize(r))]
+
+
+@pytest.mark.parametrize("N", NS)
+def test_phi_ratio_level_sets_match_the_radical(N):
+    radical = get_context(N).radical
+    codes = sieve_codes(builtin("phi_over_n"), N)
+    for r in SQUAREFREE_R:
+        want = radical == r
+        want[0] = False
+        assert_identical(codes.member_mask(Fraction(totient(r), r)), want)
+
+
+def test_phi_ratio_level_set_edges():
+    N = 1000
+    codes = sieve_codes(builtin("phi_over_n"), N)
+    none = np.zeros(N + 1, dtype=bool)
+    only_one = none.copy()
+    only_one[1] = True
+    unattained = [Fraction(1, 4), Fraction(3, 4), Fraction(5, 7), Fraction(3, 2), Fraction(0),
+                  Fraction(-1, 2), ZERO, MINUS_ONE, RootOfUnity(1, 3), 0.5 + 0j]
+    # rad(n) = r > N: a prime and a primorial above N
+    unattained += [Fraction(1008, 1009), Fraction(totient(2310), 2310)]
+    for z in unattained:
+        assert_identical(codes.member_mask(z), none)
+    assert_identical(codes.member_mask(ONE), only_one)
+    assert_identical(codes.member_mask(Fraction(1)), only_one)
+    powers_of_two = np.isin(np.arange(N + 1), [2 ** k for k in range(1, 10)])
+    assert_identical(codes.member_mask(Fraction(1, 2)), powers_of_two)
+    with pytest.raises(InputError, match="powered ratio"):
+        codes.member_mask(Fraction(1, 2), power=2)
 
 
 @pytest.mark.parametrize("N", NS)

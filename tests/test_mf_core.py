@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -230,6 +231,14 @@ def test_modulus_bound_enforced():
         sieve_range(f, 100)
 
 
+def test_modulus_bound_checked_on_the_alphabet(lam, monkeypatch):
+    from multfun import mf_core
+
+    monkeypatch.setattr(mf_core, "root_table", lambda b: np.append(root_table(b)[:-1], 2.0))
+    with pytest.raises(InputError, match="modulus bound"):
+        sieve_range(lam, 100)
+
+
 def test_unbounded_flag_allows_large_values():
     from multfun.mf_core import MultiplicativeFunction, PrimePowerSpec
 
@@ -315,6 +324,29 @@ def test_sieve_budget_cap(monkeypatch, mu):
 def test_prime_power_value_uses_rule_only_at_k1_for_cm(lam):
     # stored rule is consulted only at k = 1 for completely multiplicative f
     assert prime_power_value(lam, 3, 4) == (-1) ** 4
+
+
+def traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", list(REGISTRY_CASES))
+def test_sieve_memory_within_the_charge(name, custom_path):
+    """The traced peak of a sieve with a warm context and warm module caches
+    stays within the 30 B per entry that sieve_range charges to the cap, and
+    the codes of the lookup-table kinds within 6 B per entry."""
+    f = REGISTRY_CASES[name](custom_path)
+    N = 10 ** 5
+    sieve_range(f, N)
+    assert traced_peak(lambda: sieve_range(f, N)) <= 30 * (N + 1)
+    if f.kind in ("omega_phase", "small_omega_phase", "squarefree_indicator", "periodic",
+                  "tau_character"):
+        assert traced_peak(lambda: sieve_codes(f, N)) <= 6 * (N + 1)
 
 
 def test_exact_codes_partition(l13):
