@@ -275,8 +275,8 @@ def cmd_classify(args):
 def cmd_gowers(args):
     f = build_function(args)
     if args.grid:
-        grid = [int(x) for x in args.grid.split(",")]
-        report = uniformity_profile(f, args.s, grid, method=args.method)
+        report = uniformity_profile(f, args.s, _int_list("--grid", args.grid),
+                                    method=args.method)
         _write_csv(args.csv, report.to_csv())
         return {"profile": report.to_dict()}
     table = sieve_range(f, args.N)

@@ -231,6 +231,8 @@ def recurrence_average(system, A, polys: PolynomialFamily, E, J_max: int,
     mem = _members(E)
     if len(mem) == 0:
         raise InputError("empty index sequence")
+    if J_max < 1:
+        raise InputError(f"J_max must be >= 1, got {J_max}")
     truncated = len(mem) < J_max
     J = min(J_max, len(mem))
     mem = mem[:J]
@@ -276,6 +278,8 @@ def convergence_average(system, A, polys: PolynomialFamily, E, J_max: int,
     mem = _members(E)
     if len(mem) == 0:
         raise InputError("empty index sequence")
+    if J_max < 1:
+        raise InputError(f"J_max must be >= 1, got {J_max}")
     if isinstance(system, TorusRotation):
         if observable is not None:
             raise InputError("torus systems support only the indicator observable")

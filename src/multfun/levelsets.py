@@ -38,7 +38,6 @@ from .mf_core import (
     MultiplicativeFunction,
     SieveTable,
     make_repaired,
-    sieve_codes,
     sieve_range,
     zero_free,
 )
@@ -129,45 +128,32 @@ class LevelSet:
                 f"count={self.count})")
 
 
-def _members_from_mask(mask: np.ndarray) -> np.ndarray:
-    return np.flatnonzero(mask).astype(np.int64)
-
-
 def level_set(f: MultiplicativeFunction, z, N: int, tol: float | None = None,
               table: SieveTable | None = None) -> LevelSet:
     """E(f, z) on [1, N]; exact when codes allow, else |f(n) - z| <= tol.
 
-    Without a table, an exact target is read from the codes alone
-    (mf_core.sieve_codes); only kinds without codes, and complex targets,
-    sieve the values.
+    An exact target is read from the table's codes alone, so a table with codes
+    (sieved here unless one for N or more is passed) builds no values; only
+    kinds without codes, and complex targets, read the values.
     """
     target = normalize_target(z)
     if table is None or table.N < N:
-        if not isinstance(target, complex):
-            exact = sieve_codes(f, N)
-            if exact is not None:
-                return LevelSet(f.label, target, N,
-                                _members_from_mask(exact.member_mask(target)), True,
-                                function=f)
         table = sieve_range(f, N)
-    if isinstance(target, Zero) and table.exact is None:
-        mask = table.values[: N + 1] == 0
-        mask[0] = False
-        return LevelSet(table.source, target, N, _members_from_mask(mask), True,
-                        function=f)
     if not isinstance(target, complex) and table.exact is not None:
-        mask = table.exact.member_mask(target)[: N + 1]
-        return LevelSet(table.source, target, N, _members_from_mask(mask), True,
-                        function=f)
+        members = table.exact.members(target)
+        return LevelSet(table.source, target, N,
+                        members[: np.searchsorted(members, N, "right")], True, function=f)
+    if isinstance(target, Zero):
+        return LevelSet(table.source, target, N,
+                        np.flatnonzero(table.values[1 : N + 1] == 0) + 1, True, function=f)
     if tol is None:
         raise InputError(
             f"{table.source} has no exact representation for target {target!r}; "
             "pass an explicit tolerance for the float path"
         )
-    zval = target.value if isinstance(target, (RootOfUnity, Zero)) else complex(target)
-    mask = np.abs(table.values[: N + 1] - zval) <= tol
-    mask[0] = False
-    return LevelSet(table.source, target, N, _members_from_mask(mask), False,
+    zval = target.value if isinstance(target, RootOfUnity) else complex(target)
+    mask = np.abs(table.values[1 : N + 1] - zval) <= tol
+    return LevelSet(table.source, target, N, np.flatnonzero(mask) + 1, False,
                     tol=tol, function=f)
 
 
@@ -307,9 +293,9 @@ def zero_repair(f: MultiplicativeFunction, z, N_check: int = 10 ** 4) -> Multipl
     if zero_free(f):
         return f
     table = sieve_range(f, N_check)
-    if table.exact is not None and not isinstance(target, complex):
-        members = table.exact.member_mask(target)
-        est = members.sum() / N_check
+    exact = table.exact is not None and not isinstance(target, complex)
+    if exact:
+        est = len(table.exact.members(target)) / N_check
     else:
         est = float("nan")
     warnings = []
@@ -328,10 +314,9 @@ def zero_repair(f: MultiplicativeFunction, z, N_check: int = 10 ** 4) -> Multipl
     if warnings:
         g.meta["warnings"] = warnings
     # repaired level set must match the original on the checked truncation
-    gt = sieve_range(g, N_check)
-    if table.exact is not None and not isinstance(target, complex):
-        if not np.array_equal(gt.exact.member_mask(target), table.exact.member_mask(target)):
-            raise SearchError("zero repair failed to preserve the level set")
+    if exact and not np.array_equal(sieve_range(g, N_check).exact.members(target),
+                                    table.exact.members(target)):
+        raise SearchError("zero repair failed to preserve the level set")
     return g
 
 
@@ -450,13 +435,11 @@ def structure_pair(f: MultiplicativeFunction, z, N: int, k_max: int = 8,
         if res.fallback:
             notes.append("(k, chi) from the concentration-group fallback")
         g_table = sieve_range(g, N) if g is not f else table
-        if not np.array_equal(g_table.exact.member_mask(target)[: N + 1],
-                              table.exact.member_mask(target)[: N + 1]):
+        if not np.array_equal(g_table.exact.members(target), E.members):
             raise SearchError("zero repair altered the level set on [N]")
         zk = target ** k
-        mask_R = g_table.exact.member_mask(zk, power=k)[: N + 1]
         R = LevelSet(source=f"{g.label}^{k}", z=zk, N=N,
-                     members=_members_from_mask(mask_R), exact=True, function=g)
+                     members=g_table.exact.members(zk, power=k), exact=True, function=g)
         rap = rap_test(g ** k, Q_max=Q_max, P=P)
     ind_E = E.indicator()
     ind_R = R.indicator()
@@ -612,6 +595,8 @@ def random_relative_subset(R: LevelSet, p: float, seed: int) -> LevelSet:
     """Keep each member of R independently with probability p (seeded PCG64)."""
     if not 0.0 <= p <= 1.0:
         raise InputError(f"probability must lie in [0, 1], got {p}")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     keep = rng.random(len(R.members)) < p
     return LevelSet(source=f"random_subset({R.source}, p={p}, seed={seed})",

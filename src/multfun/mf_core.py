@@ -7,12 +7,13 @@ vectorized pass over the multiples of all primes above sqrt(N)
 (arith.large_prime_multiples), which multiply last as the largest factor of
 n.  Catalog entries with rational phase parameters additionally carry an
 exact finite-alphabet representation (ExactCodes): every nonzero value is
-e(code/order), value 0 is code -1.  A kind builds its int32 codes first, as
-one lookup of the table's additive statistic (or residue) in a table over the
-statistic's few values, and its complex values from them; sieve_codes stops
-after the codes, so level-set extraction downstream is integer-exact and never
-builds the values.  The |f| <= 1 bound of such a table is checked on its
-alphabet, the order-th roots of unity.  phi(n)/n is determined by rad(n)
+e(code/order), value 0 is code -1.  A kind builds its int32 codes as one
+lookup of the table's additive statistic (or residue) in a table over the
+statistic's few values.  A table with codes is its codes: sieve_range builds
+no values for it, and the table builds them from the codes on first read, so
+level-set extraction downstream is integer-exact and never builds them.  The
+|f| <= 1 bound of a table of root-of-unity codes is checked on its alphabet,
+the order-th roots of unity.  phi(n)/n is determined by rad(n)
 (RadicalCodes): its level set at phi(r)/r enumerates the n <= N with
 rad(n) = r directly, with no table over [0, N].
 
@@ -24,6 +25,7 @@ zero-free, supported on the squarefree integers or periodic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -56,7 +58,6 @@ __all__ = [
     "RadicalCodes",
     "eval_at",
     "sieve_range",
-    "sieve_codes",
     "builtin",
     "BUILTIN_NAMES",
     "parse_custom_file",
@@ -138,6 +139,10 @@ def _ppval(f: MultiplicativeFunction, p: int, k: int) -> complex:
 # --------------------------------------------------------------------------
 # Exact representations attached to sieve tables
 
+# entries per block of y ** yexp factors, so that their temporaries stay small
+_Y_BLOCK = 1 << 14
+
+
 @dataclass(eq=False)
 class ExactCodes:
     """Finite-alphabet value codes: codes[n] = -1 means f(n) = 0, a code
@@ -148,36 +153,46 @@ class ExactCodes:
     order: int
     codes: np.ndarray
     yexp: np.ndarray | None = None
+    y: complex | None = None
 
     def code_of(self, z: RootOfUnity) -> int | None:
         if self.order % z.den != 0:
             return None
         return (z.num * (self.order // z.den)) % self.order
 
-    def member_mask(self, target, power: int = 1) -> np.ndarray:
-        """Boolean mask over 0..N of {n : f(n)^power == target}."""
+    def members(self, target, power: int = 1) -> np.ndarray:
+        """The sorted n in [1, N] with f(n)^power == target, as int64."""
         if power < 1:
             raise InputError(f"power must be >= 1, got {power}")
+        codes = self.codes[1:]
         if isinstance(target, Zero):
-            if self.yexp is not None:
-                return np.zeros(len(self.codes), dtype=bool)
-            m = self.codes == -1
-            m[0] = False
-            return m
+            if self.yexp is not None:       # a repaired table is zero-free
+                return np.zeros(0, dtype=np.int64)
+            return np.flatnonzero(codes == -1) + 1
         if not isinstance(target, RootOfUnity):
             raise InputError(f"exact membership needs a root of unity or 0, got {target!r}")
         j = self.code_of(target)
         if j is None:
-            return np.zeros(len(self.codes), dtype=bool)
+            return np.zeros(0, dtype=np.int64)
         if power == 1:
-            m = self.codes == j     # codes are reduced mod order already
+            m = codes == j     # codes are reduced mod order already
         else:
-            m = self.codes >= 0
-            m &= (self.codes.astype(np.int64) * power - j) % self.order == 0
+            m = codes >= 0
+            m &= (codes.astype(np.int64) * power - j) % self.order == 0
         if self.yexp is not None:
-            m &= self.yexp == 0
-        m[0] = False
-        return m
+            m &= self.yexp[1:] == 0
+        return np.flatnonzero(m) + 1
+
+    def values(self) -> np.ndarray:
+        """e(code/order) at each code (one lookup in the roots of unity with a
+        0 appended, for code -1), times y^yexp in blocks of _Y_BLOCK entries."""
+        values = np.append(root_table(self.order), 0)[self.codes]
+        if self.yexp is not None:
+            for lo in range(0, len(values), _Y_BLOCK):
+                v, yexp = values[lo : lo + _Y_BLOCK], self.yexp[lo : lo + _Y_BLOCK]
+                has_y = yexp > 0
+                v[has_y] = v[has_y] * (self.y ** yexp[has_y].astype(np.float64))
+        return values
 
 
 @dataclass(eq=False)
@@ -190,18 +205,20 @@ class RadicalCodes:
     """
 
     N: int
+    primes: np.ndarray      # the primes <= N, from which the values are sieved
 
-    def member_mask(self, target, power: int = 1) -> np.ndarray:
+    def members(self, target, power: int = 1) -> np.ndarray:
+        """The sorted n in [1, N] with phi(n)/n == target, as int64."""
         if power != 1:
             raise InputError("exact level sets of powered ratio functions are unsupported")
-        mask = np.zeros(self.N + 1, dtype=bool)
+        none = np.zeros(0, dtype=np.int64)
         if isinstance(target, RootOfUnity):
             target = Fraction(1, 1) if target.den == 1 else None
         if not isinstance(target, Fraction):    # phi(n)/n is never 0 or complex
-            return mask
+            return none
         r = self.radical_for_ratio(target)
         if r is None or r > self.N:
-            return mask
+            return none
         members = [r]
         for p, _ in factorize(r):
             grown = []
@@ -210,8 +227,21 @@ class RadicalCodes:
                     grown.append(n)
                     n *= p
             members = grown
-        mask[members] = True
-        return mask
+        return np.sort(np.array(members, dtype=np.int64))
+
+    def values(self) -> np.ndarray:
+        """phi(n)/n, the product of 1 - 1/p over the primes p | n: one strided
+        slice per small prime, one pass over the multiples of the large ones."""
+        N = self.N
+        v = np.ones(N + 1, dtype=np.float64)
+        split = int(np.searchsorted(self.primes, math.isqrt(N), "right"))
+        for p in self.primes[:split].tolist():
+            v[p::p] *= 1.0 - 1.0 / p
+        large = self.primes[split:]
+        ratio = 1.0 - 1.0 / large
+        for idx, c in large_prime_multiples(large, N):
+            v[idx] *= ratio[:c]
+        return v.astype(np.complex128)
 
     @staticmethod
     def radical_for_ratio(fr: Fraction) -> int | None:
@@ -230,15 +260,30 @@ class RadicalCodes:
         return None
 
 
+def _alphabet(exact) -> bool:
+    """True for root-of-unity codes, whose values all lie in root_table(order) or 0."""
+    return isinstance(exact, ExactCodes) and exact.yexp is None
+
+
 @dataclass(eq=False)
 class SieveTable:
-    """Dense values of f on [1, N] and, when the kind has them, exact codes."""
+    """f on [0, N]: its exact codes, when the kind has them, and its values.
+    A table with codes builds its values from them on first read, and checks
+    the |f| <= 1 bound on them unless sieve_range checked it on the alphabet;
+    sieve_range sets the values of a table without codes."""
 
     N: int
-    values: np.ndarray
     source: str
     exact: ExactCodes | RadicalCodes | None = None
     function: MultiplicativeFunction | None = None
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """Read-only complex128 values, values[n] = f(n) and values[0] = 0."""
+        values = _sealed(self.exact.values())
+        if not _alphabet(self.exact):
+            _check_bound(self.function, values)
+        return values
 
     @cached_property
     def spf(self) -> np.ndarray:
@@ -279,61 +324,45 @@ def eval_at(f: MultiplicativeFunction, n: int) -> complex:
 # --------------------------------------------------------------------------
 # Bulk sieving
 
-def _sieve_context(f: MultiplicativeFunction, N: int):
-    if N < 1:
-        raise InputError(f"sieve bound must be >= 1, got {N}")
-    check_budget(30 * (N + 1), f"sieve of {f.label} to N={N}")
-    return get_context(N)
-
-
-def sieve_codes(f: MultiplicativeFunction, N: int) -> ExactCodes | RadicalCodes | None:
-    """The exact codes of f on [0, N] that sieve_range attaches, without the
-    values; None when the kind has no exact codes."""
-    return _KINDS[f.kind].codes(f, N, _sieve_context(f, N))
-
-
 def sieve_range(f: MultiplicativeFunction, N: int) -> SieveTable:
     """Tabulate f on [1, N].
 
-    The kind (see _KINDS) builds its exact codes first, when it has them,
-    and then the values: from the codes for the finite alphabets, from the
-    additive statistics for irrational phases and phi(n)/n, and by a generic
-    prime-power pass otherwise.
+    The kind (see _KINDS) builds its exact codes when it has them, and the
+    table its values from them on first read.  A kind without codes sieves its
+    values here: from the additive statistics for irrational phases, by a
+    generic prime-power pass otherwise.  The |f| <= 1 bound is checked here on
+    the alphabet of root-of-unity codes and on the values of kinds without codes.
     """
-    ctx = _sieve_context(f, N)
+    if N < 1:
+        raise InputError(f"sieve bound must be >= 1, got {N}")
+    check_budget(30 * (N + 1), f"sieve of {f.label} to N={N}")
+    ctx = get_context(N)
     kind = _KINDS[f.kind]
-    exact = kind.codes(f, N, ctx)
-    values = kind.sieve(f, N, ctx, exact)
+    table = SieveTable(N=N, source=f.label, exact=kind.codes(f, N, ctx), function=f)
+    if table.exact is None:
+        table.values = _sealed(kind.sieve(f, N, ctx))
+        _check_bound(f, table.values)
+    elif _alphabet(table.exact):
+        _check_bound(f, root_table(table.exact.order))
+    return table
+
+
+def _sealed(values: np.ndarray) -> np.ndarray:
     values[0] = 0
+    values.flags.writeable = False
+    return values
+
+
+def _check_bound(f: MultiplicativeFunction, values: np.ndarray) -> None:
     if not f.spec.unbounded:
-        # root-of-unity codes draw every value from root_table(order) or 0
-        alphabet = isinstance(exact, ExactCodes) and exact.yexp is None
-        peak = float(np.abs(root_table(exact.order) if alphabet else values).max())
+        peak = float(np.abs(values).max())
         if peak > _MOD_BOUND:
             raise InputError(f"{f.label} exceeds the |f| <= 1 modulus bound (max {peak})")
-    values.flags.writeable = False
-    return SieveTable(N=N, values=values, source=f.label, exact=exact, function=f)
-
-
-def _codes_values(f, N, ctx, exact: ExactCodes) -> np.ndarray:
-    """e(code/order) at each code, 0 at code -1: one lookup in the roots of
-    unity with a 0 appended, as the kinds' codes lie in [-1, order)."""
-    return np.append(root_table(exact.order), 0)[exact.codes]
 
 
 def _squarefree_codes(f, N, ctx):
     # squarefree[0] is False, so code 0 is -1 as well
     return ExactCodes(order=1, codes=np.where(ctx.squarefree, np.int32(0), np.int32(-1)))
-
-
-def _sieve_phi_ratio(f, N, ctx, exact):
-    v = np.ones(N + 1, dtype=np.float64)
-    for p in ctx.small_primes:
-        v[p::p] *= 1.0 - 1.0 / p
-    ratio = 1.0 - 1.0 / ctx.large_primes
-    for idx, c in large_prime_multiples(ctx.large_primes, N):
-        v[idx] *= ratio[:c]
-    return v.astype(np.complex128)
 
 
 def _tile(table: np.ndarray, N: int) -> np.ndarray:
@@ -362,6 +391,9 @@ def _repaired_codes(f, N, ctx):
     order = exact_order(base)
     if order is None:
         return None
+    # a large prime q has q^2 > N, so only its first power enters, with the
+    # code of f(q) in the base kind's own table (-1 when f(q) = 0)
+    large = _KINDS[base.kind].codes(base, N, ctx).codes[ctx.large_primes]
     code = _KINDS[base.kind].ppow_code
     root = np.zeros(N + 1, dtype=np.int32)
     yexp = np.zeros(N + 1, dtype=np.int8)
@@ -382,36 +414,17 @@ def _repaired_codes(f, N, ctx):
             prev_c, prev_z = cc, z
             pe *= p
             eexp += 1
-    # a large prime q has q^2 > N, so only its first-power deltas enter
-    large = [code(base, q, 1) for q in ctx.large_primes.tolist()]
-    dc = np.array([0 if c is None else c for c in large], dtype=np.int32)
-    dz = np.array([c is None for c in large], dtype=np.int8)
+    dc = np.maximum(large, 0)
+    dz = (large < 0).astype(np.int8)
     for idx, c in large_prime_multiples(ctx.large_primes, N):
         root[idx] += dc[:c]
         yexp[idx] += dz[:c]
     root %= order
-    codes = root
-    codes[0] = -1
-    return ExactCodes(order=order, codes=codes, yexp=yexp)
+    root[0] = -1
+    return ExactCodes(order=order, codes=root, yexp=yexp, y=f.meta["y"])
 
 
-# entries per block of y ** yexp factors, so that their temporaries stay small
-_Y_BLOCK = 1 << 14
-
-
-def _sieve_repaired(f, N, ctx, exact):
-    if exact is None:
-        return _sieve_generic(f, N, ctx, exact)
-    values = _codes_values(f, N, ctx, exact)
-    y = f.meta["y"]
-    for lo in range(0, N + 1, _Y_BLOCK):
-        v, yexp = values[lo : lo + _Y_BLOCK], exact.yexp[lo : lo + _Y_BLOCK]
-        has_y = yexp > 0
-        v[has_y] = v[has_y] * (y ** yexp[has_y].astype(np.float64))
-    return values
-
-
-def _sieve_generic(f, N, ctx, exact):
+def _sieve_generic(f, N, ctx):
     values = np.ones(N + 1, dtype=np.complex128)
     for p in ctx.small_primes:
         vs = []
@@ -523,10 +536,11 @@ def _unit_code(chi, n: int) -> int | None:
 class _Kind:
     """What one catalog kind knows about its functions f.  The defaults are
     the generic behaviour: no exact codes, a prime-power sieve, prime values
-    from the rule, no structural zeros or support."""
+    from the rule, no structural zeros or support.  A table with codes builds
+    its values from them, so sieve runs only for the f that have none."""
 
     codes: Callable = lambda f, N, ctx: None        # (f, N, ctx) -> exact codes or None
-    sieve: Callable = _sieve_generic                # (f, N, ctx, codes) -> values
+    sieve: Callable = _sieve_generic                # (f, N, ctx) -> values, f without codes
     prime_values: Callable = _generic_prime_values  # (f, primes) -> f(p) as complex
     ppow_code: Callable = _no_codes                 # (f, p, k) -> code, None when 0
     exact_order: Callable = lambda f: None          # alphabet size of the codes
@@ -558,9 +572,7 @@ def _phase_kind(stat: str, weight: Callable[[int], int]) -> _Kind:
         c[0] = -1
         return ExactCodes(order=b, codes=c)
 
-    def sieve(f, N, ctx, exact):
-        if exact is not None:
-            return _codes_values(f, N, ctx, exact)
+    def sieve(f, N, ctx):
         s = getattr(ctx, stat)
         values = e(f.meta["xi"] * np.arange(int(s.max()) + 1, dtype=np.float64))[s]
         if _squarefree_only(f):
@@ -591,21 +603,18 @@ _KINDS = {
     "small_omega_phase": _phase_kind("small_omega", lambda k: 1),
     "squarefree_indicator": _Kind(
         codes=_squarefree_codes,
-        sieve=_codes_values,
         prime_values=lambda f, ps: np.ones(len(ps), dtype=np.complex128),
         ppow_code=lambda f, p, k: None if k >= 2 else 0,
         exact_order=lambda f: 1,
         squarefree_only=lambda f: True,
     ),
     "phi_ratio": _Kind(
-        codes=lambda f, N, ctx: RadicalCodes(N=N),
-        sieve=_sieve_phi_ratio,
+        codes=lambda f, N, ctx: RadicalCodes(N=N, primes=ctx.primes),
         prime_values=lambda f, ps: (1.0 - 1.0 / ps).astype(np.complex128),
         zero_free=lambda f: True,
     ),
     "periodic": _Kind(
         codes=_periodic_codes,
-        sieve=_codes_values,
         prime_values=lambda f, ps: f.meta["char"].values_at(ps),
         ppow_code=lambda f, p, k: _unit_code(f.meta["char"], p ** k),
         exact_order=lambda f: f.meta["char"].expo_mod,
@@ -614,7 +623,6 @@ _KINDS = {
     ),
     "tau_character": _Kind(
         codes=_tau_character_codes,
-        sieve=_codes_values,
         prime_values=lambda f, ps: np.full(len(ps), complex(f.meta["char"](2)),
                                            dtype=np.complex128),
         ppow_code=lambda f, p, k: _unit_code(f.meta["char"], k + 1),
@@ -622,7 +630,6 @@ _KINDS = {
     ),
     "repaired": _Kind(
         codes=_repaired_codes,
-        sieve=_sieve_repaired,
         prime_values=_repaired_prime_values,
         ppow_code=_repaired_code,
         exact_order=lambda f: exact_order(f.meta["base"]),

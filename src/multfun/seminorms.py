@@ -417,6 +417,8 @@ def uniformity_profile(f: MultiplicativeFunction, s: int, n_grid,
         raise InputError("empty N grid")
     if grid != sorted(set(grid)):
         raise InputError("N grid must be strictly ascending")
+    if grid[0] < 1:
+        raise InputError(f"N grid entries must be >= 1, got {grid[0]}")
     if method == "fast":
         _check_fast(grid[-1], s)
     table = sieve_range(f, grid[-1])

@@ -1,8 +1,8 @@
 """Sieve tables against definitions written from `factorize`, at bounds N at
 and around prime squares (where a prime moves between the strided
-small-prime slices and the large-prime pass), the codes-only level-set path
-against level sets read from a full table, and `factorize` against plain
-trial division."""
+small-prime slices and the large-prime pass), level sets read from the
+codes of a fresh table against those of a table whose values were read, and
+`factorize` against plain trial division."""
 
 import dataclasses
 import math
@@ -38,7 +38,6 @@ from multfun.mf_core import (
     _cyclic_unit_group,
     make_repaired,
     prime_power_value,
-    sieve_codes,
 )
 
 from conftest import REGISTRY_CASES, trial_factor
@@ -201,6 +200,29 @@ def test_sieve_repaired_blocks_match_one_pass(N):
             assert_identical(t.values, want)
 
 
+@pytest.mark.parametrize("q, N", [(15, 10), (15, 24)] + [(77, N) for N in NS if N <= 120])
+def test_sieve_repaired_character_zero_at_a_large_prime(q, N):
+    """A character mod q vanishes at the primes p | q; when such a p lies
+    above sqrt(N) (5 for q = 15, 7 below N = 49 and 11 below N = 121 for
+    q = 77), the large-prime pass repairs it."""
+    y, gamma = complex(np.exp(2j * np.pi * 0.3)), 0.3
+    for index, chi in enumerate(characters_mod(q)):
+        f = builtin("dirichlet_character", {"modulus": q, "index": index})
+        t = sieve_range(make_repaired(f, y, gamma), N)
+        order = chi.expo_mod
+        codes = stat(N, lambda fs: sum(k * int(chi.expo[p % q]) for p, k in fs if q % p) % order,
+                     np.int32)
+        codes[0] = -1
+        yexp = stat(N, lambda fs: sum(q % p == 0 for p, _ in fs), np.int8)
+        assert_identical(t.exact.codes, codes)
+        assert_identical(t.exact.yexp, yexp)
+        want = root_table(order)[np.maximum(codes, 0)]
+        want[0] = 0
+        has_y = yexp > 0
+        want[has_y] = want[has_y] * (y ** yexp[has_y].astype(np.float64))
+        assert_identical(t.values, want)
+
+
 def formula_codes(f, ctx):
     """The int64 expressions the kinds' lookup tables replaced."""
     m = f.meta
@@ -240,7 +262,7 @@ def lookup_code_cases():
 def test_lookup_codes_match_the_formulas(N):
     ctx = get_context(N)
     for f in lookup_code_cases():
-        assert_identical(sieve_codes(f, N).codes, formula_codes(f, ctx))
+        assert_identical(sieve_range(f, N).exact.codes, formula_codes(f, ctx))
     for name in ("lambda_xi", "mu_xi", "kappa_xi"):
         for xi in (0.3, 1 / 7, 0.5 + 1e-9, math.sqrt(2), -0.3, 0.0):
             f = builtin(name, {"xi": xi})
@@ -258,16 +280,16 @@ SQUAREFREE_R = [r for r in range(1, 2001) if all(k == 1 for _, k in factorize(r)
 @pytest.mark.parametrize("N", NS)
 def test_phi_ratio_level_sets_match_the_radical(N):
     radical = get_context(N).radical
-    codes = sieve_codes(builtin("phi_over_n"), N)
+    codes = sieve_range(builtin("phi_over_n"), N).exact
     for r in SQUAREFREE_R:
         want = radical == r
         want[0] = False
-        assert_identical(codes.member_mask(Fraction(totient(r), r)), want)
+        assert_identical(codes.members(Fraction(totient(r), r)), np.flatnonzero(want))
 
 
 def test_phi_ratio_level_set_edges():
     N = 1000
-    codes = sieve_codes(builtin("phi_over_n"), N)
+    codes = sieve_range(builtin("phi_over_n"), N).exact
     none = np.zeros(N + 1, dtype=bool)
     only_one = none.copy()
     only_one[1] = True
@@ -276,13 +298,13 @@ def test_phi_ratio_level_set_edges():
     # rad(n) = r > N: a prime and a primorial above N
     unattained += [Fraction(1008, 1009), Fraction(totient(2310), 2310)]
     for z in unattained:
-        assert_identical(codes.member_mask(z), none)
-    assert_identical(codes.member_mask(ONE), only_one)
-    assert_identical(codes.member_mask(Fraction(1)), only_one)
+        assert_identical(codes.members(z), np.flatnonzero(none))
+    assert_identical(codes.members(ONE), np.flatnonzero(only_one))
+    assert_identical(codes.members(Fraction(1)), np.flatnonzero(only_one))
     powers_of_two = np.isin(np.arange(N + 1), [2 ** k for k in range(1, 10)])
-    assert_identical(codes.member_mask(Fraction(1, 2)), powers_of_two)
+    assert_identical(codes.members(Fraction(1, 2)), np.flatnonzero(powers_of_two))
     with pytest.raises(InputError, match="powered ratio"):
-        codes.member_mask(Fraction(1, 2), power=2)
+        codes.members(Fraction(1, 2), power=2)
 
 
 @pytest.mark.parametrize("N", NS)
@@ -341,29 +363,31 @@ def level_or_error(f, z, N, table=None):
 
 @pytest.mark.parametrize("N", NS)
 def test_level_set_codes_path(N, custom_path):
-    """level_set without a table reads the codes alone; the level set read from
-    a full sieve table is the oracle."""
+    """level_set reads an exact target from the codes alone, and builds no
+    values of a table with codes; the level set of a table whose values were
+    read first is the oracle, with or without a table passed in."""
     for name, case in REGISTRY_CASES.items():
         f = case(custom_path)
-        table = sieve_range(f, N)
-        codes = sieve_codes(f, N)
-        assert (codes is None) == (table.exact is None), name
-        for key in ("codes", "yexp", "radical"):
-            want = getattr(table.exact, key, None)
-            got = getattr(codes, key, None)
+        fresh, read = sieve_range(f, N), sieve_range(f, N)
+        read.values
+        assert (fresh.exact is None) == (read.exact is None), name
+        for key in ("codes", "yexp", "order"):
+            want = getattr(read.exact, key, None)
+            got = getattr(fresh.exact, key, None)
             assert (got is None) == (want is None), (name, key)
-            if want is not None:
+            if isinstance(want, np.ndarray):
                 assert_identical(got, want)
-        if codes is not None and hasattr(codes, "order"):
-            assert codes.order == table.exact.order
+            else:
+                assert got == want, (name, key)
         for z in LEVEL_TARGETS:
-            want = level_or_error(f, z, N, table=table)
-            got = level_or_error(f, z, N)
-            if isinstance(want, str):
-                assert got == want, (name, z)
-                continue
-            assert_identical(got.members, want.members)
-            assert (got.exact, got.source, got.z) == (want.exact, want.source, want.z)
+            want = level_or_error(f, z, N, table=read)
+            for got in (level_or_error(f, z, N, table=fresh), level_or_error(f, z, N)):
+                if isinstance(want, str):
+                    assert got == want, (name, z)
+                    continue
+                assert_identical(got.members, want.members)
+                assert (got.exact, got.source, got.z) == (want.exact, want.source, want.z)
+        assert ("values" in vars(fresh)) == (fresh.exact is None), name
 
 
 @pytest.mark.parametrize("N", NS)

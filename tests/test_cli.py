@@ -1,10 +1,15 @@
+import ast
+import importlib
 import json
+import pkgutil
+from pathlib import Path
 
 import pytest
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import multfun
 from multfun import InputError, MultfunError
 from multfun.cli import MAX_POLY_DEGREE, parse_polys, parse_z, run
 from multfun.arith import ZERO, RootOfUnity
@@ -76,7 +81,15 @@ def test_invalid_target_exits_2(tmp_path):
     ["sieve", "--function", "custom_file", "--file", "no/such/file.txt", "--N", "100"],
     ["convergence", "--m", "3", "--A", "0", "--polys", "n^1000000000", "--N", "1000",
      "--Jmax", "100"],
-], ids=["xi-abc", "xi-1/0", "z-val:1/0", "A-x", "polys-n^", "file-missing", "polys-degree"])
+    ["gowers", "--function", "liouville", "--grid", "16,a"],
+    ["gowers", "--function", "liouville", "--grid", "0,16"],
+    ["recurrence", "--N", "1000", "--Jmax", "0"],
+    ["convergence", "--N", "1000", "--Jmax", "0"],
+    ["recurrence", "--N", "1000", "--Jmax", "-3"],
+    ["levelset", "--set", "squarefree", "--N", "100", "--random-subset", "0.5", "--seed", "-1"],
+], ids=["xi-abc", "xi-1/0", "z-val:1/0", "A-x", "polys-n^", "file-missing", "polys-degree",
+        "grid-a", "grid-0", "recurrence-Jmax-0", "convergence-Jmax-0", "Jmax-negative",
+        "seed-negative"])
 def test_malformed_input_exits_2(tmp_path, argv):
     out = tmp_path / "e.json"
     assert run(argv + ["--out", str(out)]) == 2
@@ -263,3 +276,16 @@ def test_mean_command(tmp_path):
     ep = res["euler_product"]["value"]["re"]
     emp = res["empirical_mean"]["re"]
     assert abs(ep - emp) < 2e-3
+
+
+def test_every_export_resolves():
+    """Each name in a module's __all__, and each name the package imports
+    from its modules, resolves, so a deleted function leaves no stale export."""
+    for info in pkgutil.iter_modules(multfun.__path__):
+        mod = importlib.import_module(f"multfun.{info.name}")
+        missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+        assert not missing, (info.name, missing)
+    tree = ast.parse(Path(multfun.__file__).read_text(encoding="utf-8"))
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert imported and all(hasattr(multfun, name) for name in imported)

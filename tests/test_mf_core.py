@@ -20,11 +20,12 @@ from multfun.arith import (
 from multfun.mf_core import (
     _KINDS,
     ExactCodes,
+    _alphabet,
     exact_order,
+    make_repaired,
     parse_custom_file,
     ppow_code,
     prime_power_value,
-    sieve_codes,
     zero_free,
 )
 
@@ -99,6 +100,29 @@ def test_sieve_table_spf_keeps_the_context_cache(mu):
     assert spf[999_983] == 999_983 and spf[10 ** 6] == 2
 
 
+@pytest.mark.parametrize("name", list(REGISTRY_CASES))
+def test_values_keep_the_context_cache(name, custom_path, monkeypatch):
+    """A table builds its values on first read without its context: reading
+    them after the context was evicted builds no SieveContext and leaves the
+    cache as it was."""
+    f = REGISTRY_CASES[name](custom_path)
+    N = 10 ** 4
+    t = sieve_range(f, N)
+    get_context(2000)
+    get_context(3000)
+    cached = dict(arith._CONTEXTS)
+    assert N not in cached
+    built = []
+    init = arith.SieveContext.__init__
+    monkeypatch.setattr(arith.SieveContext, "__init__",
+                        lambda self, n: built.append(n) or init(self, n))
+    values = t.values
+    assert built == [] and list(arith._CONTEXTS.items()) == list(cached.items())
+    assert t.values is values and not values.flags.writeable
+    monkeypatch.undo()
+    np.testing.assert_array_equal(values, sieve_range(f, N).values)
+
+
 def test_sieve_table_spf_shares_a_cached_context(mu):
     t = sieve_range(mu, 10 ** 4)
     assert t.spf is get_context(10 ** 4).spf
@@ -134,14 +158,16 @@ def member_mask_oracle(exact, target, power):
 
 @pytest.mark.parametrize("name", list(REGISTRY_CASES))
 def test_member_mask_matches_residue_formula(name, custom_path):
-    exact = sieve_codes(REGISTRY_CASES[name](custom_path), 10 ** 4)
+    exact = sieve_range(REGISTRY_CASES[name](custom_path), 10 ** 4).exact
     if not isinstance(exact, ExactCodes):
         pytest.skip("no finite-alphabet codes")
     targets = [ONE, RootOfUnity(1, 2), ZERO, RootOfUnity(1, 3), RootOfUnity(1, 4)]
     for target in targets:
         for power in (1, 2, 3):
-            np.testing.assert_array_equal(exact.member_mask(target, power),
-                                          member_mask_oracle(exact, target, power),
+            got = exact.members(target, power)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got,
+                                          np.flatnonzero(member_mask_oracle(exact, target, power)),
                                           err_msg=f"{target} power {power}")
 
 
@@ -229,6 +255,12 @@ def test_modulus_bound_enforced():
         eval_at(f, 2)
     with pytest.raises(InputError, match="modulus bound"):
         sieve_range(f, 100)
+
+
+def test_modulus_bound_checked_when_values_are_built(mu):
+    t = sieve_range(make_repaired(mu, 2.0, 0.0), 100)
+    with pytest.raises(InputError, match="modulus bound"):
+        t.values
 
 
 def test_modulus_bound_checked_on_the_alphabet(lam, monkeypatch):
@@ -337,16 +369,17 @@ def traced_peak(call) -> int:
 
 @pytest.mark.parametrize("name", list(REGISTRY_CASES))
 def test_sieve_memory_within_the_charge(name, custom_path):
-    """The traced peak of a sieve with a warm context and warm module caches
-    stays within the 30 B per entry that sieve_range charges to the cap, and
-    the codes of the lookup-table kinds within 6 B per entry."""
+    """The traced peak of a sieve with a warm context and warm module caches,
+    its values read, stays within the 30 B per entry that sieve_range charges
+    to the cap; a table of root-of-unity codes, or of phi(n)/n, builds no
+    values until they are read, and stays within 6 B per entry."""
     f = REGISTRY_CASES[name](custom_path)
     N = 10 ** 5
-    sieve_range(f, N)
-    assert traced_peak(lambda: sieve_range(f, N)) <= 30 * (N + 1)
-    if f.kind in ("omega_phase", "small_omega_phase", "squarefree_indicator", "periodic",
-                  "tau_character"):
-        assert traced_peak(lambda: sieve_codes(f, N)) <= 6 * (N + 1)
+    table = sieve_range(f, N)
+    table.values
+    assert traced_peak(lambda: sieve_range(f, N).values) <= 30 * (N + 1)
+    if _alphabet(table.exact) or f.kind == "phi_ratio":
+        assert traced_peak(lambda: sieve_range(f, N)) <= 6 * (N + 1)
 
 
 def test_exact_codes_partition(l13):
