@@ -3,8 +3,8 @@
 All bulk tables live in a SieveContext, built once per bound N and cached,
 so that several functions sieved at the same N share the primes and the
 additive statistics (Omega, omega, squarefree mask, tau, radical).  The primes
-come from a boolean sieve of Eratosthenes; every statistic, and the
-smallest-prime-factor array, is built on first use.
+come from a boolean sieve of Eratosthenes; every statistic is built on first
+use.
 
 Every sieve over [1, N] splits the primes at sqrt(N).  A small prime p <= sqrt(N)
 gets one strided slice per prime power p^k <= N.  The large primes q > sqrt(N)
@@ -42,6 +42,7 @@ __all__ = [
     "mem_cap_bytes",
     "check_budget",
     "geometric_grid",
+    "running_means",
     "residue_sums",
     "class_sums",
 ]
@@ -145,10 +146,12 @@ DEFAULT_MEM_CAP_MB = 4096
 
 def mem_cap_bytes() -> int:
     """Configured memory cap for sieves and twist scans (env MULTFUN_MEM_CAP_MB,
-    default 4096)."""
-    raw = os.environ.get("MULTFUN_MEM_CAP_MB", "").strip()
-    mb = int(raw) if raw else DEFAULT_MEM_CAP_MB
-    return mb * 1024 * 1024
+    a positive number of megabytes, default 4096)."""
+    raw = os.environ.get("MULTFUN_MEM_CAP_MB", "").strip() or str(DEFAULT_MEM_CAP_MB)
+    if not raw.isdecimal() or int(raw) < 1:
+        raise InputError(f"MULTFUN_MEM_CAP_MB must be a positive integer (megabytes), "
+                         f"got {raw!r}")
+    return int(raw) * 1024 * 1024
 
 
 def check_budget(nbytes: int, what: str) -> None:
@@ -173,19 +176,6 @@ def _prime_mask(N: int) -> np.ndarray:
     return is_p
 
 
-def _smallest_prime_factor(N: int) -> np.ndarray:
-    spf = np.zeros(N + 1, dtype=np.int32)
-    for p in range(2, math.isqrt(N) + 1):
-        if spf[p] == 0:
-            sl = spf[p * p :: p]
-            sl[sl == 0] = p
-    rest = np.flatnonzero(spf[2:] == 0) + 2
-    spf[rest] = rest.astype(np.int32)
-    if N >= 1:
-        spf[1] = 1
-    return spf
-
-
 def large_prime_multiples(Q: np.ndarray, N: int):
     """All multiples m*q <= N of the sorted primes q > sqrt(N) in Q.
 
@@ -203,13 +193,14 @@ def large_prime_multiples(Q: np.ndarray, N: int):
 
 
 class SieveContext:
-    """The primes up to N; spf and the additive statistics built lazily."""
+    """The primes up to N, split at sqrt(N); the additive statistics built lazily."""
 
     def __init__(self, N: int):
         if N < 1:
             raise InputError(f"sieve bound must be >= 1, got {N}")
-        # the prime mask (1 byte), spf once read (4) and room for one values
-        # array (16) and its codes (4)
+        # per entry: the prime mask (1 byte), one values array (16) and its
+        # codes (4), and 5 for the int8 statistics the codes are read from
+        # (Omega, omega, squarefree); tau (4) and the radical (8) exceed it
         check_budget(26 * (N + 1), f"sieve context for N={N}")
         self.N = N
         self.primes = np.flatnonzero(_prime_mask(N)).astype(np.int64)
@@ -225,11 +216,6 @@ class SieveContext:
             arr.flags.writeable = False
             self._cache[key] = arr
         return self._cache[key]
-
-    @property
-    def spf(self) -> np.ndarray:
-        """Smallest prime factor of n (int32); spf[1] = 1 and spf[0] = 0."""
-        return self._lazy("spf", lambda: _smallest_prime_factor(self.N))
 
     @property
     def big_omega(self) -> np.ndarray:
@@ -334,15 +320,25 @@ def primes_upto(P: int) -> np.ndarray:
     return get_context(P).primes
 
 
-def geometric_grid(lo: int, hi: int, per_decade: int = 8) -> np.ndarray:
-    """Ascending integer grid, roughly geometric, ending exactly at hi."""
+GRID_PER_DECADE = 8
+
+
+def geometric_grid(lo: int, hi: int) -> np.ndarray:
+    """Ascending integer grid, about GRID_PER_DECADE points per decade, from lo
+    (hi when hi < lo) ending exactly at hi."""
     if hi < lo:
         lo = hi
-    npts = max(2, int(per_decade * math.log10(max(hi, 10) / lo + 1)) + 2)
+    npts = max(2, int(GRID_PER_DECADE * math.log10(max(hi, 10) / lo + 1)) + 2)
     g = np.unique(np.geomspace(lo, hi, npts).astype(np.int64))
     if g[-1] != hi:
         g = np.append(g, hi)
     return g
+
+
+def running_means(x: np.ndarray, grid: np.ndarray) -> list:
+    """(m, mean of x[:m]) for each m in the grid, 1 <= m <= len(x): one
+    cumulative sum, read and divided at the grid points."""
+    return list(zip(grid.tolist(), (np.cumsum(x)[grid - 1] / grid).tolist()))
 
 
 def residue_sums(c: np.ndarray, res: np.ndarray, q: int) -> np.ndarray:

@@ -127,7 +127,6 @@ def _dlog_tables(q: int, gens: list[tuple[int, int]]) -> np.ndarray:
     return dlogs
 
 
-@lru_cache(maxsize=64)
 def _group_data(q: int):
     gens = _unit_group_structure(q)
     dlogs = _dlog_tables(q, gens)

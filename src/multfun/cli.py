@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .arith import ZERO, RootOfUnity, Zero
+from .arith import ZERO, RootOfUnity, Zero, check_budget
 from .errors import InputError, MultfunError
 from .ergodic import FiniteSystem, PolynomialFamily, convergence_average, recurrence_average
 from .levelsets import (
@@ -39,12 +39,6 @@ from .pretentious import (
     unit_function,
 )
 from .seminorms import gowers_direct, gowers_fast, spectrum_scan, uniformity_profile
-
-COMMANDS = (
-    "catalog", "sieve", "mean", "apmean", "distance", "classify", "gowers",
-    "spectrum", "levelset", "structure", "divisibility", "recurrence",
-    "convergence",
-)
 
 NAMED_SETS = {
     "squarefree": ("mu_squared", "1"),
@@ -110,18 +104,19 @@ def parse_polys(s: str) -> PolynomialFamily:
     return PolynomialFamily(tuple(polys))
 
 
+def _params(args, prefix: str = "") -> dict:
+    """Builtin parameters from the --{prefix}xi, --{prefix}modulus and
+    --{prefix}index options that were given."""
+    params = {k: getattr(args, prefix + k) for k in ("xi", "modulus", "index")}
+    return {k: v for k, v in params.items() if v is not None}
+
+
 def build_function(args):
     name = args.function
     if name is None:
         raise InputError("no --function given")
-    params = {}
-    if getattr(args, "xi", None) is not None:
-        params["xi"] = args.xi
-    if getattr(args, "modulus", None) is not None:
-        params["modulus"] = args.modulus
-    if getattr(args, "index", None) is not None:
-        params["index"] = args.index
-    if getattr(args, "file", None) is not None:
+    params = _params(args)
+    if args.file is not None:
         params["path"] = args.file
     if name == "one":
         return unit_function()
@@ -174,11 +169,9 @@ def _config_echo(args) -> dict:
             if k not in skip and v is not None}
 
 
-def _named_level_set(args):
-    if getattr(args, "set", None):
-        if args.set not in NAMED_SETS:
-            raise InputError(f"unknown named set {args.set!r}; "
-                             f"known: {', '.join(sorted(NAMED_SETS))}")
+def _level_set(args):
+    """E(f, z) on [1, N] for the named --set, or for --function and --z."""
+    if args.set:
         fname, ztext = NAMED_SETS[args.set]
         f = builtin(fname, {})
         z = parse_z(ztext)
@@ -187,7 +180,7 @@ def _named_level_set(args):
         if args.z is None:
             raise InputError("need --z (or --set)")
         z = parse_z(args.z)
-    return f, z
+    return level_set(f, z, args.N, tol=args.tol)
 
 
 # --------------------------------------------------------------------------
@@ -209,6 +202,8 @@ def cmd_catalog(args):
 
 
 def cmd_sieve(args):
+    if args.limit < 1:
+        raise InputError(f"--limit must be >= 1, got {args.limit}")
     f = build_function(args)
     table = sieve_range(f, args.N)
     head = [jsonable(complex(v)) for v in table.values[1 : min(args.N, 50) + 1]]
@@ -221,7 +216,7 @@ def cmd_sieve(args):
         "exact_codes": table.exact is not None,
     }
     if args.csv:
-        limit = min(args.N, args.limit or 1000)
+        limit = min(args.N, args.limit)
         lines = ["n,re,im"]
         lines += [f"{n},{table.values[n].real:.12g},{table.values[n].imag:.12g}"
                   for n in range(1, limit + 1)]
@@ -252,14 +247,7 @@ def cmd_distance(args):
     if args.g == "one" or args.g is None:
         g = unit_function()
     else:
-        gp = {}
-        if args.g_xi is not None:
-            gp["xi"] = args.g_xi
-        if args.g_modulus is not None:
-            gp["modulus"] = args.g_modulus
-        if args.g_index is not None:
-            gp["index"] = args.g_index
-        g = builtin(args.g, gp)
+        g = builtin(args.g, _params(args, "g_"))
     prof = pretentious_distance(f, g, args.P, t=args.t)
     _write_csv(args.csv, prof.to_csv())
     return {"profile": jsonable(prof)}
@@ -295,8 +283,7 @@ def cmd_spectrum(args):
 
 
 def cmd_levelset(args):
-    f, z = _named_level_set(args)
-    E = level_set(f, z, args.N, tol=args.tol)
+    E = _level_set(args)
     if args.random_subset is not None:
         if args.seed is None:
             raise InputError("--random-subset requires --seed")
@@ -348,8 +335,7 @@ def cmd_structure(args):
 
 
 def cmd_divisibility(args):
-    f, z = _named_level_set(args)
-    E = level_set(f, z, args.N, tol=args.tol)
+    E = _level_set(args)
     rep = divisibility_report(E, args.shift, args.umax, floor=args.floor)
     return {"report": jsonable(rep)}
 
@@ -367,15 +353,17 @@ def _recurrence_common(args):
     system = FiniteSystem(tuple(_int_list("--m", args.m)))
     A = _int_list("--A", args.A)
     polys = parse_polys(args.polys)
-    if getattr(args, "set", None) or args.function:
-        f, z = _named_level_set(args)
-        E = level_set(f, z, args.N, tol=args.tol)
+    if args.set or args.function:
+        E = _level_set(args)
         members = E.members
         label = E.source
     else:
         E = None
+        check_budget(8 * args.N, f"the naturals up to N={args.N}")
         members = np.arange(1, args.N + 1, dtype=np.int64)
         label = "naturals"
+    if not 0 <= args.shift < args.N:
+        raise InputError(f"--shift must lie in [0, N) = [0, {args.N}), got {args.shift}")
     if args.shift:
         members = members[members > args.shift] - args.shift
         label = f"{label} - {args.shift}"
@@ -389,12 +377,14 @@ def cmd_recurrence(args):
         div = divisibility_report(E, args.shift, max(system.sizes))
         if div.verdict == "not_divisible":
             rep.certificate = div.certificate
+    _write_csv(args.csv, rep.to_csv())
     return {"sequence": label, "report": jsonable(rep)}
 
 
 def cmd_convergence(args):
     system, A, polys, members, label, _ = _recurrence_common(args)
     rep = convergence_average(system, A, polys, members, args.Jmax)
+    _write_csv(args.csv, rep.to_csv())
     return {"sequence": label, "report": jsonable(rep)}
 
 

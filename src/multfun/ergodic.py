@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import geometric_grid
+from .arith import geometric_grid, running_means
 from .errors import InputError, ResourceError
 
 __all__ = [
@@ -198,14 +198,33 @@ class RecurrenceReport:
         return "\n".join(lines) + "\n"
 
 
-def _members(E) -> np.ndarray:
-    if hasattr(E, "members"):
-        return np.asarray(E.members, dtype=np.int64)
-    return np.asarray(E, dtype=np.int64)
+def _prefix(E, J_max: int):
+    """The first J = min(J_max, |E|) terms of the index sequence E (a level
+    set or an array), |E|, and whether E ran out before J_max."""
+    mem = np.asarray(E.members if hasattr(E, "members") else E, dtype=np.int64)
+    if len(mem) == 0:
+        raise InputError("empty index sequence")
+    if J_max < 1:
+        raise InputError(f"J_max must be >= 1, got {J_max}")
+    return mem[:J_max], len(mem), len(mem) < J_max
+
+
+# point shifts one integrand table may take over a period of its system
+_TABLE_BUDGET = 10 ** 7
+
+
+def _check_table(system: FiniteSystem, points: int, polys: PolynomialFamily) -> None:
+    """Refuse a table over the period L of the system that shifts `points`
+    points by each polynomial, and once unshifted, at every residue."""
+    work = system.period * points * (len(polys) + 1)
+    if work > _TABLE_BUDGET:
+        raise ResourceError(f"an integrand table over the period {system.period} needs "
+                            f"{work} point shifts, above the budget of {_TABLE_BUDGET}")
 
 
 def _finite_integrand_table(system: FiniteSystem, A, polys: PolynomialFamily):
     """Integrand depends only on n mod lcm(sizes) for integer polynomials."""
+    _check_table(system, len(A), polys)
     L = system.period
     fracs = []
     for rho in range(L):
@@ -213,31 +232,16 @@ def _finite_integrand_table(system: FiniteSystem, A, polys: PolynomialFamily):
     return L, fracs
 
 
-def _running_from_values(tf: np.ndarray):
-    J = len(tf)
-    grid = geometric_grid(1, J)
-    grid = grid[(grid >= 1) & (grid <= J)]
-    cs = np.cumsum(tf)
-    return [(int(j), float(cs[j - 1] / j)) for j in grid]
-
-
-def recurrence_average(system, A, polys: PolynomialFamily, E, J_max: int,
-                       floor: float | None = None) -> RecurrenceReport:
+def recurrence_average(system, A, polys: PolynomialFamily, E, J_max: int) -> RecurrenceReport:
     """Running averages of mu(A ∩ T^{-p_1(n_j)}A ∩ ...) along the sequence E.
 
     The report language is deliberately 'evidence': a finite J exhibits
-    stabilization, never the limit itself.
+    stabilization, never the limit itself, and a limit below the floor
+    10 / J_max is not called positive.
     """
-    mem = _members(E)
-    if len(mem) == 0:
-        raise InputError("empty index sequence")
-    if J_max < 1:
-        raise InputError(f"J_max must be >= 1, got {J_max}")
-    truncated = len(mem) < J_max
-    J = min(J_max, len(mem))
-    mem = mem[:J]
-    if floor is None:
-        floor = 10.0 / J_max
+    mem, length, truncated = _prefix(E, J_max)
+    J = len(mem)
+    floor = 10.0 / J_max
     if isinstance(system, FiniteSystem):
         L, fracs = _finite_integrand_table(system, A, polys)
         table = np.array([float(fr) for fr in fracs])
@@ -255,7 +259,7 @@ def recurrence_average(system, A, polys: PolynomialFamily, E, J_max: int,
         exact_zero = bool(np.all(tf == 0.0))
     else:
         raise InputError(f"unsupported system {type(system).__name__}")
-    running = _running_from_values(tf)
+    running = running_means(tf, geometric_grid(1, J))
     limit = running[-1][1]
     if exact_zero:
         verdict = "zero_exact"
@@ -267,7 +271,7 @@ def recurrence_average(system, A, polys: PolynomialFamily, E, J_max: int,
         running=running, limit_estimate=limit, positivity=verdict, floor=floor,
         exact_zero=exact_zero, truncated=truncated,
         inputs={"system": repr(system), "polys": polys.describe(),
-                "J": int(J), "J_max": int(J_max), "sequence_length": int(len(_members(E)))},
+                "J": int(J), "J_max": int(J_max), "sequence_length": int(length)},
     )
 
 
@@ -275,11 +279,8 @@ def convergence_average(system, A, polys: PolynomialFamily, E, J_max: int,
                         observable=None) -> RecurrenceReport:
     """Running averages of int prod_i observable(T^{p_i(n_j)} x) dmu along E,
     with last-decade oscillation as the convergence diagnostic."""
-    mem = _members(E)
-    if len(mem) == 0:
-        raise InputError("empty index sequence")
-    if J_max < 1:
-        raise InputError(f"J_max must be >= 1, got {J_max}")
+    mem, _, truncated = _prefix(E, J_max)
+    J = len(mem)
     if isinstance(system, TorusRotation):
         if observable is not None:
             raise InputError("torus systems support only the indicator observable")
@@ -287,9 +288,7 @@ def convergence_average(system, A, polys: PolynomialFamily, E, J_max: int,
         return _with_oscillation(rep)
     if not isinstance(system, FiniteSystem):
         raise InputError(f"unsupported system {type(system).__name__}")
-    truncated = len(mem) < J_max
-    J = min(J_max, len(mem))
-    mem = mem[:J]
+    _check_table(system, system.total, polys)
     obs = _observable_table(system, A, observable)
     L = system.period
     table = np.empty(L, dtype=np.float64)
@@ -304,7 +303,7 @@ def convergence_average(system, A, polys: PolynomialFamily, E, J_max: int,
             prod = prod * shifted
         table[rho] = prod.mean()
     tf = table[mem % L]
-    running = _running_from_values(tf)
+    running = running_means(tf, geometric_grid(1, J))
     rep = RecurrenceReport(
         running=running, limit_estimate=running[-1][1], positivity="n/a",
         floor=0.0, exact_zero=bool(np.all(tf == 0.0)), truncated=truncated,

@@ -25,6 +25,7 @@ from .arith import (
     ZERO,
     RootOfUnity,
     Zero,
+    check_budget,
     geometric_grid,
     get_context,
     large_prime_multiples,
@@ -44,13 +45,14 @@ from .mf_core import (
 from .pretentious import (
     DistanceProfile,
     RapReport,
+    _check_q_max,
     _classify_trend,
     _distance_profile,
     _first_plateau_character,
     _partials_at_grid,
     rap_test,
 )
-from .seminorms import _FAST_U3_MAX_NT, gowers_fast
+from .seminorms import gowers_fast
 
 __all__ = [
     "LevelSet",
@@ -72,6 +74,12 @@ __all__ = [
 ]
 
 GOLDEN_FRAC = (math.sqrt(5.0) - 1.0) / 2.0
+# the largest power k of g in a structure pair: the bound of the (k, chi)
+# search, and of the group of a concentration analysis
+K_MAX_BOUND = 64
+# Python bytes per density cell or divisibility row (a tuple, its ints and
+# its slot in the container), charged to the memory cap
+_ROW_BYTES = 200
 
 
 def normalize_target(z):
@@ -115,7 +123,7 @@ class LevelSet:
         return ind
 
     def to_text(self, path) -> None:
-        Path(path).write_text("\n".join(str(int(n)) for n in self.members) + "\n")
+        Path(path).write_text("\n".join(map(str, self.members.tolist())) + "\n")
 
     def to_bitmap(self, path) -> None:
         """Length-N bitmap, one bit per integer, little-endian bit order."""
@@ -173,6 +181,8 @@ def density_profile(E: LevelSet, q_max: int) -> DensityProfile:
     """Global density and every progression-cell density d(E cap (qN + r))."""
     if E.count == 0:
         raise InputError("density profile of an empty truncation is meaningless")
+    check_budget(_ROW_BYTES * (q_max * (q_max + 1) // 2),
+                 f"density profile over {q_max} moduli")
     ind = E.indicator()
     cells = {}
     empty = []
@@ -204,15 +214,14 @@ class ConcentrationAnalysis:
         return len(self.group) if isinstance(self.group, list) else None
 
 
-def concentration_analysis(f: MultiplicativeFunction, P: int,
-                           k_max: int = 64) -> ConcentrationAnalysis:
+def concentration_analysis(f: MultiplicativeFunction, P: int) -> ConcentrationAnalysis:
     """Bucket primes by f(p) and test Ruzsa's three concentration conditions.
 
     A bucket is a concentration point when its sum of 1/p clears
     0.8 (ln ln P - ln ln 100); below 0.1 total it is discarded; in between
     it is borderline and forces an inconclusive verdict.  Detected points
     are snapped to roots of unity and closed under multiplication; the
-    closure must stay within k_max elements and the off-group prime mass
+    closure must stay within K_MAX_BOUND elements and the off-group prime mass
     must plateau.
     """
     if P < 10 ** 3:
@@ -224,7 +233,7 @@ def concentration_analysis(f: MultiplicativeFunction, P: int,
     uniq, inverse = np.unique(key, return_inverse=True)
     masses = np.bincount(inverse, weights=inv_p)
     band = 0.8 * (math.log(math.log(P)) - math.log(math.log(100)))
-    thresholds = {"qualify": band, "discard": 0.1, "P": int(P), "k_max": k_max}
+    thresholds = {"qualify": band, "discard": 0.1, "P": int(P), "k_max": K_MAX_BOUND}
     order = np.argsort(masses)[::-1]
     points, fuzzy = [], []
     for i in order:
@@ -241,7 +250,7 @@ def concentration_analysis(f: MultiplicativeFunction, P: int,
                                      tail_trend="", verdict=verdict,
                                      bucket_masses=top, thresholds=thresholds)
 
-    snapped = [snap_root_of_unity(v, max_den=max(64, 4 * k_max)) for v, _ in points]
+    snapped = [snap_root_of_unity(v, max_den=4 * K_MAX_BOUND) for v, _ in points]
     if any(s is None for s in snapped):
         return ConcentrationAnalysis(points=points, group="unbounded",
                                      tail=0.0, tail_trend="",
@@ -250,7 +259,7 @@ def concentration_analysis(f: MultiplicativeFunction, P: int,
     L = 1
     for s in snapped:
         L = L * s.den // math.gcd(L, s.den)
-    if L > k_max:
+    if L > K_MAX_BOUND:
         return ConcentrationAnalysis(points=points, group="unbounded",
                                      tail=0.0, tail_trend="",
                                      verdict="not_concentrated",
@@ -360,6 +369,9 @@ def find_k_and_character(g: MultiplicativeFunction, k_max: int = 8,
     Falls back to k = |G| with the trivial character when the scan misses
     but the concentration group is finite; otherwise raises SearchError.
     """
+    if not 1 <= k_max <= K_MAX_BOUND:
+        raise InputError(f"power bound k_max = {k_max} outside the supported [1, {K_MAX_BOUND}]")
+    _check_q_max(Q_max)
     primes = primes_upto(P)
     gp = g.prime_values(primes)
     if np.min(np.abs(gp)) < 1e-9:
@@ -372,15 +384,15 @@ def find_k_and_character(g: MultiplicativeFunction, k_max: int = 8,
         if found is not None:
             q, index, _ = found
             chi = characters_mod(q)[index]
-            prof = _distance_profile(gk, chi.values_at(primes), primes, P,
-                                     0.0, f"{g.label}^{k}", chi.label, grid=grid)
+            prof = _distance_profile(gk, chi.values_at(primes), primes, 0.0,
+                                     f"{g.label}^{k}", chi.label, grid)
             return FindKResult(k=k, chi=chi, profile=prof)
     conc = concentration_analysis(g, max(P, 10 ** 3))
     if conc.verdict == "concentrated" and conc.group_size and conc.group_size <= k_max * 8:
         k = conc.group_size
         chi = principal_character(1)
-        prof = _distance_profile(gp ** k, chi.values_at(primes), primes, P, 0.0,
-                                 f"{g.label}^{k}", chi.label, grid=grid)
+        prof = _distance_profile(gp ** k, chi.values_at(primes), primes, 0.0,
+                                 f"{g.label}^{k}", chi.label, grid)
         return FindKResult(k=k, chi=chi, profile=prof, fallback=True)
     raise SearchError(
         f"no (k, chi) found for {g.label} with k <= {k_max}, modulus <= {Q_max}, "
@@ -407,11 +419,11 @@ class StructurePair:
 
 
 def structure_pair(f: MultiplicativeFunction, z, N: int, k_max: int = 8,
-                   Q_max: int = 60, P: int = 10 ** 6, u_grid=None,
-                   with_u3: bool = False) -> StructurePair:
+                   Q_max: int = 60, P: int = 10 ** 6) -> StructurePair:
     """Decompose the level set E(f, z): find g = zero-repaired f, the least
     k with g^k pretending to a character, the superset R = E(g^k, z^k), and
-    score the relative-uniformity function u = dR 1_E - dE 1_R."""
+    score the relative-uniformity function u = dR 1_E - dE 1_R by its U^2
+    norms at N/16, N/4 and N (at least 1024, at most N)."""
     target = normalize_target(z)
     table = sieve_range(f, N)
     E = level_set(f, target, N, table=table)
@@ -447,13 +459,8 @@ def structure_pair(f: MultiplicativeFunction, z, N: int, k_max: int = 8,
         raise SearchError("containment E ⊆ R failed; exact pipeline is inconsistent")
     dE, dR = E.density, R.density
     u = dR * ind_E.astype(np.float64) - dE * ind_R.astype(np.float64)
-    if u_grid is None:
-        u_grid = sorted({min(N, max(1 << 10, N // 16)), min(N, max(1 << 10, N // 4)), N})
-    u_norms = []
-    for n in u_grid:
-        u_norms.append((int(n), 2, gowers_fast(u, int(n), 2)))
-        if with_u3 and (1 << 3) * n <= _FAST_U3_MAX_NT:
-            u_norms.append((int(n), 3, gowers_fast(u, int(n), 3)))
+    u_grid = sorted({min(N, max(1 << 10, N // 16)), min(N, max(1 << 10, N // 4)), N})
+    u_norms = [(n, 2, gowers_fast(u, n, 2)) for n in u_grid]
     u_mean = float(u[1 : N + 1].mean())
     return StructurePair(E=E, R=R, k=k, chi=chi, dE=dE, dR=dR, u_norms=u_norms,
                          rap=rap, concentration=conc, u_mean=u_mean, notes=notes)
@@ -488,6 +495,7 @@ def divisibility_report(E: LevelSet, r: int, u_max: int, N: int | None = None,
     n = N if N is not None else E.N
     if r >= n / 2:
         raise InputError(f"shift r={r} too large for truncation N={n}")
+    check_budget(_ROW_BYTES * u_max, f"divisibility report over {u_max} steps")
     # ind[m] marks the members m in (r, n]; those in r + uN are ind[r+u::u]
     ind = np.zeros(n + 1, dtype=bool)
     ind[E.members[(E.members > r) & (E.members <= n)]] = True
@@ -525,8 +533,8 @@ def _residue_obstruction(E: LevelSet, r: int, u: int) -> dict | None:
     target = E.z
     # squarefree support: p^2 | u and p^2 | r force a square factor of n + r
     if kind.squarefree_only(f) and not isinstance(target, Zero):
-        for p, _ in _small_square_divisors(u):
-            if r % (p * p) == 0:
+        for p in range(2, math.isqrt(u) + 1):
+            if u % (p * p) == 0 and r % (p * p) == 0:
                 return {
                     "type": "square_factor",
                     "prime": p,
@@ -554,16 +562,6 @@ def _residue_obstruction(E: LevelSet, r: int, u: int) -> dict | None:
                 ),
             }
     return None
-
-
-def _small_square_divisors(u: int):
-    out = []
-    p = 2
-    while p * p <= u:
-        if u % (p * p) == 0:
-            out.append((p, 2))
-        p += 1
-    return out
 
 
 # --------------------------------------------------------------------------

@@ -44,8 +44,6 @@ from .arith import (
     is_prime,
     large_prime_multiples,
     root_table,
-    _CONTEXTS,
-    _smallest_prime_factor,
 )
 from .errors import InputError
 from . import characters as characters_mod_pkg
@@ -102,7 +100,7 @@ class MultiplicativeFunction:
         base = self
 
         def rule(p, kk):
-            return _ppval(base, p, kk) ** k
+            return prime_power_value(base, p, kk) ** k
 
         return MultiplicativeFunction(
             name=f"{self.name}^{k}",
@@ -126,7 +124,8 @@ def _fmt_param(v) -> str:
     return str(v)
 
 
-def _ppval(f: MultiplicativeFunction, p: int, k: int) -> complex:
+def prime_power_value(f: MultiplicativeFunction, p: int, k: int) -> complex:
+    """f(p^k) from the rule, honoring complete multiplicativity and bounds."""
     if f.spec.completely_multiplicative:
         v = complex(f.spec.rule(p, 1)) ** k
     else:
@@ -285,26 +284,9 @@ class SieveTable:
             _check_bound(self.function, values)
         return values
 
-    @cached_property
-    def spf(self) -> np.ndarray:
-        """The smallest-prime-factor array of 0..N.  Read from the context
-        for N when that one is cached; otherwise built once per table (4 B
-        per entry, charged to the cap) outside the context cache, so reading
-        it builds or evicts no cached context."""
-        ctx = _CONTEXTS.get(self.N)
-        if ctx is not None:
-            return ctx.spf
-        check_budget(4 * (self.N + 1), f"smallest prime factors for N={self.N}")
-        return _smallest_prime_factor(self.N)
-
 
 # --------------------------------------------------------------------------
 # Pointwise evaluation
-
-def prime_power_value(f: MultiplicativeFunction, p: int, k: int) -> complex:
-    """f(p^k) from the rule, honoring complete multiplicativity and bounds."""
-    return _ppval(f, p, k)
-
 
 def eval_at(f: MultiplicativeFunction, n: int) -> complex:
     """f(n) via factorization of n; exact 1 at n = 1."""
@@ -313,11 +295,9 @@ def eval_at(f: MultiplicativeFunction, n: int) -> complex:
     n = int(n)
     if n < 1:
         raise InputError(f"eval_at needs n >= 1, got {n}")
-    if n == 1:
-        return 1 + 0j
     out = 1 + 0j
     for p, k in factorize(n):
-        out *= _ppval(f, p, k)
+        out *= prime_power_value(f, p, k)
     return out
 
 
@@ -430,7 +410,7 @@ def _sieve_generic(f, N, ctx):
         vs = []
         pe = p
         while pe <= N:
-            vs.append(_ppval(f, p, len(vs) + 1))
+            vs.append(prime_power_value(f, p, len(vs) + 1))
             pe *= p
         if all(v == 1 for v in vs):
             continue
@@ -464,7 +444,8 @@ def _sieve_generic(f, N, ctx):
     # formula.  So it matches the strided slices values[q::q] *= r bit for bit;
     # their one-entry case (q > N // 2) multiplies an exact 1.
     Q = ctx.large_primes
-    r = np.array([_ppval(f, q, 1) / (1 + 0j) for q in Q.tolist()], dtype=np.complex128)
+    r = np.array([prime_power_value(f, q, 1) / (1 + 0j) for q in Q.tolist()],
+                 dtype=np.complex128)
     moves = r != 1
     r = r[moves]
     for idx, c in large_prime_multiples(Q[moves], N):
@@ -494,7 +475,7 @@ def make_repaired(base: MultiplicativeFunction, y: complex, gamma: float) -> Mul
     """f with zero prime-power values replaced by the fixed unimodular y."""
 
     def rule(p, k):
-        v = _ppval(base, p, k)
+        v = prime_power_value(base, p, k)
         return v if v != 0 else y
 
     return MultiplicativeFunction(
@@ -511,7 +492,7 @@ def make_repaired(base: MultiplicativeFunction, y: complex, gamma: float) -> Mul
 # The kind registry
 
 def _generic_prime_values(f, ps):
-    return np.array([_ppval(f, int(p), 1) for p in ps], dtype=np.complex128)
+    return np.array([prime_power_value(f, int(p), 1) for p in ps], dtype=np.complex128)
 
 
 def _no_codes(f, p, k):

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import check_budget, class_sums, geometric_grid, primes_upto, residue_sums
+from .arith import (check_budget, class_sums, geometric_grid, primes_upto, residue_sums,
+                    running_means)
 from .characters import DirichletCharacter, character_table, characters_mod
 from .errors import InputError
 from .mf_core import (
@@ -25,7 +26,6 @@ from .mf_core import (
     prime_power_value,
     sieve_range,
 )
-from .seminorms import besicovitch_profile
 
 __all__ = [
     "DistanceProfile",
@@ -46,6 +46,8 @@ __all__ = [
 PLATEAU_CAP = 0.05           # max D^2 growth over the last two grid decades
 MERTENS_BAND = (0.4, 2.0)    # accepted multiples of the 2*ln(ln P) increment
 APERIODIC_MIN_RATIO = 0.3    # min, over (chi, t), of the max windowed ratio
+EULER_TAIL_TOL = 1e-15       # truncation of the Euler factors' geometric tails
+Q_MAX_BOUND = 100            # largest character modulus bound a scan accepts
 
 
 def unit_function() -> MultiplicativeFunction:
@@ -124,16 +126,21 @@ def _first_plateau_character(terms: np.ndarray, primes: np.ndarray, grid: np.nda
     return None
 
 
-def _distance_profile(fp, gp, primes, P, t, f_name, g_name, grid=None) -> DistanceProfile:
-    g = grid if grid is not None else geometric_grid(10, P)
+def _check_q_max(Q_max: int) -> None:
+    if not 1 <= Q_max <= Q_MAX_BOUND:
+        raise InputError(f"character modulus bound {Q_max} outside the supported "
+                         f"[1, {Q_MAX_BOUND}]")
+
+
+def _distance_profile(fp, gp, primes, t, f_name, g_name, grid) -> DistanceProfile:
     c = fp * np.conj(gp)
     if t:
         c = c * np.exp(-1j * t * np.log(primes.astype(np.float64)))
     # clamp float dust: terms are nonnegative for |f|, |g| <= 1
     terms = np.maximum((1.0 - c.real) / primes, 0.0)
-    partial = _partials_at_grid(terms, primes, g).tolist()
+    partial = _partials_at_grid(terms, primes, grid).tolist()
     prof = DistanceProfile(f_name=f_name, g_name=g_name, t=float(t),
-                           P_grid=[int(x) for x in g], partial=partial)
+                           P_grid=[int(x) for x in grid], partial=partial)
     prof.trend, prof.increment, prof.mertens_increment = _classify_trend(prof.P_grid, partial)
     return prof
 
@@ -150,7 +157,7 @@ def pretentious_distance(f: MultiplicativeFunction, g, P: int,
         gp, g_name = g.values_at(primes), g.label
     else:
         gp, g_name = g.prime_values(primes), g.label
-    return _distance_profile(fp, gp, primes, P, t, f.label, g_name)
+    return _distance_profile(fp, gp, primes, t, f.label, g_name, geometric_grid(10, P))
 
 
 # --------------------------------------------------------------------------
@@ -165,13 +172,14 @@ class EulerProductMean:
     flagged: bool
 
 
-def euler_product_mean(f: MultiplicativeFunction, P: int,
-                       tail_tol: float = 1e-15) -> EulerProductMean:
+def euler_product_mean(f: MultiplicativeFunction, P: int) -> EulerProductMean:
     """The product over p <= P of (1 - 1/p)(1 + sum_m p^{-m} f(p^m)).
 
-    Inner sums are truncated once the geometric tail drops below tail_tol.
+    Inner sums are truncated once the geometric tail drops below EULER_TAIL_TOL.
     The partial-product profile is returned so convergence is inspectable;
-    oscillation of the last decade above 0.01 sets the flag.
+    its oscillation, the largest step between consecutive partials over the
+    last quarter of the grid points (at least the last two), sets the flag
+    when above 0.01.
     """
     if P < 2:
         raise InputError(f"prime cutoff must be >= 2, got {P}")
@@ -179,7 +187,7 @@ def euler_product_mean(f: MultiplicativeFunction, P: int,
     grid = geometric_grid(10, P)
     factors = np.ones(len(primes), dtype=np.complex128)
     for i, p in enumerate(primes.tolist()):
-        mmax = max(1, math.ceil(math.log(1.0 / (tail_tol * (p - 1)), p)))
+        mmax = max(1, math.ceil(math.log(1.0 / (EULER_TAIL_TOL * (p - 1)), p)))
         inner = 1.0 + 0j
         pk = 1.0
         for m in range(1, mmax + 1):
@@ -253,19 +261,16 @@ class MeanValueReport:
     evidence: dict = field(default_factory=dict)
 
 
-def _dyadic_values(f, kmax=20):
-    return [eval_at(f, 2 ** k) for k in range(1, kmax + 1)]
-
-
 def halasz_classify(f: MultiplicativeFunction, P: int = 10 ** 6,
-                    t_grid=None, N: int = 10 ** 6) -> MeanValueReport:
+                    N: int = 10 ** 6) -> MeanValueReport:
     """Mean-value trichotomy for |f| <= 1.
 
     case_i: sum (1 - f(p))/p converges and some f(2^k) != -1 (mean given by
     the Euler product); case_iii: a real t with finite twisted distance to
     n^{it} and f(2^k) = -2^{itk} for all k (checked to k = 20); case_iv: the
-    twisted distance diverges for every t on the grid.  Conflicting signals
-    produce 'inconclusive'.
+    twisted distance diverges for every t on the grid of 201 points in
+    [-10, 10], refined around the best t.  Conflicting signals produce
+    'inconclusive'.
     """
     primes = primes_upto(P)
     fp = f.prime_values(primes)
@@ -277,30 +282,25 @@ def halasz_classify(f: MultiplicativeFunction, P: int = 10 ** 6,
     lo_i = _two_decades_back(grid)
     series_inc = abs(partials_c[-1] - partials_c[lo_i])
     series_converges = series_inc < PLATEAU_CAP
-    dyadic = _dyadic_values(f)
+    dyadic = [eval_at(f, 2 ** k) for k in range(1, 21)]
     exists_k = next((k + 1 for k, v in enumerate(dyadic) if abs(v + 1) > 1e-9), None)
 
     # Archimedean scan: minimize the windowed twisted-distance score over t.
     # A genuine n^{it} pretender keeps every window increment near zero at
     # the same t; the scored minimum localizes that t.
-    if t_grid is None:
-        t_grid = np.linspace(-10.0, 10.0, 201)
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = np.linspace(-10.0, 10.0, 201)
     cvec = fp * inv_p
-    scan = _TwistScan(primes, t_grid, P)
-    tail_inc, ratio = scan.scan(cvec)
+    tail_inc, ratio = _TwistScan(primes, t_grid, P).scan(cvec)
     t_star = float(t_grid[int(np.argmin(ratio))])
     min_tail = float(np.min(tail_inc))
     min_ratio = float(np.min(ratio))
-    if len(t_grid) > 1:
-        step = float(t_grid[1] - t_grid[0])
-        t_fine = np.linspace(t_star - step, t_star + step, 41)
-        scan_f = _TwistScan(primes, t_fine, P)
-        tail_f, ratio_f = scan_f.scan(cvec)
-        if float(np.min(ratio_f)) < min_ratio:
-            t_star = float(t_fine[int(np.argmin(ratio_f))])
-            min_ratio = float(np.min(ratio_f))
-        min_tail = min(min_tail, float(np.min(tail_f)))
+    step = float(t_grid[1] - t_grid[0])
+    t_fine = np.linspace(t_star - step, t_star + step, 41)
+    tail_f, ratio_f = _TwistScan(primes, t_fine, P).scan(cvec)
+    if float(np.min(ratio_f)) < min_ratio:
+        t_star = float(t_fine[int(np.argmin(ratio_f))])
+        min_ratio = float(np.min(ratio_f))
+    min_tail = min(min_tail, float(np.min(tail_f)))
     pretender_candidate = min_ratio < 0.1
     dyadic_ok = all(
         abs(dyadic[k - 1] + (2.0 ** k) ** (1j * t_star)) <= 1e-6 for k in range(1, 21)
@@ -315,10 +315,7 @@ def halasz_classify(f: MultiplicativeFunction, P: int = 10 ** 6,
     else:
         case = "inconclusive"
 
-    table = sieve_range(f, N)
-    ngrid = geometric_grid(10, N)
-    cumv = np.cumsum(table.values[1 : N + 1])
-    empirical = [(int(m), complex(cumv[m - 1] / m)) for m in ngrid]
+    empirical = running_means(sieve_range(f, N).values[1 : N + 1], geometric_grid(10, N))
     ep = euler_product_mean(f, P)
     euler_pairs = list(zip(ep.P_grid, ep.partials))
     evidence = {
@@ -412,24 +409,21 @@ class AperiodicityReport:
     evidence: dict = field(default_factory=dict)
 
 
-def aperiodicity_test(f: MultiplicativeFunction, Q_max: int = 60,
-                      t_grid=None, P: int = 10 ** 5,
+def aperiodicity_test(f: MultiplicativeFunction, Q_max: int = 60, P: int = 10 ** 5,
                       ap_check_N: int | None = None) -> AperiodicityReport:
-    """Scan all (chi mod q <= Q_max, t in grid) twisted distance profiles.
+    """Scan all (chi mod q <= Q_max, t on a grid of 41 points in [-10, 10])
+    twisted distance profiles.
 
     A plateauing profile yields periodic_structure(chi, t); if every profile
     diverges the verdict is aperiodic_evidence.  The verdict is heuristic:
     finite truncations cannot certify divergence.  Optionally cross-validates
     with direct progression means at N = ap_check_N for q <= 10.
     """
-    if Q_max > 100:
-        raise InputError(f"character modulus bound {Q_max} above the supported 100")
+    _check_q_max(Q_max)
     primes = primes_upto(P)
     fp = f.prime_values(primes)
     inv_p = 1.0 / primes
-    if t_grid is None:
-        t_grid = np.linspace(-10.0, 10.0, 41)
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = np.linspace(-10.0, 10.0, 41)
     scan = _TwistScan(primes, t_grid, P)
 
     # (value, q, index, |t|, t) per character: the least tail increment
@@ -478,30 +472,26 @@ class RapReport:
     evidence: dict = field(default_factory=dict)
 
 
-def rap_test(f: MultiplicativeFunction, Q_max: int = 60, P: int = 10 ** 6,
-             N: int | None = None) -> RapReport:
+def rap_test(f: MultiplicativeFunction, Q_max: int = 60, P: int = 10 ** 6) -> RapReport:
     """Besicovitch rational almost periodicity trichotomy.
 
     rap_trivial when the seminorm of |f| vanishes (distance of |f| to 1
     diverges); rap_pretends(chi) when some untwisted character profile
     plateaus; not_besicovitch otherwise.
     """
+    _check_q_max(Q_max)
     primes = primes_upto(P)
     fp = f.prime_values(primes)
     inv_p = 1.0 / primes
     grid = geometric_grid(10, P)
     absprof = _distance_profile(np.abs(fp).astype(np.complex128),
                                 np.ones(len(primes), dtype=np.complex128),
-                                primes, P, 0.0, f"|{f.label}|", "1", grid=grid)
+                                primes, 0.0, f"|{f.label}|", "1", grid)
     evidence = {
         "abs_distance_trend": absprof.trend,
         "abs_distance_final": absprof.final,
         "P": int(P),
     }
-    if N is not None:
-        table = sieve_range(f, N)
-        prof = besicovitch_profile(table.values, table.N)
-        evidence["besicovitch_profile_tail"] = prof[-3:]
     if absprof.trend != "plateau":
         return RapReport("rap_trivial", None, True, evidence)
     found = _first_plateau_character(fp * inv_p, primes, grid, Q_max)

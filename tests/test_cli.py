@@ -2,6 +2,7 @@ import ast
 import importlib
 import json
 import pkgutil
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import multfun
 from multfun import InputError, MultfunError
-from multfun.cli import MAX_POLY_DEGREE, parse_polys, parse_z, run
+from multfun.cli import MAX_POLY_DEGREE, build_parser, parse_polys, parse_z, run
 from multfun.arith import ZERO, RootOfUnity
 from multfun.mf_core import _parse_xi, parse_custom_file
 
@@ -87,9 +88,15 @@ def test_invalid_target_exits_2(tmp_path):
     ["convergence", "--N", "1000", "--Jmax", "0"],
     ["recurrence", "--N", "1000", "--Jmax", "-3"],
     ["levelset", "--set", "squarefree", "--N", "100", "--random-subset", "0.5", "--seed", "-1"],
+    ["gowers", "--function", "liouville", "--s", "-3", "--method", "direct", "--grid", "1"],
+    ["sieve", "--function", "moebius", "--N", "100", "--limit", "0"],
+    ["sieve", "--function", "moebius", "--N", "100", "--limit", "-5"],
+    ["recurrence", "--N", "1000", "--shift", "-3"],
+    ["structure", "--function", "moebius", "--z", "1", "--N", "100", "--Qmax", "0"],
 ], ids=["xi-abc", "xi-1/0", "z-val:1/0", "A-x", "polys-n^", "file-missing", "polys-degree",
         "grid-a", "grid-0", "recurrence-Jmax-0", "convergence-Jmax-0", "Jmax-negative",
-        "seed-negative"])
+        "seed-negative", "gowers-direct-s-negative", "limit-0", "limit-negative",
+        "shift-negative", "Qmax-0"])
 def test_malformed_input_exits_2(tmp_path, argv):
     out = tmp_path / "e.json"
     assert run(argv + ["--out", str(out)]) == 2
@@ -134,6 +141,32 @@ def test_resource_cap_exits_3(tmp_path, monkeypatch):
               "--out", str(out)])
     assert rc == 3
     assert read(out)["error"]["type"] == "ResourceError"
+
+
+@pytest.mark.parametrize("cap", ["abc", "1.5", "-5", "0"])
+def test_malformed_mem_cap_exits_2(tmp_path, monkeypatch, cap):
+    monkeypatch.setenv("MULTFUN_MEM_CAP_MB", cap)
+    out = tmp_path / "r.json"
+    assert run(["sieve", "--function", "moebius", "--N", "100", "--out", str(out)]) == 2
+    err = read(out)["error"]
+    assert err["type"] == "InputError" and err["exit_code"] == 2
+    assert "MULTFUN_MEM_CAP_MB" in err["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["gowers", "--function", "liouville", "--s", "97", "--method", "direct", "--grid", "4,8"],
+    ["spectrum", "--function", "moebius", "--N", "100", "--qmax", str(2 ** 64)],
+    ["levelset", "--set", "squarefree", "--N", "100", "--qmax", str(2 ** 64)],
+    ["divisibility", "--set", "squarefree", "--N", "100", "--umax", str(2 ** 64)],
+    ["recurrence", "--N", "100", "--m", str(2 ** 64)],
+    ["convergence", "--N", str(2 ** 64)],
+], ids=["gowers-direct-s-97", "spectrum-qmax-huge", "levelset-qmax-huge", "umax-huge",
+        "m-huge", "naturals-huge"])
+def test_oversized_input_exits_3(tmp_path, argv):
+    out = tmp_path / "r.json"
+    assert run(argv + ["--out", str(out)]) == 3
+    err = read(out)["error"]
+    assert err["type"] == "ResourceError" and err["exit_code"] == 3
 
 
 def test_twist_matrices_charged_to_cap(tmp_path, monkeypatch):
@@ -229,6 +262,20 @@ def test_convergence_command(tmp_path):
     assert rep["oscillation"] is not None
 
 
+@pytest.mark.parametrize("command", ["recurrence", "convergence"])
+def test_recurrence_csv(tmp_path, command):
+    out = tmp_path / "r.json"
+    csv = tmp_path / "r.csv"
+    rc = run([command, "--m", "3", "--A", "0", "--polys", "n", "--N", "1000",
+              "--Jmax", "500", "--out", str(out), "--csv", str(csv)])
+    assert rc == 0
+    running = read(out)["result"]["report"]["running"]
+    lines = csv.read_text().splitlines()
+    assert lines[0] == "J,average"
+    assert [line.split(",") for line in lines[1:]] == [[str(j), f"{v:.12g}"]
+                                                       for j, v in running]
+
+
 def test_apmean_command(tmp_path):
     out = tmp_path / "ap.json"
     rc = run(["apmean", "--function", "lambda_xi", "--xi", "1/3",
@@ -289,3 +336,47 @@ def test_every_export_resolves():
     imported = [alias.asname or alias.name for node in tree.body
                 if isinstance(node, ast.ImportFrom) for alias in node.names]
     assert imported and all(hasattr(multfun, name) for name in imported)
+
+
+# negative, 0, small, non-integer, huge and non-numeric option values
+_EDGES = ["-3", "0", "1", "2", "3", "10", "1/3", str(2 ** 64), "abc"]
+_SUBCOMMANDS = next(a for a in build_parser()._actions if a.dest == "command").choices
+
+
+def _draw_argv(draw, command):
+    """The command with every one of its options given: a choice, N <= 1000,
+    an edge value, or a path under the placeholder directory {tmp}."""
+    argv = [command]
+    for action in _SUBCOMMANDS[command]._actions:
+        if not action.option_strings or action.dest in ("help", "out"):
+            continue
+        if action.dest in ("csv", "members", "bitmap", "file"):
+            value = "{tmp}/" + action.dest
+        elif action.dest == "N":
+            value = str(draw(st.integers(-3, 1000)))
+        elif action.choices:
+            value = draw(st.sampled_from(sorted(action.choices)))
+        else:
+            value = draw(st.sampled_from(_EDGES))
+        argv += [action.option_strings[-1], value]
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_run_ends_in_an_exit_code_and_a_report(command, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [a.replace("{tmp}", tmp) for a in _draw_argv(data.draw, command)]
+        out = Path(tmp) / "report.json"
+        rc = run(argv + ["--out", str(out)])
+        assert rc in (0, 2, 3, 4)
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            return          # argparse reports its own errors, without a report
+        report = read(out)
+        if rc == 0:
+            assert "result" in report
+        else:
+            assert report["error"]["exit_code"] == rc

@@ -85,19 +85,6 @@ def test_sieve_matches_pointwise_eval(f):
 def test_sieve_table_invariants(mu):
     t = sieve_range(mu, 1000)
     assert t.values[1] == 1
-    for n in range(2, 1001):
-        assert t.spf[n] == trial_factor(n)[0][0]
-
-
-def test_sieve_table_spf_keeps_the_context_cache(mu):
-    t = sieve_range(mu, 10 ** 6)
-    get_context(10 ** 5)
-    get_context(2 * 10 ** 5)
-    keys = list(arith._CONTEXTS)
-    spf = t.spf
-    assert list(arith._CONTEXTS) == keys
-    assert t.spf is spf
-    assert spf[999_983] == 999_983 and spf[10 ** 6] == 2
 
 
 @pytest.mark.parametrize("name", list(REGISTRY_CASES))
@@ -123,21 +110,6 @@ def test_values_keep_the_context_cache(name, custom_path, monkeypatch):
     np.testing.assert_array_equal(values, sieve_range(f, N).values)
 
 
-def test_sieve_table_spf_shares_a_cached_context(mu):
-    t = sieve_range(mu, 10 ** 4)
-    assert t.spf is get_context(10 ** 4).spf
-
-
-def test_sieve_table_spf_charged_to_cap(mu, monkeypatch):
-    from multfun import ResourceError
-
-    t = sieve_range(mu, 10 ** 6)
-    get_context(10 ** 5)
-    get_context(2 * 10 ** 5)
-    assert 10 ** 6 not in arith._CONTEXTS
-    monkeypatch.setenv("MULTFUN_MEM_CAP_MB", "3")     # the array needs ~3.8 MB
-    with pytest.raises(ResourceError, match="smallest prime factors"):
-        t.spf
 
 
 def member_mask_oracle(exact, target, power):
