@@ -146,7 +146,11 @@ DEFAULT_MEM_CAP_MB = 4096
 
 def mem_cap_bytes() -> int:
     """Configured memory cap for sieves and twist scans (env MULTFUN_MEM_CAP_MB,
-    a positive number of megabytes, default 4096)."""
+    a positive number of megabytes, default 4096).
+
+    A twist scan is charged 16 B per prime for each row of p^{-it} it holds
+    at once: len(t) rows when it stores its windows, min(8, len(t)) when it
+    streams them."""
     raw = os.environ.get("MULTFUN_MEM_CAP_MB", "").strip() or str(DEFAULT_MEM_CAP_MB)
     if not raw.isdecimal() or int(raw) < 1:
         raise InputError(f"MULTFUN_MEM_CAP_MB must be a positive integer (megabytes), "

@@ -267,6 +267,8 @@ def cmd_gowers(args):
                                     method=args.method)
         _write_csv(args.csv, report.to_csv())
         return {"profile": report.to_dict()}
+    if args.csv:
+        raise InputError("--csv writes the --grid profile; give --grid")
     table = sieve_range(f, args.N)
     fn = gowers_direct if args.method == "direct" else gowers_fast
     value = fn(table.values, args.N, args.s)
@@ -407,16 +409,18 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"multfun {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, n_default=None):
+    def common(p, n_default=None, csv=None):
         p.add_argument("--out", default=None, help="JSON report path")
-        p.add_argument("--csv", default=None, help="CSV table path (where defined)")
+        if csv:
+            p.add_argument("--csv", default=None, help=csv)
         if n_default is not None:
             p.add_argument("--N", type=int, default=n_default)
 
     p = sub.add_parser("catalog");  common(p)
     p.set_defaults(func=cmd_catalog)
 
-    p = sub.add_parser("sieve");  _add_function_opts(p); common(p, 10 ** 5)
+    p = sub.add_parser("sieve");  _add_function_opts(p)
+    common(p, 10 ** 5, csv="CSV path for the first --limit values")
     p.add_argument("--limit", type=int, default=1000)
     p.set_defaults(func=cmd_sieve)
 
@@ -430,7 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.set_defaults(func=cmd_apmean)
 
-    p = sub.add_parser("distance");  _add_function_opts(p); common(p)
+    p = sub.add_parser("distance");  _add_function_opts(p)
+    common(p, csv="CSV path for the partial sums")
     p.add_argument("--g", default="one", help="second function (builtin name or 'one')")
     p.add_argument("--g-xi", dest="g_xi")
     p.add_argument("--g-modulus", dest="g_modulus", type=int)
@@ -444,7 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Qmax", type=int, default=60)
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("gowers");  _add_function_opts(p); common(p, 2 ** 14)
+    p = sub.add_parser("gowers");  _add_function_opts(p)
+    common(p, 2 ** 14, csv="CSV path for the --grid profile")
     p.add_argument("--s", type=int, default=2)
     p.add_argument("--method", choices=("fast", "direct"), default="fast")
     p.add_argument("--grid", help="comma-separated N grid for a profile")
@@ -483,7 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_divisibility)
 
     for name, fn in (("recurrence", cmd_recurrence), ("convergence", cmd_convergence)):
-        p = sub.add_parser(name);  _add_function_opts(p); common(p, 10 ** 6)
+        p = sub.add_parser(name);  _add_function_opts(p)
+        common(p, 10 ** 6, csv="CSV path for the running averages")
         p.add_argument("--z")
         p.add_argument("--set", choices=sorted(NAMED_SETS))
         p.add_argument("--tol", type=float, default=None)

@@ -492,6 +492,8 @@ def divisibility_report(E: LevelSet, r: int, u_max: int, N: int | None = None,
     """
     if r < 0:
         raise InputError(f"shift must be >= 0, got {r}")
+    if u_max < 1:
+        raise InputError(f"u_max must be >= 1, got {u_max}")
     n = N if N is not None else E.N
     if r >= n / 2:
         raise InputError(f"shift r={r} too large for truncation N={n}")

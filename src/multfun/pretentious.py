@@ -290,13 +290,13 @@ def halasz_classify(f: MultiplicativeFunction, P: int = 10 ** 6,
     # the same t; the scored minimum localizes that t.
     t_grid = np.linspace(-10.0, 10.0, 201)
     cvec = fp * inv_p
-    tail_inc, ratio = _TwistScan(primes, t_grid, P).scan(cvec)
+    tail_inc, ratio = _TwistScan(primes, t_grid, P, store=False).scan(cvec)
     t_star = float(t_grid[int(np.argmin(ratio))])
     min_tail = float(np.min(tail_inc))
     min_ratio = float(np.min(ratio))
     step = float(t_grid[1] - t_grid[0])
     t_fine = np.linspace(t_star - step, t_star + step, 41)
-    tail_f, ratio_f = _TwistScan(primes, t_fine, P).scan(cvec)
+    tail_f, ratio_f = _TwistScan(primes, t_fine, P, store=False).scan(cvec)
     if float(np.min(ratio_f)) < min_ratio:
         t_star = float(t_fine[int(np.argmin(ratio_f))])
         min_ratio = float(np.min(ratio_f))
@@ -345,16 +345,29 @@ class _TwistScan:
     while plateaus keep using the last-two-decades tail.
 
     Each window (lo, hi] that holds a prime keeps its lower bound and its
-    matrix of p^{-it}, so every exponential is computed once.  The tail is
-    the sum of the windows whose lower bound is >= bounds[-3] (bounds[0]
-    when there are only two bounds), which covers the primes in
-    (bounds[-3], P]; when no window qualifies (P <= 10) it is the fallback
-    window of all primes <= P.
+    run of primes.  The tail is the sum of the windows whose lower bound is
+    >= bounds[-3] (bounds[0] when there are only two bounds), which covers
+    the primes in (bounds[-3], P]; when no window qualifies (P <= 10) it is
+    the fallback window of all primes <= P.
+
+    The caller chooses how the p^{-it} are held, by how often it reuses
+    them.  With store=True every window keeps its len(t) x (its primes)
+    matrix, so each exponential is computed once however many vectors are
+    scanned: aperiodicity_test scans one vector per character.  With
+    store=False each scan exponentiates a window in blocks of _BLOCK t
+    rows, multiplies each block with the vector and drops it: the Halász
+    scans read one vector, so a stored matrix would never be read twice.
+    Both paths share the windows and the tail rule, and give the same
+    values up to the summation order of the matrix-vector products.
     """
 
-    def __init__(self, primes: np.ndarray, t_grid: np.ndarray, P: int):
-        # the window matrices, each exponentiated in place
-        check_budget(16 * len(t_grid) * len(primes),
+    _BLOCK = 8      # t rows exponentiated at a time by a streamed scan
+
+    def __init__(self, primes: np.ndarray, t_grid: np.ndarray, P: int, *, store: bool):
+        # the complex exponentials held at once: every window matrix when
+        # stored, one block of rows over at most all primes when streamed
+        rows = len(t_grid) if store else min(self._BLOCK, len(t_grid))
+        check_budget(16 * rows * len(primes),
                      f"twist scan over {len(t_grid)} t and {len(primes)} primes")
         # windows start at 10: the wider the total log-span, the harder it is
         # for a single t to hold p^{it} coherent across every window
@@ -362,34 +375,48 @@ class _TwistScan:
         while bounds[-1] * 10 < P:
             bounds.append(bounds[-1] * 10)
         bounds.append(P)
-        self.windows = []
-        logp = np.log(primes.astype(np.float64))
+        self.t_grid = t_grid
+        self.logp = np.log(primes.astype(np.float64))
         inv_p = 1.0 / primes
+        # (lower bound, primes slice, sum of 1/p, Mertens rate) per window
+        self.windows = []
         for lo, hi in zip(bounds, bounds[1:]):
-            mask = (primes > lo) & (primes <= hi)
-            if not mask.any():
+            a, b = np.searchsorted(primes, (lo, hi), side="right")
+            if a == b:
                 continue
-            Z = np.outer(-1j * t_grid, logp[mask])
-            np.exp(Z, out=Z)
             mert = 2.0 * (math.log(math.log(hi)) - math.log(math.log(max(lo, 2))))
-            self.windows.append((lo, mask, Z, float(inv_p[mask].sum()), mert))
+            self.windows.append((lo, slice(a, b), float(inv_p[a:b].sum()), mert))
         if not self.windows:
-            mask = primes <= P
-            Z = np.outer(-1j * t_grid, logp[mask])
-            np.exp(Z, out=Z)
+            b = int(np.searchsorted(primes, P, side="right"))
             mert = 2.0 * max(math.log(math.log(max(P, 3))), 0.1)
-            self.windows.append((0, mask, Z, float(inv_p[mask].sum()), mert))
+            self.windows.append((0, slice(0, b), float(inv_p[:b].sum()), mert))
         # the last two decades, for plateau detection; windows are in
         # increasing order, so the last one qualifies when no other does
         lo2 = bounds[-3] if len(bounds) >= 3 else bounds[0]
         self.tail_lo = min(lo2, self.windows[-1][0])
+        self.stored = ([self._twist(w[1], self.t_grid) for w in self.windows]
+                       if store else None)
+
+    def _twist(self, window: slice, t: np.ndarray) -> np.ndarray:
+        """The len(t) x (window primes) matrix of p^{-it}, exponentiated in place."""
+        Z = np.outer(-1j * t, self.logp[window])
+        np.exp(Z, out=Z)
+        return Z
 
     def scan(self, cvec: np.ndarray):
         """cvec = f(p) conj(chi(p)) / p.  Returns, per t: the last-two-decade
         increment and the max windowed ratio against the Mertens rate."""
         tail_inc = max_ratio = None
-        for lo, mask, Z, s_invp, mert in self.windows:
-            inc = s_invp - (Z @ cvec[mask]).real
+        for k, (lo, window, s_invp, mert) in enumerate(self.windows):
+            c = cvec[window]
+            if self.stored is not None:
+                twisted = self.stored[k] @ c
+            else:
+                twisted = np.empty(len(self.t_grid), dtype=np.complex128)
+                for i in range(0, len(self.t_grid), self._BLOCK):
+                    j = i + self._BLOCK
+                    twisted[i:j] = self._twist(window, self.t_grid[i:j]) @ c
+            inc = s_invp - twisted.real
             ratio = inc / mert if mert > 0 else inc * 0
             max_ratio = ratio if max_ratio is None else np.maximum(max_ratio, ratio)
             if lo >= self.tail_lo:
@@ -424,7 +451,7 @@ def aperiodicity_test(f: MultiplicativeFunction, Q_max: int = 60, P: int = 10 **
     fp = f.prime_values(primes)
     inv_p = 1.0 / primes
     t_grid = np.linspace(-10.0, 10.0, 41)
-    scan = _TwistScan(primes, t_grid, P)
+    scan = _TwistScan(primes, t_grid, P, store=True)
 
     # (value, q, index, |t|, t) per character: the least tail increment
     # (plateau candidate) and the least max-window ratio (divergence floor)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from multfun import builtin
@@ -32,6 +34,16 @@ def phi():
 @pytest.fixture(scope="session")
 def chi4():
     return builtin("dirichlet_character", {"modulus": 4, "index": 1})
+
+
+def traced_peak(call) -> int:
+    """The tracemalloc peak, in bytes, of call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def trial_factor(n):

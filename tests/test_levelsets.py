@@ -315,6 +315,14 @@ def test_divisibility_squarefree_shift_1(mu2):
     assert all(c > 0 for _, c, _ in rep.rows)
 
 
+@pytest.mark.parametrize("u_max", [0, -4])
+def test_divisibility_needs_a_step(mu2, u_max):
+    # no rows would make "every row dense" vacuously true
+    E = level_set(mu2, 1, 100)
+    with pytest.raises(InputError, match="u_max"):
+        divisibility_report(E, 0, u_max)
+
+
 def test_divisibility_liouville_footnote_densities(lam):
     N = 10 ** 7
     E = level_set(lam, 1, N)

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +33,7 @@ from conftest import (
     catalog_functions,
     oracle_eval,
     squarefree_count_oracle,
+    traced_peak,
     trial_factor,
 )
 
@@ -328,15 +328,6 @@ def test_sieve_budget_cap(monkeypatch, mu):
 def test_prime_power_value_uses_rule_only_at_k1_for_cm(lam):
     # stored rule is consulted only at k = 1 for completely multiplicative f
     assert prime_power_value(lam, 3, 4) == (-1) ** 4
-
-
-def traced_peak(call) -> int:
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("name", list(REGISTRY_CASES))

@@ -6,6 +6,7 @@ import pytest
 
 from multfun import (
     InputError,
+    ResourceError,
     ap_mean,
     aperiodicity_test,
     builtin,
@@ -29,7 +30,7 @@ from multfun.pretentious import (
     unit_function,
 )
 
-from conftest import catalog_functions
+from conftest import catalog_functions, traced_peak
 
 
 def local_prime_sum(P):
@@ -327,8 +328,58 @@ def test_twist_scan_tail_matches_definition(P, l13):
     primes = primes_upto(P)
     cvec = l13.prime_values(primes) / primes
     t_grid = np.array([-3.5, 0.0, 1.25, 7.0])
-    tail_inc, _ = _TwistScan(primes, t_grid, P).scan(cvec)
-    assert np.max(np.abs(tail_inc - tail_oracle(primes, cvec, t_grid, P))) < 1e-12
+    oracle = tail_oracle(primes, cvec, t_grid, P)
+    for store in (True, False):
+        tail_inc, _ = _TwistScan(primes, t_grid, P, store=store).scan(cvec)
+        assert np.max(np.abs(tail_inc - oracle)) < 1e-12, store
+
+
+@pytest.mark.parametrize("n_t", [1, 7, 8, 9, 41, 201])
+@pytest.mark.parametrize("P", [7, 1009, 10 ** 5])
+def test_streamed_and_stored_scans_agree(P, n_t, l13, lam):
+    # grids shorter than, equal to and just past one block of t rows, and
+    # ones whose last block is partial
+    primes = primes_upto(P)
+    t_grid = np.linspace(-10.0, 10.0, n_t)
+    stored = _TwistScan(primes, t_grid, P, store=True)
+    streamed = _TwistScan(primes, t_grid, P, store=False)
+    for f in (l13, lam):
+        cvec = f.prime_values(primes) / primes
+        for a, b in zip(stored.scan(cvec), streamed.scan(cvec)):
+            assert a.shape == b.shape == (n_t,)
+            assert np.max(np.abs(a - b)) <= 1e-15
+
+
+def test_streamed_scan_peak_within_its_block_charge(l13):
+    """A streamed 201-t scan holds one block of t rows over at most all the
+    primes, the 16 * min(8, len(t)) * pi(P) bytes it charges to the cap, plus
+    the log p it keeps and the per-window vectors (slack: 32 B per prime);
+    a stored scan holds all 201 rows."""
+    P = 10 ** 5
+    primes = primes_upto(P)
+    cvec = l13.prime_values(primes) / primes
+    t_grid = np.linspace(-10.0, 10.0, 201)
+    streamed = traced_peak(lambda: _TwistScan(primes, t_grid, P, store=False).scan(cvec))
+    stored = traced_peak(lambda: _TwistScan(primes, t_grid, P, store=True).scan(cvec))
+    assert streamed <= (16 * 8 + 32) * len(primes)
+    assert streamed <= stored / 10
+
+
+def test_streamed_twist_block_charged_to_cap(monkeypatch):
+    # one block of 8 t rows over the 9592 primes to 10^5 is ~1.2 MB
+    P = 10 ** 5
+    primes = primes_upto(P)
+    monkeypatch.setenv("MULTFUN_MEM_CAP_MB", "1")
+    with pytest.raises(ResourceError, match="twist scan"):
+        _TwistScan(primes, np.linspace(-10.0, 10.0, 201), P, store=False)
+
+
+def test_stored_twist_windows_charged_to_cap(monkeypatch, lam):
+    # the sieve context for 10^5 (~2.6 MB) fits under 5 MB, the stored
+    # windows of 41 t over 9592 primes (~6.3 MB) do not
+    monkeypatch.setenv("MULTFUN_MEM_CAP_MB", "5")
+    with pytest.raises(ResourceError, match="twist scan"):
+        aperiodicity_test(lam, Q_max=2, P=10 ** 5)
 
 
 def _tail_set(primes, P):
