@@ -4,7 +4,7 @@ All bulk tables live in a SieveContext, built once per bound N and cached,
 so that several functions sieved at the same N share the primes and the
 additive statistics (Omega, omega, squarefree mask, tau, radical).  The primes
 come from a boolean sieve of Eratosthenes; every statistic is built on first
-use.
+use, and Omega and tau start from a copy of omega.
 
 Every sieve over [1, N] splits the primes at sqrt(N).  A small prime p <= sqrt(N)
 gets one strided slice per prime power p^k <= N.  The large primes q > sqrt(N)
@@ -204,7 +204,8 @@ class SieveContext:
             raise InputError(f"sieve bound must be >= 1, got {N}")
         # per entry: the prime mask (1 byte), one values array (16) and its
         # codes (4), and 5 for the int8 statistics the codes are read from
-        # (Omega, omega, squarefree); tau (4) and the radical (8) exceed it
+        # (Omega, omega, squarefree; reading Omega or tau caches omega too);
+        # tau (4) and the radical (8) exceed it
         check_budget(26 * (N + 1), f"sieve context for N={N}")
         self.N = N
         self.primes = np.flatnonzero(_prime_mask(N)).astype(np.int64)
@@ -223,17 +224,16 @@ class SieveContext:
 
     @property
     def big_omega(self) -> np.ndarray:
-        """Omega(n): prime factors counted with multiplicity (int8)."""
+        """Omega(n): prime factors counted with multiplicity (int8), derived
+        from omega: a copy of it plus 1 at each multiple of each p^k, k >= 2."""
 
         def build():
-            om = np.zeros(self.N + 1, dtype=np.int8)
+            om = self.small_omega.copy()
             for p in self.small_primes:
-                pk = p
+                pk = p * p
                 while pk <= self.N:
                     om[pk::pk] += 1
                     pk *= p
-            for idx, _ in large_prime_multiples(self.large_primes, self.N):
-                om[idx] += 1
             return om
 
         return self._lazy("big_omega", build)
@@ -268,13 +268,13 @@ class SieveContext:
 
     @property
     def tau(self) -> np.ndarray:
-        """tau(n): number of divisors (int32)."""
+        """tau(n): number of divisors (int32), derived from omega: 2^omega(n),
+        then (k + 1) / k at each multiple of each p^k, k >= 2."""
 
         def build():
-            t = np.ones(self.N + 1, dtype=np.int32)
+            t = np.left_shift(1, self.small_omega, dtype=np.int32)
             t[0] = 0
             for p in self.small_primes:
-                t[p::p] *= 2
                 pk, j = p * p, 2
                 while pk <= self.N:
                     sl = t[pk::pk]
@@ -282,8 +282,6 @@ class SieveContext:
                     sl *= j + 1
                     pk *= p
                     j += 1
-            for idx, _ in large_prime_multiples(self.large_primes, self.N):
-                t[idx] *= 2
             return t
 
         return self._lazy("tau", build)
@@ -325,6 +323,7 @@ def primes_upto(P: int) -> np.ndarray:
 
 
 GRID_PER_DECADE = 8
+_SUM_BLOCK = 1 << 16
 
 
 def geometric_grid(lo: int, hi: int) -> np.ndarray:
@@ -340,9 +339,17 @@ def geometric_grid(lo: int, hi: int) -> np.ndarray:
 
 
 def running_means(x: np.ndarray, grid: np.ndarray) -> list:
-    """(m, mean of x[:m]) for each m in the grid, 1 <= m <= len(x): one
-    cumulative sum, read and divided at the grid points."""
-    return list(zip(grid.tolist(), (np.cumsum(x)[grid - 1] / grid).tolist()))
+    """(m, mean of x[:m]) for each m in the ascending grid, 1 <= m <= len(x).
+    np.cumsum adds in order, so blocks of _SUM_BLOCK entries, each one's first
+    entry carrying the sum before it, give the sums of one whole cumsum."""
+    sums, carry = [np.cumsum(x[:0])], None
+    for lo in range(0, int(grid.max(initial=0)), _SUM_BLOCK):
+        block = x[lo : lo + _SUM_BLOCK].astype(sums[0].dtype)
+        if lo:
+            block[0] += carry
+        carry = np.cumsum(block, out=block)[-1]
+        sums.append(block[grid[(grid > lo) & (grid <= lo + _SUM_BLOCK)] - 1 - lo])
+    return list(zip(grid.tolist(), (np.concatenate(sums) / grid).tolist()))
 
 
 def residue_sums(c: np.ndarray, res: np.ndarray, q: int) -> np.ndarray:

@@ -39,6 +39,7 @@ from .mf_core import (
     MultiplicativeFunction,
     SieveTable,
     make_repaired,
+    members_of,
     sieve_range,
     zero_free,
 )
@@ -152,8 +153,8 @@ def level_set(f: MultiplicativeFunction, z, N: int, tol: float | None = None,
         return LevelSet(table.source, target, N,
                         members[: np.searchsorted(members, N, "right")], True, function=f)
     if isinstance(target, Zero):
-        return LevelSet(table.source, target, N,
-                        np.flatnonzero(table.values[1 : N + 1] == 0) + 1, True, function=f)
+        return LevelSet(table.source, target, N, members_of(table.values[1 : N + 1] == 0),
+                        True, function=f)
     if tol is None:
         raise InputError(
             f"{table.source} has no exact representation for target {target!r}; "
@@ -161,7 +162,7 @@ def level_set(f: MultiplicativeFunction, z, N: int, tol: float | None = None,
         )
     zval = target.value if isinstance(target, RootOfUnity) else complex(target)
     mask = np.abs(table.values[1 : N + 1] - zval) <= tol
-    return LevelSet(table.source, target, N, np.flatnonzero(mask) + 1, False,
+    return LevelSet(table.source, target, N, members_of(mask), False,
                     tol=tol, function=f)
 
 
@@ -251,15 +252,8 @@ def concentration_analysis(f: MultiplicativeFunction, P: int) -> ConcentrationAn
                                      bucket_masses=top, thresholds=thresholds)
 
     snapped = [snap_root_of_unity(v, max_den=4 * K_MAX_BOUND) for v, _ in points]
-    if any(s is None for s in snapped):
-        return ConcentrationAnalysis(points=points, group="unbounded",
-                                     tail=0.0, tail_trend="",
-                                     verdict="not_concentrated",
-                                     bucket_masses=top, thresholds=thresholds)
-    L = 1
-    for s in snapped:
-        L = L * s.den // math.gcd(L, s.den)
-    if L > K_MAX_BOUND:
+    L = None if None in snapped else math.lcm(*(s.den for s in snapped))
+    if L is None or L > K_MAX_BOUND:
         return ConcentrationAnalysis(points=points, group="unbounded",
                                      tail=0.0, tail_trend="",
                                      verdict="not_concentrated",
@@ -588,7 +582,7 @@ def sp_set(prime_set, N: int) -> np.ndarray:
     mask[0] = False
     if N >= 1:
         mask[1] = True
-    return np.flatnonzero(mask).astype(np.int64)
+    return np.flatnonzero(mask).astype(np.int64, copy=False)
 
 
 def random_relative_subset(R: LevelSet, p: float, seed: int) -> LevelSet:

@@ -142,6 +142,13 @@ def prime_power_value(f: MultiplicativeFunction, p: int, k: int) -> complex:
 _Y_BLOCK = 1 << 14
 
 
+def members_of(mask: np.ndarray) -> np.ndarray:
+    """The n >= 1 with mask[n - 1] set, as int64; 1 is added in place."""
+    idx = np.flatnonzero(mask)
+    idx += 1
+    return idx
+
+
 @dataclass(eq=False)
 class ExactCodes:
     """Finite-alphabet value codes: codes[n] = -1 means f(n) = 0, a code
@@ -164,10 +171,8 @@ class ExactCodes:
         if power < 1:
             raise InputError(f"power must be >= 1, got {power}")
         codes = self.codes[1:]
-        if isinstance(target, Zero):
-            if self.yexp is not None:       # a repaired table is zero-free
-                return np.zeros(0, dtype=np.int64)
-            return np.flatnonzero(codes == -1) + 1
+        if isinstance(target, Zero):        # a repaired table has no code -1 above 0
+            return members_of(codes == -1)
         if not isinstance(target, RootOfUnity):
             raise InputError(f"exact membership needs a root of unity or 0, got {target!r}")
         j = self.code_of(target)
@@ -180,7 +185,7 @@ class ExactCodes:
             m &= (codes.astype(np.int64) * power - j) % self.order == 0
         if self.yexp is not None:
             m &= self.yexp[1:] == 0
-        return np.flatnonzero(m) + 1
+        return members_of(m)
 
     def values(self) -> np.ndarray:
         """e(code/order) at each code (one lookup in the roots of unity with a
@@ -345,15 +350,9 @@ def _squarefree_codes(f, N, ctx):
     return ExactCodes(order=1, codes=np.where(ctx.squarefree, np.int32(0), np.int32(-1)))
 
 
-def _tile(table: np.ndarray, N: int) -> np.ndarray:
-    q = len(table)
-    reps = (N + 1 + q - 1) // q
-    return np.tile(table, reps)[: N + 1]
-
-
 def _periodic_codes(f, N, ctx):
     chi = f.meta["char"]
-    codes = _tile(chi.expo.astype(np.int32), N)
+    codes = np.tile(chi.expo.astype(np.int32), N // len(chi.expo) + 1)[: N + 1]
     codes[0] = -1 if chi.modulus > 1 else codes[0]
     return ExactCodes(order=chi.expo_mod, codes=codes)
 

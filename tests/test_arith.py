@@ -5,6 +5,7 @@ codes of a fresh table against those of a table whose values were read, and
 `factorize` against plain trial division."""
 
 import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -13,22 +14,25 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from multfun import InputError, builtin, sieve_range
+from multfun import InputError, arith, builtin, sieve_range
 from multfun.arith import (
     MINUS_ONE,
     ONE,
     ZERO,
     RootOfUnity,
     SieveContext,
+    _SUM_BLOCK,
     _pollard_rho,
     class_sums,
     e,
     factorize,
     get_context,
     is_prime,
+    large_prime_multiples,
     primes_upto,
     residue_sums,
     root_table,
+    running_means,
     totient,
 )
 from multfun.characters import characters_mod
@@ -134,6 +138,40 @@ def test_context_statistics(N):
     sqf = stat(N, lambda fs: all(k == 1 for _, k in fs), bool)
     sqf[0] = False
     assert_identical(ctx.squarefree, sqf)
+
+
+DERIVED_STATS = {
+    "big_omega": (lambda fs: sum(k for _, k in fs), np.int8),
+    "small_omega": (len, np.int8),
+    "tau": (lambda fs: math.prod(k + 1 for _, k in fs), np.int32),
+}
+
+
+@pytest.mark.parametrize("name", DERIVED_STATS)
+@pytest.mark.parametrize("N", NS)
+def test_context_statistic_read_alone(N, name):
+    """Omega and tau start from omega; each of the three, read first and
+    alone on a fresh context, matches its definition."""
+    assert_identical(getattr(SieveContext(N), name), stat(N, *DERIVED_STATS[name]))
+
+
+def test_one_large_prime_pass_per_context(monkeypatch):
+    """However many of Omega, omega and tau a context reads, and in whatever
+    order, it runs the pass over the multiples of the large primes once."""
+    calls = []
+
+    def counted(Q, N):
+        calls.append(N)
+        return large_prime_multiples(Q, N)
+
+    monkeypatch.setattr(arith, "large_prime_multiples", counted)
+    for r in range(1, len(DERIVED_STATS) + 1):
+        for reads in itertools.permutations(DERIVED_STATS, r):
+            ctx = SieveContext(10 ** 4)
+            calls.clear()
+            for name in reads + reads:
+                getattr(ctx, name)
+            assert len(calls) == 1, reads
 
 
 @pytest.mark.parametrize("N", NS)
@@ -473,3 +511,19 @@ def test_class_sums_match_residue_sums(q):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-11)
     got = class_sums(window.real, q, 1)
     assert got.dtype == np.complex128 and not got.imag.any()
+
+
+@pytest.mark.parametrize("n", [_SUM_BLOCK - 1, _SUM_BLOCK, _SUM_BLOCK + 1, 3 * _SUM_BLOCK + 5])
+def test_running_means_match_one_cumsum(n):
+    """The blocked running sums equal one whole np.cumsum bit for bit, for
+    real and complex x, at grid points on and beside the block edges."""
+    rng = np.random.default_rng(n)
+    edges = [m for k in range(1, 4) for m in (k * _SUM_BLOCK - 1, k * _SUM_BLOCK,
+                                                 k * _SUM_BLOCK + 1)]
+    grid = np.array(sorted({1, 2, n, *(m for m in edges if m <= n)}), dtype=np.int64)
+    real = rng.standard_normal(n) * 1e3
+    for x in (real, real + 1j * rng.standard_normal(n), np.exp(2j * np.pi * rng.random(n))):
+        got = running_means(x, grid)
+        assert [m for m, _ in got] == grid.tolist()
+        want = np.cumsum(x)[grid - 1] / grid
+        assert_identical(np.array([v for _, v in got], dtype=x.dtype), want)
