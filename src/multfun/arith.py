@@ -122,18 +122,18 @@ ONE = RootOfUnity(0, 1)
 MINUS_ONE = RootOfUnity(1, 2)
 
 
-def snap_root_of_unity(z: complex, max_den: int = 64, tol: float = 1e-9) -> RootOfUnity | None:
+def snap_root_of_unity(z: complex, max_den: int = 64) -> RootOfUnity | None:
     """Snap a unimodular complex number to an exact root of unity.
 
-    Returns None when |z| is not within tol of 1, or no e(a/q) with
-    q <= max_den lies within tol of z.
+    Returns None when |z| is not within 1e-9 of 1, or no e(a/q) with
+    q <= max_den lies within 1e-9 of z.
     """
-    if abs(abs(z) - 1.0) > tol:
+    if abs(abs(z) - 1.0) > 1e-9:
         return None
     theta = math.atan2(z.imag, z.real) / (2 * math.pi) % 1.0
     cand = Fraction(theta).limit_denominator(max_den)
     r = RootOfUnity(cand.numerator, cand.denominator)
-    if abs(r.value - z) <= tol:
+    if abs(r.value - z) <= 1e-9:
         return r
     return None
 
@@ -159,6 +159,7 @@ def mem_cap_bytes() -> int:
 
 
 def check_budget(nbytes: int, what: str) -> None:
+    """Check one allocation of nbytes against the cap; calls keep no running total."""
     cap = mem_cap_bytes()
     if nbytes > cap:
         raise ResourceError(

@@ -127,14 +127,6 @@ def _dlog_tables(q: int, gens: list[tuple[int, int]]) -> np.ndarray:
     return dlogs
 
 
-def _group_data(q: int):
-    gens = _unit_group_structure(q)
-    dlogs = _dlog_tables(q, gens)
-    orders = [d for _, d in gens]
-    coprime = np.array([math.gcd(n, q) == 1 for n in range(q)], dtype=bool)
-    return gens, dlogs, orders, math.lcm(*orders), coprime
-
-
 def characters_mod(q: int) -> list[DirichletCharacter]:
     """All phi(q) Dirichlet characters mod q, principal first, ordering fixed."""
     return _character_group(q)[1]
@@ -161,7 +153,11 @@ def _character_group(q: int) -> tuple[np.ndarray, list[DirichletCharacter]]:
 
 @lru_cache(maxsize=64)
 def _character_group_cached(q: int) -> tuple[np.ndarray, list[DirichletCharacter]]:
-    gens, dlogs, orders, L, coprime = _group_data(q)
+    gens = _unit_group_structure(q)
+    dlogs = _dlog_tables(q, gens)
+    orders = [d for _, d in gens]
+    L = math.lcm(*orders)
+    coprime = np.array([math.gcd(n, q) == 1 for n in range(q)], dtype=bool)
     # one row per character: exponent vectors in lexicographic order
     evs = np.array(list(itertools.product(*(range(d) for d in orders))), dtype=np.int64)
     expos = ((evs * (L // np.array(orders, dtype=np.int64))) @ dlogs) % L

@@ -278,7 +278,8 @@ def recurrence_average(system, A, polys: PolynomialFamily, E, J_max: int) -> Rec
 def convergence_average(system, A, polys: PolynomialFamily, E, J_max: int,
                         observable=None) -> RecurrenceReport:
     """Running averages of int prod_i observable(T^{p_i(n_j)} x) dmu along E,
-    with last-decade oscillation as the convergence diagnostic."""
+    with last-decade oscillation as the convergence diagnostic.  The observable
+    is the indicator of A when None, else a dict from FiniteSystem points to values."""
     mem, _, truncated = _prefix(E, J_max)
     J = len(mem)
     if isinstance(system, TorusRotation):
@@ -323,8 +324,6 @@ def _observable_table(system: FiniteSystem, A, observable) -> dict:
     if observable is None:
         base = system.normalize_set(A)
         return {x: 1.0 if x in base else 0.0 for x in system.points()}
-    if callable(observable):
-        return {x: float(observable(x)) for x in system.points()}
     table = dict(observable)
     out = {}
     for x in system.points():

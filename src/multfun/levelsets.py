@@ -128,8 +128,7 @@ class LevelSet:
 
     def to_bitmap(self, path) -> None:
         """Length-N bitmap, one bit per integer, little-endian bit order."""
-        bits = np.zeros(self.N, dtype=np.uint8)
-        bits[self.members - 1] = 1
+        bits = self.indicator()[1:]
         Path(path).write_bytes(np.packbits(bits, bitorder="little").tobytes())
 
     def __repr__(self):
@@ -297,13 +296,6 @@ def zero_repair(f: MultiplicativeFunction, z, N_check: int = 10 ** 4) -> Multipl
         return f
     table = sieve_range(f, N_check)
     exact = table.exact is not None and not isinstance(target, complex)
-    if exact:
-        est = len(table.exact.members(target)) / N_check
-    else:
-        est = float("nan")
-    warnings = []
-    if not est > 0:
-        warnings.append(f"level density estimate at N={N_check} is not positive ({est})")
     angles = _observed_angles(table)
     gamma = GOLDEN_FRAC
     for scale in range(64):
@@ -314,8 +306,6 @@ def zero_repair(f: MultiplicativeFunction, z, N_check: int = 10 ** 4) -> Multipl
         raise SearchError("could not find a collision-free repair value y")
     y = complex(np.exp(2j * np.pi * gamma))
     g = make_repaired(f, y, gamma)
-    if warnings:
-        g.meta["warnings"] = warnings
     # repaired level set must match the original on the checked truncation
     if exact and not np.array_equal(sieve_range(g, N_check).exact.members(target),
                                     table.exact.members(target)):
@@ -330,16 +320,15 @@ def _observed_angles(table: SieveTable) -> np.ndarray:
     return np.angle(sample) / (2 * np.pi) % 1.0
 
 
-def _collision_free(gamma: float, angles: np.ndarray, height: int = 64,
-                    eps: float = 1e-8) -> bool:
+def _collision_free(gamma: float, angles: np.ndarray) -> bool:
     # repeated angles add no new difference: the set below is the same floats
     angles = np.unique(angles)
     diffs = (angles[None, :] - angles[:, None]).ravel() % 1.0
     diffs = np.unique(np.round(diffs, 12))
-    for n in range(1, height + 1):
+    for n in range(1, 65):
         shift = (n * gamma) % 1.0
         d = np.abs(diffs - shift)
-        if np.min(np.minimum(d, 1.0 - d)) < eps:
+        if np.min(np.minimum(d, 1.0 - d)) < 1e-8:
             return False
     return True
 

@@ -1,4 +1,4 @@
-"""Multiplicative functions: prime-power rules, linear sieving, builtin catalog.
+"""Multiplicative functions: prime-power rules, a strided sieve split at sqrt(N), builtin catalog.
 
 A MultiplicativeFunction is defined by its values on prime powers.  Pointwise
 evaluation factors n and multiplies rule values; bulk evaluation sieves

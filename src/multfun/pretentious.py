@@ -17,7 +17,7 @@ import numpy as np
 
 from .arith import (check_budget, class_sums, geometric_grid, primes_upto, residue_sums,
                     running_means)
-from .characters import DirichletCharacter, character_table, characters_mod
+from .characters import character_table, characters_mod
 from .errors import InputError
 from .mf_core import (
     MultiplicativeFunction,
@@ -145,19 +145,16 @@ def _distance_profile(fp, gp, primes, t, f_name, g_name, grid) -> DistanceProfil
     return prof
 
 
-def pretentious_distance(f: MultiplicativeFunction, g, P: int,
+def pretentious_distance(f: MultiplicativeFunction, g: MultiplicativeFunction, P: int,
                          t: float = 0.0) -> DistanceProfile:
-    """Partial sums of the squared distance between f and g (twisted by n^{it})
-    over a geometric grid of prime cutoffs up to P."""
+    """Partial sums of the squared distance between the multiplicative
+    functions f and g (twisted by n^{it}) over a geometric grid of prime
+    cutoffs up to P."""
     if P < 2:
         raise InputError(f"prime cutoff must be >= 2, got {P}")
     primes = primes_upto(P)
-    fp = f.prime_values(primes)
-    if isinstance(g, DirichletCharacter):
-        gp, g_name = g.values_at(primes), g.label
-    else:
-        gp, g_name = g.prime_values(primes), g.label
-    return _distance_profile(fp, gp, primes, t, f.label, g_name, geometric_grid(10, P))
+    fp, gp = f.prime_values(primes), g.prime_values(primes)
+    return _distance_profile(fp, gp, primes, t, f.label, g.label, geometric_grid(10, P))
 
 
 # --------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .arith import class_sums, e, geometric_grid, running_means
 from .errors import InputError, ResourceError
-from .mf_core import MultiplicativeFunction, SieveTable, sieve_range
+from .mf_core import MultiplicativeFunction, sieve_range
 
 __all__ = [
     "besicovitch_seminorm",
@@ -57,12 +57,8 @@ _ROW_BUDGET = 1 << 20           # complex entries per batch of transformed rows
 
 
 def _as_values(x, N=None):
-    if isinstance(x, SieveTable):
-        vals = x.values
-        n = x.N if N is None else N
-    else:
-        vals = np.asarray(x)
-        n = len(vals) - 1 if N is None else N
+    vals = np.asarray(x)
+    n = len(vals) - 1 if N is None else N
     if n < 1:
         raise InputError("empty sequence")
     if len(vals) < n + 1:

@@ -14,7 +14,8 @@ import multfun
 from multfun import InputError, MultfunError
 from multfun.cli import MAX_POLY_DEGREE, build_parser, parse_polys, parse_z, run
 from multfun.arith import ZERO, RootOfUnity
-from multfun.mf_core import _parse_xi, parse_custom_file
+from multfun.mf_core import _parse_xi, builtin, parse_custom_file, sieve_range
+from multfun.seminorms import gowers_direct, gowers_fast
 
 
 def read(path):
@@ -237,6 +238,17 @@ def test_gowers_profile_csv(tmp_path):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("method, s, N", [("fast", 2, 64), ("direct", 3, 16)])
+def test_gowers_at_one_N(tmp_path, method, s, N):
+    out = tmp_path / "g.json"
+    rc = run(["gowers", "--function", "liouville", "--method", method, "--s", str(s),
+              "--N", str(N), "--out", str(out)])
+    assert rc == 0
+    fn = gowers_direct if method == "direct" else gowers_fast
+    values = sieve_range(builtin("liouville"), N).values
+    assert read(out)["result"]["value"] == fn(values, N, s)
+
+
 def test_csv_only_where_a_table_is_written():
     offered = {name for name, p in _SUBCOMMANDS.items()
                if any(action.dest == "csv" for action in p._actions)}
@@ -370,11 +382,14 @@ _SUBCOMMANDS = next(a for a in build_parser()._actions if a.dest == "command").c
 
 
 def _draw_argv(draw, command):
-    """The command with every one of its options given: a choice, N <= 1000,
-    an edge value, or a path under the placeholder directory {tmp}."""
+    """The command with each of its options given or, unless required, left
+    out; a given option takes a choice, N <= 1000, an edge value, or a path
+    under the placeholder directory {tmp}."""
     argv = [command]
     for action in _SUBCOMMANDS[command]._actions:
         if not action.option_strings or action.dest in ("help", "out"):
+            continue
+        if not action.required and not draw(st.booleans()):
             continue
         if action.dest in ("csv", "members", "bitmap", "file"):
             value = "{tmp}/" + action.dest

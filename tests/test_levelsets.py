@@ -242,8 +242,26 @@ def test_find_k_failure_names_bounds():
         find_k_and_character(g, k_max=2, Q_max=3, P=10 ** 4)
 
 
+def test_find_k_concentration_group_fallback():
+    # lambda_{1/16}^k pretends to 1 only at k = 16 > k_max, but its values
+    # lie in the 16th roots of unity, a finite group of size <= 8 * k_max
+    g = builtin("lambda_xi", {"xi": "1/16"})
+    res = find_k_and_character(g, k_max=8, Q_max=10, P=10 ** 4)
+    assert res.fallback is True
+    assert res.k == 16
+    assert res.chi.modulus == 1
+
+
 # --------------------------------------------------------------------------
 # Structure pairs
+
+def test_structure_pair_notes_the_fallback():
+    g = builtin("lambda_xi", {"xi": "1/16"})
+    pair = structure_pair(g, 1, 10 ** 4, k_max=8, Q_max=10, P=10 ** 4)
+    assert pair.k == 16
+    assert pair.chi.modulus == 1
+    assert "(k, chi) from the concentration-group fallback" in pair.notes
+
 
 def test_structure_pair_moebius(mu, mu2):
     N = 10 ** 5
