@@ -347,22 +347,26 @@ class _TwistScan:
     the primes in (bounds[-3], P]; when no window qualifies (P <= 10) it is
     the fallback window of all primes <= P.
 
-    The caller chooses how the p^{-it} are held, by how often it reuses
+    The caller chooses how the twists are held, by how often it reuses
     them.  With store=True every window keeps its len(t) x (its primes)
-    matrix, so each exponential is computed once however many vectors are
-    scanned: aperiodicity_test scans one vector per character.  With
-    store=False each scan exponentiates a window in blocks of _BLOCK t
-    rows, multiplies each block with the vector and drops it: the Halász
-    scans read one vector, so a stored matrix would never be read twice.
+    matrix of p^{-it}, so each exponential is computed once however many
+    vectors are scanned: aperiodicity_test scans one vector per character.
+    With store=False each scan works through a window in blocks of _BLOCK
+    t rows and drops each block after its matrix-vector products: the
+    Halász scans read one vector, so a stored matrix would never be read
+    twice.  Only Re sum_p c_p p^{-it} = cos(t log p) @ Re c + sin(t log p)
+    @ Im c is ever read, so a streamed block holds the cos rows, and the
+    sin rows only when Im c is not zero (f real on the primes needs none).
     Both paths share the windows and the tail rule, and give the same
     values up to the summation order of the matrix-vector products.
     """
 
-    _BLOCK = 8      # t rows exponentiated at a time by a streamed scan
+    _BLOCK = 8      # t rows of cos (and sin) held at a time by a streamed scan
 
     def __init__(self, primes: np.ndarray, t_grid: np.ndarray, P: int, *, store: bool):
-        # the complex exponentials held at once: every window matrix when
-        # stored, one block of rows over at most all primes when streamed
+        # 16 B per prime and row held at once: the complex p^{-it} of every
+        # window when stored; when streamed, the cos and sin rows of one block
+        # over at most all primes (a real vector holds only the cos rows)
         rows = len(t_grid) if store else min(self._BLOCK, len(t_grid))
         check_budget(16 * rows * len(primes),
                      f"twist scan over {len(t_grid)} t and {len(primes)} primes")
@@ -395,25 +399,40 @@ class _TwistScan:
                        if store else None)
 
     def _twist(self, window: slice, t: np.ndarray) -> np.ndarray:
-        """The len(t) x (window primes) matrix of p^{-it}, exponentiated in place."""
+        """The stored len(t) x (window primes) matrix of p^{-it},
+        exponentiated in place."""
         Z = np.outer(-1j * t, self.logp[window])
         np.exp(Z, out=Z)
         return Z
 
+    @staticmethod
+    def _real_twist(t: np.ndarray, logp: np.ndarray, c_re: np.ndarray,
+                    c_im: np.ndarray | None) -> np.ndarray:
+        """Re sum_p c_p p^{-it} for a streamed block of t rows: the cos rows
+        times Re c, plus the sin rows times Im c unless c_im is None.  The
+        rows live only in this call, so one block is alive at a time."""
+        Y = np.outer(t, logp)
+        sin_part = 0.0 if c_im is None else np.sin(Y) @ c_im
+        return np.cos(Y, out=Y) @ c_re + sin_part
+
     def scan(self, cvec: np.ndarray):
         """cvec = f(p) conj(chi(p)) / p.  Returns, per t: the last-two-decade
         increment and the max windowed ratio against the Mertens rate."""
+        if self.stored is None:
+            c_re = np.ascontiguousarray(cvec.real)
+            c_im = np.ascontiguousarray(cvec.imag) if cvec.imag.any() else None
         tail_inc = max_ratio = None
         for k, (lo, window, s_invp, mert) in enumerate(self.windows):
-            c = cvec[window]
             if self.stored is not None:
-                twisted = self.stored[k] @ c
+                twisted = (self.stored[k] @ cvec[window]).real
             else:
-                twisted = np.empty(len(self.t_grid), dtype=np.complex128)
+                logp, re = self.logp[window], c_re[window]
+                im = None if c_im is None else c_im[window]
+                twisted = np.empty(len(self.t_grid))
                 for i in range(0, len(self.t_grid), self._BLOCK):
                     j = i + self._BLOCK
-                    twisted[i:j] = self._twist(window, self.t_grid[i:j]) @ c
-            inc = s_invp - twisted.real
+                    twisted[i:j] = self._real_twist(self.t_grid[i:j], logp, re, im)
+            inc = s_invp - twisted
             ratio = inc / mert if mert > 0 else inc * 0
             max_ratio = ratio if max_ratio is None else np.maximum(max_ratio, ratio)
             if lo >= self.tail_lo:
@@ -456,7 +475,7 @@ def aperiodicity_test(f: MultiplicativeFunction, Q_max: int = 60, P: int = 10 **
     for q in range(1, Q_max + 1):
         res = primes % q
         for chi in characters_mod(q):
-            cvec = fp * np.conj(chi.table[res]) * inv_p
+            cvec = fp * np.conj(chi.table)[res] * inv_p
             for best, vals in zip((tails, scores), scan.scan(cvec)):
                 j = int(np.argmin(vals))
                 best.append((float(vals[j]), q, chi.index,

@@ -324,14 +324,17 @@ def tail_oracle(primes, cvec, t_grid, P):
 
 @pytest.mark.parametrize("P", [2, 7, 10, 11, 50, 100, 101, 1000, 1001, 1005, 1008, 1009,
                                10 ** 4, 10005, 10 ** 5, 100002])
-def test_twist_scan_tail_matches_definition(P, l13):
+def test_twist_scan_tail_matches_definition(P, l13, lam):
+    # l13 is complex on the primes (cos and sin rows when streamed), lam
+    # real (cos rows only)
     primes = primes_upto(P)
-    cvec = l13.prime_values(primes) / primes
     t_grid = np.array([-3.5, 0.0, 1.25, 7.0])
-    oracle = tail_oracle(primes, cvec, t_grid, P)
-    for store in (True, False):
-        tail_inc, _ = _TwistScan(primes, t_grid, P, store=store).scan(cvec)
-        assert np.max(np.abs(tail_inc - oracle)) < 1e-12, store
+    for f in (l13, lam):
+        cvec = f.prime_values(primes) / primes
+        oracle = tail_oracle(primes, cvec, t_grid, P)
+        for store in (True, False):
+            tail_inc, _ = _TwistScan(primes, t_grid, P, store=store).scan(cvec)
+            assert np.max(np.abs(tail_inc - oracle)) < 1e-12, (f.label, store)
 
 
 @pytest.mark.parametrize("n_t", [1, 7, 8, 9, 41, 201])
@@ -350,11 +353,12 @@ def test_streamed_and_stored_scans_agree(P, n_t, l13, lam):
             assert np.max(np.abs(a - b)) <= 1e-15
 
 
-def test_streamed_scan_peak_within_its_block_charge(l13):
+def test_streamed_scan_peak_within_its_block_charge(l13, lam):
     """A streamed 201-t scan holds one block of t rows over at most all the
-    primes, the 16 * min(8, len(t)) * pi(P) bytes it charges to the cap, plus
-    the log p it keeps and the per-window vectors (slack: 32 B per prime);
-    a stored scan holds all 201 rows."""
+    primes: for a complex vector its cos and sin rows, the 16 * min(8,
+    len(t)) * pi(P) bytes it charges to the cap, for a real one only the
+    8 B cos rows; plus the log p it keeps and the per-window vectors
+    (slack: 32 B per prime).  A stored scan holds all 201 rows."""
     P = 10 ** 5
     primes = primes_upto(P)
     cvec = l13.prime_values(primes) / primes
@@ -363,6 +367,9 @@ def test_streamed_scan_peak_within_its_block_charge(l13):
     stored = traced_peak(lambda: _TwistScan(primes, t_grid, P, store=True).scan(cvec))
     assert streamed <= (16 * 8 + 32) * len(primes)
     assert streamed <= stored / 10
+    real = lam.prime_values(primes) / primes
+    streamed_real = traced_peak(lambda: _TwistScan(primes, t_grid, P, store=False).scan(real))
+    assert streamed_real <= (8 * 8 + 32) * len(primes)
 
 
 def test_streamed_twist_block_charged_to_cap(monkeypatch):
