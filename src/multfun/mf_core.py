@@ -18,9 +18,10 @@ the order-th roots of unity.  phi(n)/n is determined by rad(n)
 rad(n) = r directly, with no table over [0, N].
 
 _KINDS is the one place where a catalog kind is defined: f.kind names a
-_Kind record holding the kind's codes and sieve, its values at primes, its
-exact prime-power codes and their order, and whether its functions are
-zero-free, supported on the squarefree integers or periodic.
+_Kind record holding the kind's codes and sieve, its values f(p^m) and their
+exact codes over an array of primes for one exponent m, the codes' order, and
+whether its functions are zero-free, supported on the squarefree integers or
+periodic.  The scalar rule (prime_power_value) is the oracle for the arrays.
 """
 
 from __future__ import annotations
@@ -110,9 +111,10 @@ class MultiplicativeFunction:
             meta={"base": base, "k": k},
         )
 
-    def prime_values(self, ps: np.ndarray) -> np.ndarray:
-        """Vectorized f(p) over an array of primes."""
-        return _KINDS[self.kind].prime_values(self, np.asarray(ps, dtype=np.int64))
+    def prime_values(self, ps: np.ndarray, m: int = 1) -> np.ndarray:
+        """f(p^m) over an array of primes, checked against the |f| <= 1 bound."""
+        values = _KINDS[self.kind].prime_values(self, np.asarray(ps, dtype=np.int64), m)
+        return _check_bound(self, values)
 
     def __repr__(self):
         return f"MultiplicativeFunction({self.label})"
@@ -325,8 +327,7 @@ def sieve_range(f: MultiplicativeFunction, N: int) -> SieveTable:
     kind = _KINDS[f.kind]
     table = SieveTable(N=N, source=f.label, exact=kind.codes(f, N, ctx), function=f)
     if table.exact is None:
-        table.values = _sealed(kind.sieve(f, N, ctx))
-        _check_bound(f, table.values)
+        table.values = _check_bound(f, _sealed(kind.sieve(f, N, ctx)))
     elif _alphabet(table.exact):
         _check_bound(f, root_table(table.exact.order))
     return table
@@ -338,11 +339,12 @@ def _sealed(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _check_bound(f: MultiplicativeFunction, values: np.ndarray) -> None:
+def _check_bound(f: MultiplicativeFunction, values: np.ndarray) -> np.ndarray:
     if not f.spec.unbounded:
-        peak = float(np.abs(values).max())
+        peak = float(np.abs(values).max(initial=0.0))
         if peak > _MOD_BOUND:
             raise InputError(f"{f.label} exceeds the |f| <= 1 modulus bound (max {peak})")
+    return values
 
 
 def _squarefree_codes(f, N, ctx):
@@ -370,29 +372,27 @@ def _repaired_codes(f, N, ctx):
     order = exact_order(base)
     if order is None:
         return None
-    # a large prime q has q^2 > N, so only its first power enters, with the
-    # code of f(q) in the base kind's own table (-1 when f(q) = 0)
-    large = _KINDS[base.kind].codes(base, N, ctx).codes[ctx.large_primes]
-    code = _KINDS[base.kind].ppow_code
+    code = _KINDS[base.kind].prime_codes
     root = np.zeros(N + 1, dtype=np.int32)
     yexp = np.zeros(N + 1, dtype=np.int8)
-    for p in ctx.small_primes:
-        pe, eexp = p, 1
-        prev_c, prev_z = 0, 0
-        while pe <= N:
-            c = code(base, p, eexp)
-            z = 1 if c is None else 0
-            cc = 0 if c is None else c
-            # telescoped deltas: after all powers, an exact-exponent-e slot
-            # accumulates code(p, e) and the zero count for (p, e)
-            dc, dz = cc - prev_c, z - prev_z
+    # telescoped deltas over the exponents m of the small primes p (the p^m <=
+    # N are a prefix): an exact-exponent-m slot accumulates the code of f(p^m)
+    # and the zero count for (p, m)
+    ps = np.asarray(ctx.small_primes, dtype=np.int64)
+    pe, m, prev = ps, 1, np.zeros(len(ps), dtype=np.int64)
+    while len(pe):
+        c = code(base, ps[: len(pe)], m)
+        dcs = np.maximum(c, 0) - np.maximum(prev[: len(pe)], 0)
+        dzs = (c < 0).astype(np.int64) - (prev[: len(pe)] < 0)
+        for q, dc, dz in zip(pe.tolist(), dcs.tolist(), dzs.tolist()):
             if dc:
-                root[pe::pe] += dc
+                root[q::q] += dc
             if dz:
-                yexp[pe::pe] += dz
-            prev_c, prev_z = cc, z
-            pe *= p
-            eexp += 1
+                yexp[q::q] += dz
+        pe, m, prev = pe * ps[: len(pe)], m + 1, c
+        pe = pe[pe <= N]
+    # a large prime q has q^2 > N, so only its first power enters
+    large = code(base, ctx.large_primes, 1)
     dc = np.maximum(large, 0)
     dz = (large < 0).astype(np.int8)
     for idx, c in large_prime_multiples(ctx.large_primes, N):
@@ -460,11 +460,6 @@ def exact_order(f: MultiplicativeFunction) -> int | None:
     return _KINDS[f.kind].exact_order(f)
 
 
-def ppow_code(f: MultiplicativeFunction, p: int, k: int) -> int | None:
-    """Exact code of f(p^k), or None when f(p^k) = 0."""
-    return _KINDS[f.kind].ppow_code(f, p, k)
-
-
 def zero_free(f: MultiplicativeFunction) -> bool:
     """True when the kind structurally excludes zero values."""
     return _KINDS[f.kind].zero_free(f)
@@ -490,39 +485,49 @@ def make_repaired(base: MultiplicativeFunction, y: complex, gamma: float) -> Mul
 # --------------------------------------------------------------------------
 # The kind registry
 
-def _generic_prime_values(f, ps):
-    return np.array([prime_power_value(f, int(p), 1) for p in ps], dtype=np.complex128)
+def _generic_prime_values(f, ps, m):
+    return np.array([prime_power_value(f, p, m) for p in ps.tolist()], dtype=np.complex128)
 
 
-def _no_codes(f, p, k):
+def _constant_prime_values(f, ps, m):
+    # f(p^m) does not depend on p: the rule's value at 2^m, broadcast
+    return np.full(len(ps), prime_power_value(f, 2, m), dtype=np.complex128)
+
+
+def _no_codes(f, ps, m):
     raise InputError(f"{f.label} has no exact prime-power codes")
 
 
-def _repaired_code(f, p, k):
-    raise InputError("repaired functions are not repaired twice")
-
-
-def _repaired_prime_values(f, ps):
-    base_vals = f.meta["base"].prime_values(ps)
+def _repaired_prime_values(f, ps, m):
+    base_vals = f.meta["base"].prime_values(ps, m)
     return np.where(base_vals == 0, f.meta["y"], base_vals)
 
 
-def _unit_code(chi, n: int) -> int | None:
-    ex = int(chi.expo[n % chi.modulus])
-    return None if ex < 0 else ex
+def _character_prime_values(f, ps, m):
+    # the scalar rule's own power complex(chi(r)) ** m, once per residue class r
+    chi = f.meta["char"]
+    by_class = [complex(chi(r)) ** m for r in range(chi.modulus)]
+    return np.array(by_class, dtype=np.complex128)[ps % chi.modulus]
+
+
+def _character_prime_codes(f, ps, m):
+    chi = f.meta["char"]
+    by_class = np.where(chi.expo >= 0, chi.expo * m % chi.expo_mod, -1)
+    return by_class[ps % chi.modulus]
 
 
 @dataclass(frozen=True)
 class _Kind:
-    """What one catalog kind knows about its functions f.  The defaults are
-    the generic behaviour: no exact codes, a prime-power sieve, prime values
-    from the rule, no structural zeros or support.  A table with codes builds
-    its values from them, so sieve runs only for the f that have none."""
+    """What one catalog kind knows about its functions f: prime_values and
+    prime_codes give f(p^m) over an array of primes for one m, with the scalar
+    rule prime_power_value as their oracle.  The defaults are the generic
+    behaviour: no codes, a prime-power sieve (run only for f without codes),
+    f(p^m) from the rule, no structural zeros or support."""
 
     codes: Callable = lambda f, N, ctx: None        # (f, N, ctx) -> exact codes or None
     sieve: Callable = _sieve_generic                # (f, N, ctx) -> values, f without codes
-    prime_values: Callable = _generic_prime_values  # (f, primes) -> f(p) as complex
-    ppow_code: Callable = _no_codes                 # (f, p, k) -> code, None when 0
+    prime_values: Callable = _generic_prime_values  # (f, primes, m) -> f(p^m) as complex
+    prime_codes: Callable = _no_codes               # (f, primes, m) -> codes, -1 when 0
     exact_order: Callable = lambda f: None          # alphabet size of the codes
     zero_free: Callable = lambda f: False           # f(n) != 0 for every n
     squarefree_only: Callable = lambda f: False     # f(n) = 0 off the squarefree n
@@ -559,20 +564,14 @@ def _phase_kind(stat: str, weight: Callable[[int], int]) -> _Kind:
             values[~ctx.squarefree] = 0
         return values
 
-    def code(f, p, k):
+    def prime_codes(f, ps, m):
         if "b" not in f.meta:
-            return _no_codes(f, p, k)
-        if _squarefree_only(f) and k >= 2:
-            return None
-        return (f.meta["a"] * weight(k)) % f.meta["b"]
+            return _no_codes(f, ps, m)
+        zero = _squarefree_only(f) and m >= 2
+        return np.full(len(ps), -1 if zero else (f.meta["a"] * weight(m)) % f.meta["b"])
 
-    def prime_values(f, ps):
-        m = f.meta
-        v = root_table(m["b"])[m["a"] % m["b"]] if "b" in m else e(m["xi"])
-        return np.full(len(ps), v, dtype=np.complex128)
-
-    return _Kind(codes=codes, sieve=sieve, prime_values=prime_values, ppow_code=code,
-                 exact_order=lambda f: f.meta.get("b"),
+    return _Kind(codes=codes, sieve=sieve, prime_values=_constant_prime_values,
+                 prime_codes=prime_codes, exact_order=lambda f: f.meta.get("b"),
                  zero_free=lambda f: not _squarefree_only(f),
                  squarefree_only=_squarefree_only)
 
@@ -583,40 +582,39 @@ _KINDS = {
     "small_omega_phase": _phase_kind("small_omega", lambda k: 1),
     "squarefree_indicator": _Kind(
         codes=_squarefree_codes,
-        prime_values=lambda f, ps: np.ones(len(ps), dtype=np.complex128),
-        ppow_code=lambda f, p, k: None if k >= 2 else 0,
+        prime_values=_constant_prime_values,
+        prime_codes=lambda f, ps, m: np.full(len(ps), 0 if m == 1 else -1),
         exact_order=lambda f: 1,
         squarefree_only=lambda f: True,
     ),
     "phi_ratio": _Kind(
         codes=lambda f, N, ctx: RadicalCodes(N=N, primes=ctx.primes),
-        prime_values=lambda f, ps: (1.0 - 1.0 / ps).astype(np.complex128),
+        prime_values=lambda f, ps, m: (1.0 - 1.0 / ps).astype(np.complex128),
         zero_free=lambda f: True,
     ),
     "periodic": _Kind(
         codes=_periodic_codes,
-        prime_values=lambda f, ps: f.meta["char"].values_at(ps),
-        ppow_code=lambda f, p, k: _unit_code(f.meta["char"], p ** k),
+        prime_values=_character_prime_values,
+        prime_codes=_character_prime_codes,
         exact_order=lambda f: f.meta["char"].expo_mod,
         zero_free=lambda f: f.meta["char"].modulus == 1,
         period_codes=lambda f: ExactCodes(f.meta["char"].expo_mod, f.meta["char"].expo),
     ),
     "tau_character": _Kind(
         codes=_tau_character_codes,
-        prime_values=lambda f, ps: np.full(len(ps), complex(f.meta["char"](2)),
-                                           dtype=np.complex128),
-        ppow_code=lambda f, p, k: _unit_code(f.meta["char"], k + 1),
+        prime_values=_constant_prime_values,
+        prime_codes=lambda f, ps, m: np.full(
+            len(ps), f.meta["char"].expo[(m + 1) % f.meta["char"].modulus]),
         exact_order=lambda f: f.meta["char"].expo_mod,
     ),
     "repaired": _Kind(
         codes=_repaired_codes,
         prime_values=_repaired_prime_values,
-        ppow_code=_repaired_code,
         exact_order=lambda f: exact_order(f.meta["base"]),
         zero_free=lambda f: True,
     ),
     "power": _Kind(
-        prime_values=lambda f, ps: f.meta["base"].prime_values(ps) ** f.meta["k"],
+        prime_values=lambda f, ps, m: f.meta["base"].prime_values(ps, m) ** f.meta["k"],
         zero_free=lambda f: zero_free(f.meta["base"]),
     ),
     "generic": _Kind(),

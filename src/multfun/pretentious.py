@@ -23,7 +23,6 @@ from .mf_core import (
     MultiplicativeFunction,
     builtin,
     eval_at,
-    prime_power_value,
     sieve_range,
 )
 
@@ -182,15 +181,16 @@ def euler_product_mean(f: MultiplicativeFunction, P: int) -> EulerProductMean:
         raise InputError(f"prime cutoff must be >= 2, got {P}")
     primes = primes_upto(P)
     grid = geometric_grid(10, P)
-    factors = np.ones(len(primes), dtype=np.complex128)
-    for i, p in enumerate(primes.tolist()):
-        mmax = max(1, math.ceil(math.log(1.0 / (EULER_TAIL_TOL * (p - 1)), p)))
-        inner = 1.0 + 0j
-        pk = 1.0
-        for m in range(1, mmax + 1):
-            pk /= p
-            inner += pk * prime_power_value(f, p, m)
-        factors[i] = (1.0 - 1.0 / p) * inner
+    mmax = np.array([max(1, math.ceil(math.log(1.0 / (EULER_TAIL_TOL * (p - 1)), p)))
+                     for p in primes.tolist()])
+    # mmax does not increase with p, so the primes with a term p^-m f(p^m) are a prefix
+    inner = np.ones(len(primes), dtype=np.complex128)
+    pk = np.ones(len(primes))
+    for m in range(1, int(mmax[0]) + 1):
+        n = int(np.count_nonzero(mmax >= m))
+        pk[:n] /= primes[:n]
+        inner[:n] += pk[:n] * f.prime_values(primes[:n], m)
+    factors = (1.0 - 1.0 / primes) * inner
     partials = _partials_at_grid(factors, primes, grid, np.cumprod, 1.0).tolist()
     value = partials[-1]
     lo = max(len(partials) - max(2, len(partials) // 4), 0)

@@ -28,6 +28,7 @@ import io
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -166,12 +167,15 @@ def periodic_approximant(values, m: int, N: int | None = None) -> PeriodicApprox
 # Gowers uniformity seminorms
 
 def _embed(vals, n, s):
-    nt = (1 << s) * n
-    buf = np.zeros(nt, dtype=np.complex128)
+    buf = np.zeros((1 << s) * n, dtype=np.complex128)
     buf[:n] = vals[1 : n + 1]
-    one = np.zeros(nt, dtype=np.complex128)
-    one[:n] = 1.0
-    return buf, one
+    return buf
+
+
+@lru_cache(maxsize=64)
+def _interval_sum(n: int, s: int) -> float:
+    """_S_group of 1_[n], embedded as gowers_direct embeds f: one for every f."""
+    return _S_group(_embed(np.ones(n + 1), n, s), s)
 
 
 def _delta(buf, h):
@@ -208,10 +212,8 @@ def gowers_direct(values, N: int, s: int) -> float:
             f"direct U^{s} at N={n} needs Ntilde^s = (2^{s} N)^{s} operations, "
             f"above the budget of {_OP_BUDGET}; use gowers_fast"
         )
-    buf, one = _embed(vals, n, s)
-    sf = _S_group(buf, s)
-    s1 = _S_group(one, s)
-    return float((sf / s1) ** (1.0 / (1 << s)))
+    sf = _S_group(_embed(vals, n, s), s)
+    return float((sf / _interval_sum(n, s)) ** (1.0 / (1 << s)))
 
 
 def _energy(x) -> float:

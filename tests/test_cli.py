@@ -382,14 +382,15 @@ _SUBCOMMANDS = next(a for a in build_parser()._actions if a.dest == "command").c
 
 
 def _draw_argv(draw, command):
-    """The command with each of its options given or, unless required, left
-    out; a given option takes a choice, N <= 1000, an edge value, or a path
-    under the placeholder directory {tmp}."""
+    """The command with --function (where it takes one) and each required
+    option given, and each other option given or left out; a given option
+    takes a choice, N <= 1000, an edge value, or a path under the placeholder
+    directory {tmp}.  Without --function a draw stops at "no --function given"."""
     argv = [command]
     for action in _SUBCOMMANDS[command]._actions:
         if not action.option_strings or action.dest in ("help", "out"):
             continue
-        if not action.required and not draw(st.booleans()):
+        if not (action.required or action.dest == "function") and not draw(st.booleans()):
             continue
         if action.dest in ("csv", "members", "bitmap", "file"):
             value = "{tmp}/" + action.dest

@@ -23,7 +23,6 @@ from multfun.mf_core import (
     exact_order,
     make_repaired,
     parse_custom_file,
-    ppow_code,
     prime_power_value,
     zero_free,
 )
@@ -359,8 +358,9 @@ def test_registry_cases_cover_every_kind(custom_path):
 
 @pytest.mark.parametrize("name", list(REGISTRY_CASES))
 def test_kind_registry_conformance(name, custom_path):
-    """Each kind's values at primes, prime-power codes, zero-freeness, squarefree
-    support and period agree with pointwise evaluation and with its sieve."""
+    """Each kind's values and codes at prime powers, zero-freeness, squarefree
+    support and period agree with the scalar rule, pointwise evaluation and
+    its sieve."""
     f = REGISTRY_CASES[name](custom_path)
     kind = _KINDS[f.kind]
     N = 10 ** 4
@@ -368,23 +368,28 @@ def test_kind_registry_conformance(name, custom_path):
     want = np.array([eval_at(f, p) for p in primes.tolist()])
     assert np.max(np.abs(f.prime_values(primes) - want)) < 1e-12
 
+    # f(p^m) and its codes over the primes with p^m <= N, for every m with 2^m <= N
     order = exact_order(f)
-    if f.kind == "repaired":
+    roots = None if order is None else np.append(root_table(order), 0)
+    m = 1
+    while 2 ** m <= N:
+        ps = np.array([p for p in primes.tolist() if p ** m <= N])
+        rule = np.array([prime_power_value(f, p, m) for p in ps.tolist()], dtype=np.complex128)
+        got = f.prime_values(ps, m)
+        if f.kind == "power":
+            # numpy's complex power of the base's array rounds differently
+            # from the rule's Python complex power, in the last bits
+            assert np.max(np.abs(got - rule)) < 1e-12, m
+        else:
+            assert got.tobytes() == rule.tobytes(), m       # signbits included
+        if roots is not None and f.kind != "repaired":
+            want = [eval_at(f, p ** m) for p in ps.tolist()]
+            assert np.max(np.abs(roots[kind.prime_codes(f, ps, m)] - want)) < 1e-12, m
+        m += 1
+    if roots is None or f.kind == "repaired":
         # a repaired value carries y off the alphabet; its codes live in the table
-        with pytest.raises(InputError, match="repaired twice"):
-            ppow_code(f, 2, 1)
-    elif order is not None:
-        roots = root_table(order)
-        for p in primes.tolist():
-            pk, k = p, 1
-            while pk <= N:
-                c = ppow_code(f, p, k)
-                got = 0 if c is None else roots[c]
-                assert abs(got - eval_at(f, pk)) < 1e-12, (p, k)
-                pk, k = pk * p, k + 1
-    else:
         with pytest.raises(InputError, match="no exact prime-power codes"):
-            ppow_code(f, 2, 1)
+            kind.prime_codes(f, primes, 1)
 
     values = sieve_range(f, N).values
     if zero_free(f):

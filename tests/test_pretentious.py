@@ -21,7 +21,7 @@ from multfun import (
 )
 from multfun import pretentious
 from multfun.arith import geometric_grid, primes_upto
-from multfun.mf_core import MultiplicativeFunction, PrimePowerSpec
+from multfun.mf_core import MultiplicativeFunction, PrimePowerSpec, make_repaired
 from multfun.pretentious import (
     PLATEAU_CAP,
     _first_plateau_character,
@@ -143,6 +143,13 @@ def test_euler_product_constant_one():
 def test_euler_product_phi_over_n(phi):
     ep = euler_product_mean(phi, 10 ** 5)
     assert abs(ep.value - 0.6079) < 1e-4
+
+
+def test_euler_product_keeps_the_modulus_bound():
+    """The repaired value y = 2 at 2^2 breaks |f| <= 1, so the Euler product
+    refuses f, as eval_at and the table values do."""
+    with pytest.raises(InputError, match="modulus bound"):
+        euler_product_mean(make_repaired(builtin("moebius"), 2.0, 0.0), 100)
 
 
 def test_ap_mean_constant_function():
