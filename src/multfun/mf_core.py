@@ -511,6 +511,7 @@ def _character_prime_values(f, ps, m):
 
 
 def _character_prime_codes(f, ps, m):
+    # chi(p^m) = chi(p)^m: on the units, m times the exponent of chi(p)
     chi = f.meta["char"]
     by_class = np.where(chi.expo >= 0, chi.expo * m % chi.expo_mod, -1)
     return by_class[ps % chi.modulus]
