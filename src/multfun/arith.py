@@ -203,10 +203,10 @@ class SieveContext:
     def __init__(self, N: int):
         if N < 1:
             raise InputError(f"sieve bound must be >= 1, got {N}")
-        # per entry: the prime mask (1 byte), one values array (16) and its
-        # codes (4), and 5 for the int8 statistics the codes are read from
-        # (Omega, omega, squarefree; reading Omega or tau caches omega too);
-        # tau (4) and the radical (8) exceed it
+        # per entry the context holds at most 16 bytes, 10 below the charge:
+        # the prime mask (1) while the primes are sieved, the int8 Omega,
+        # omega and squarefree tables (3), tau (4) and the radical (8); the
+        # primes add 8 per prime, and a caller's tables are charged by it
         check_budget(26 * (N + 1), f"sieve context for N={N}")
         self.N = N
         self.primes = np.flatnonzero(_prime_mask(N)).astype(np.int64)
@@ -319,7 +319,9 @@ def get_context(N: int) -> SieveContext:
 
 
 def primes_upto(P: int) -> np.ndarray:
-    """Primes <= P as an int64 array."""
+    """Primes <= P as an int64 array; a cutoff below 2 leaves none, and is refused."""
+    if P < 2:
+        raise InputError(f"prime cutoff must be >= 2, got {P}")
     return get_context(P).primes
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -124,8 +125,10 @@ def build_function(args):
 
 
 def jsonable(obj):
+    """obj in JSON types; a non-finite float is written as a string ("nan",
+    "inf", "-inf"), which strict JSON has no number for."""
     if isinstance(obj, complex):
-        return {"re": float(obj.real), "im": float(obj.imag)}
+        return {"re": jsonable(obj.real), "im": jsonable(obj.imag)}
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, Zero):
@@ -136,8 +139,8 @@ def jsonable(obj):
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, (np.integer,)):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else str(float(obj))
     if isinstance(obj, np.ndarray):
         return [jsonable(x) for x in obj.tolist()]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
@@ -314,8 +317,6 @@ def cmd_levelset(args):
 
 def cmd_structure(args):
     f = build_function(args)
-    if args.z is None:
-        raise InputError("need --z")
     z = parse_z(args.z)
     pair = structure_pair(f, z, args.N, k_max=args.kmax, Q_max=args.Qmax, P=args.P)
     return {

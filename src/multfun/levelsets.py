@@ -145,6 +145,8 @@ def level_set(f: MultiplicativeFunction, z, N: int, tol: float | None = None,
     kinds without codes, and complex targets, read the values.
     """
     target = normalize_target(z)
+    if tol is not None and not 0 <= tol < math.inf:
+        raise InputError(f"tolerance must be finite and >= 0, got {tol}")
     if table is None or table.N < N:
         table = sieve_range(f, N)
     if not isinstance(target, complex) and table.exact is not None:
@@ -296,10 +298,13 @@ def zero_repair(f: MultiplicativeFunction, z, N_check: int = 10 ** 4) -> Multipl
         return f
     table = sieve_range(f, N_check)
     exact = table.exact is not None and not isinstance(target, complex)
-    angles = _observed_angles(table)
+    vals = table.values[1:]
+    vals = vals[vals != 0]
+    sample = vals[:: max(1, len(vals) // 4096)]
+    diffs = _angle_differences(np.angle(sample) / (2 * np.pi) % 1.0)
     gamma = GOLDEN_FRAC
     for scale in range(64):
-        if _collision_free(gamma, angles):
+        if _collision_free(gamma, diffs):
             break
         gamma = GOLDEN_FRAC / (2.0 + scale)
     else:
@@ -313,24 +318,29 @@ def zero_repair(f: MultiplicativeFunction, z, N_check: int = 10 ** 4) -> Multipl
     return g
 
 
-def _observed_angles(table: SieveTable) -> np.ndarray:
-    vals = table.values[1:]
-    vals = vals[vals != 0]
-    sample = vals[:: max(1, len(vals) // 4096)]
-    return np.angle(sample) / (2 * np.pi) % 1.0
-
-
-def _collision_free(gamma: float, angles: np.ndarray) -> bool:
+def _angle_differences(angles: np.ndarray) -> np.ndarray:
+    """The distinct differences of the angles mod 1, rounded to 12 digits, sorted."""
     # repeated angles add no new difference: the set below is the same floats
     angles = np.unique(angles)
-    diffs = (angles[None, :] - angles[:, None]).ravel() % 1.0
-    diffs = np.unique(np.round(diffs, 12))
-    for n in range(1, 65):
-        shift = (n * gamma) % 1.0
-        d = np.abs(diffs - shift)
-        if np.min(np.minimum(d, 1.0 - d)) < 1e-8:
-            return False
-    return True
+    check_budget(8 * len(angles) ** 2, f"differences of {len(angles)} observed angles")
+    # in place: np.unique of (a_j - a_i) % 1.0 rounded to 12 digits, one k^2 array
+    diffs = (angles[None, :] - angles[:, None]).ravel()
+    np.mod(diffs, 1.0, out=diffs)
+    np.round(diffs, 12, out=diffs)
+    diffs.sort()
+    return diffs[np.concatenate(([True], diffs[1:] != diffs[:-1]))]
+
+
+def _collision_free(gamma: float, diffs: np.ndarray) -> bool:
+    """No n gamma mod 1 (n <= 64) lies within 1e-8 of a sorted difference, around
+    the circle.  Below a shift the circular distance is least at the nearest
+    difference or at the first, above it at the nearest or at the last."""
+    shifts = (np.arange(1, 65) * gamma) % 1.0
+    i = np.searchsorted(diffs, shifts)
+    last = len(diffs) - 1
+    near = diffs[np.clip(np.stack([0 * i, i - 1, i, 0 * i + last]), 0, last)]
+    d = np.abs(near - shifts)
+    return bool(np.min(np.minimum(d, 1.0 - d)) >= 1e-8)
 
 
 # --------------------------------------------------------------------------
@@ -419,10 +429,7 @@ def structure_pair(f: MultiplicativeFunction, z, N: int, k_max: int = 8,
         conc = None
         notes.append("z = 0: the level set is its own rational superset")
     else:
-        if table.exact is None:
-            raise InputError(
-                f"structure_pair needs exact value codes; {f.label} has none"
-            )
+        # E is exact: without a tolerance, level_set refuses a table without codes
         g = zero_repair(f, target, N_check=min(N, 10 ** 4))
         conc = concentration_analysis(g, P)
         res = find_k_and_character(g, k_max=k_max, Q_max=Q_max, P=P)
@@ -465,7 +472,7 @@ class DivisibilityReport:
     weak_u: list = field(default_factory=list)
 
 
-def divisibility_report(E: LevelSet, r: int, u_max: int, N: int | None = None,
+def divisibility_report(E: LevelSet, r: int, u_max: int,
                         floor: float = 1e-3) -> DivisibilityReport:
     """Densities of (E - r) ∩ uN for u <= u_max, with symbolic obstructions.
 
@@ -477,9 +484,11 @@ def divisibility_report(E: LevelSet, r: int, u_max: int, N: int | None = None,
         raise InputError(f"shift must be >= 0, got {r}")
     if u_max < 1:
         raise InputError(f"u_max must be >= 1, got {u_max}")
-    n = N if N is not None else E.N
+    n = E.N
     if r >= n / 2:
         raise InputError(f"shift r={r} too large for truncation N={n}")
+    if not math.isfinite(floor):
+        raise InputError(f"density floor must be finite, got {floor}")
     check_budget(_ROW_BYTES * u_max, f"divisibility report over {u_max} steps")
     # ind[m] marks the members m in (r, n]; those in r + uN are ind[r+u::u]
     ind = np.zeros(n + 1, dtype=bool)

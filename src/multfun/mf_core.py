@@ -236,18 +236,18 @@ class RadicalCodes:
         return np.sort(np.array(members, dtype=np.int64))
 
     def values(self) -> np.ndarray:
-        """phi(n)/n, the product of 1 - 1/p over the primes p | n: one strided
-        slice per small prime, one pass over the multiples of the large ones."""
+        """phi(n)/n, the product of 1 - 1/p over the primes p | n, in the real
+        parts: one strided slice per small prime, one pass over the large ones."""
         N = self.N
-        v = np.ones(N + 1, dtype=np.float64)
+        v = np.ones(N + 1, dtype=np.complex128)
         split = int(np.searchsorted(self.primes, math.isqrt(N), "right"))
         for p in self.primes[:split].tolist():
-            v[p::p] *= 1.0 - 1.0 / p
+            v.real[p::p] *= 1.0 - 1.0 / p
         large = self.primes[split:]
         ratio = 1.0 - 1.0 / large
         for idx, c in large_prime_multiples(large, N):
-            v[idx] *= ratio[:c]
-        return v.astype(np.complex128)
+            v.real[idx] *= ratio[:c]
+        return v
 
     @staticmethod
     def radical_for_ratio(fr: Fraction) -> int | None:
@@ -644,7 +644,7 @@ def _parse_xi(raw) -> Fraction | float:
         return raw
     if isinstance(raw, int):
         return Fraction(raw, 1)
-    if isinstance(raw, float):
+    if isinstance(raw, float) and math.isfinite(raw):
         return raw
     if isinstance(raw, str):
         s = raw.strip()
@@ -655,10 +655,10 @@ def _parse_xi(raw) -> Fraction | float:
             try:
                 return Fraction(int(s), 1)
             except ValueError:
-                return float(s)
+                return _parse_xi(float(s))
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"cannot parse phase parameter xi from {raw!r}: {exc}") from exc
-    raise InputError(f"cannot parse phase parameter xi from {raw!r}")
+    raise InputError(f"phase parameter xi must be an integer, a/b or a finite float, got {raw!r}")
 
 
 def _phase_meta(xi) -> dict:

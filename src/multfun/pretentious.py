@@ -149,8 +149,8 @@ def pretentious_distance(f: MultiplicativeFunction, g: MultiplicativeFunction, P
     """Partial sums of the squared distance between the multiplicative
     functions f and g (twisted by n^{it}) over a geometric grid of prime
     cutoffs up to P."""
-    if P < 2:
-        raise InputError(f"prime cutoff must be >= 2, got {P}")
+    if not math.isfinite(t):
+        raise InputError(f"twist t must be finite, got {t}")
     primes = primes_upto(P)
     fp, gp = f.prime_values(primes), g.prime_values(primes)
     return _distance_profile(fp, gp, primes, t, f.label, g.label, geometric_grid(10, P))
@@ -177,8 +177,6 @@ def euler_product_mean(f: MultiplicativeFunction, P: int) -> EulerProductMean:
     last quarter of the grid points (at least the last two), sets the flag
     when above 0.01.
     """
-    if P < 2:
-        raise InputError(f"prime cutoff must be >= 2, got {P}")
     primes = primes_upto(P)
     grid = geometric_grid(10, P)
     mmax = np.array([max(1, math.ceil(math.log(1.0 / (EULER_TAIL_TOL * (p - 1)), p)))

@@ -119,6 +119,8 @@ def spectrum_scan(values, q_max: int, N: int | None = None,
                             f"budget of {_OP_BUDGET} operations")
     if threshold is None:
         threshold = 5.0 * n ** (-1.0 / 3.0)
+    elif not math.isfinite(threshold):
+        raise InputError(f"threshold must be finite, got {threshold}")
     points = []
     for q in range(1, q_max + 1):
         sums = class_sums(vals[1 : n + 1], q, 1)
@@ -178,10 +180,6 @@ def _interval_sum(n: int, s: int) -> float:
     return _S_group(_embed(np.ones(n + 1), n, s), s)
 
 
-def _delta(buf, h):
-    return np.roll(buf, -h) * np.conj(buf)
-
-
 def _S_group(buf, s):
     """The definitional sum over (n, h_1..h_s) of the s-fold multi-difference,
     evaluated by exhaustive grouped summation (base case |sum f|^2).  The last
@@ -197,7 +195,8 @@ def _S_group(buf, s):
         step = max(1, _ROW_BUDGET // nt)
         return float(sum((np.abs((win[h : h + step] * cj).sum(axis=1)) ** 2).sum()
                          for h in range(0, nt, step)))
-    return float(sum(_S_group(_delta(buf, h), s - 1) for h in range(nt)))
+    # the h-th difference Delta_h buf = buf(. + h) conj buf
+    return float(sum(_S_group(np.roll(buf, -h) * np.conj(buf), s - 1) for h in range(nt)))
 
 
 def gowers_direct(values, N: int, s: int) -> float:
@@ -289,7 +288,7 @@ def _interval_raw(n: int, s: int) -> float:
 
     Delta_h 1_[n] is a shift of 1_[n - |h|], so the sums are n^2 (s = 1),
     the energy n(2n^2 + 1)/3 (s = 2) and E(n) + 2 sum_{L<n} E(L) (s = 3),
-    exact in integers; higher degrees take the definitional sum.
+    exact in integers; higher degrees take the cached definitional sum.
     """
     if s == 1:
         return float(n * n)
@@ -298,17 +297,16 @@ def _interval_raw(n: int, s: int) -> float:
     if s == 3:
         k = n * (n - 1) // 2    # sum_{L<n} L; sum_{L<n} L^3 = k^2
         return float(_interval_energy(n) + 2 * ((2 * k * k + k) // 3))
-    return _gowers_raw(np.ones(n), s)
+    return _interval_sum(n, s)
 
 
 def _gowers_raw(x, s: int) -> float:
-    """Unnormalized U^s sum of x on an interval.
+    """Unnormalized U^s sum of x on an interval, for the fast degrees 1..3.
 
     The same in Z and in the padded group Z/(2^s N)Z, because no
-    difference wraps around there; the fast degrees 1..3 use the support
-    identities above, higher degrees the definitional sum.  A real x, or a
-    complex x whose imaginary parts all vanish, is taken as real, so its
-    transforms are real FFTs.
+    difference wraps around there, so the support identities above apply.
+    A real x, or a complex x whose imaginary parts all vanish, is taken as
+    real, so its transforms are real FFTs.
     """
     if s == 1:
         return float(abs(x.sum()) ** 2)
@@ -324,11 +322,7 @@ def _gowers_raw(x, s: int) -> float:
             x = x.conj()
     if s == 2:
         return _energy(x)
-    if s == 3:
-        return _energy_u3(x)
-    buf = np.zeros((1 << s) * len(x), dtype=np.complex128)
-    buf[: len(x)] = x
-    return _S_group(buf, s)
+    return _energy_u3(x)
 
 
 def _check_fast(n: int, s: int) -> None:
@@ -339,12 +333,6 @@ def _check_fast(n: int, s: int) -> None:
             f"fast U^3 at N={n} uses Ntilde = {(1 << 3) * n}; "
             f"the cap is Ntilde <= {_FAST_U3_MAX_NT}"
         )
-
-
-def _fast_value(x, raw_one: float, s: int) -> float:
-    if s == 1:
-        return float(abs(x.sum()) / len(x))
-    return float((_gowers_raw(x, s) / raw_one) ** (1.0 / (1 << s)))
 
 
 def gowers_fast(values, N: int, s: int) -> float:
@@ -359,7 +347,10 @@ def gowers_fast(values, N: int, s: int) -> float:
     """
     vals, n = _as_values(values, N)
     _check_fast(n, s)
-    return _fast_value(vals[1 : n + 1], _interval_raw(n, s), s)
+    x = vals[1 : n + 1]
+    if s == 1:
+        return float(abs(x.sum()) / n)
+    return float((_gowers_raw(x, s) / _interval_raw(n, s)) ** (1.0 / (1 << s)))
 
 
 @dataclass
@@ -422,17 +413,14 @@ def uniformity_profile(f: MultiplicativeFunction, s: int, n_grid,
         raise InputError(f"N grid entries must be >= 1, got {grid[0]}")
     if method == "fast":
         _check_fast(grid[-1], s)
+    gowers = gowers_fast if method == "fast" else gowers_direct
     table = sieve_range(f, grid[-1])
     report = GowersReport(s=s, source=f.label)
     for n in grid:
-        if method == "fast":
-            raw_one = _interval_raw(n, s)
-            value = _fast_value(table.values[1 : n + 1], raw_one, s)
-        else:
-            # gowers_direct checks s and the operation budget first; only
-            # then may the normalizer take the definitional sum (s >= 4)
-            value = gowers_direct(table.values, n, s)
-            raw_one = _interval_raw(n, s)
+        # the value checks s and the operation budget first; only then may
+        # the normalizer take the definitional sum (s >= 4)
+        value = gowers(table.values, n, s)
+        raw_one = _interval_raw(n, s)
         nt = (1 << s) * n
         report.entries.append(
             GowersEntry(N=n, Ntilde=nt, value=value, method=method,

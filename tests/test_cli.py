@@ -15,11 +15,17 @@ from multfun import InputError, MultfunError
 from multfun.cli import MAX_POLY_DEGREE, build_parser, parse_polys, parse_z, run
 from multfun.arith import ZERO, RootOfUnity
 from multfun.mf_core import _parse_xi, builtin, parse_custom_file, sieve_range
+from multfun.pretentious import pretentious_distance
 from multfun.seminorms import gowers_direct, gowers_fast
 
 
+def _no_constant(token):
+    raise ValueError(f"{token} is not strict JSON")
+
+
 def read(path):
-    return json.loads(path.read_text())
+    """A report, parsed as strict JSON: NaN and Infinity tokens are refused."""
+    return json.loads(path.read_text(), parse_constant=_no_constant)
 
 
 def test_parse_z_forms():
@@ -64,6 +70,25 @@ def test_divisibility_command(tmp_path):
     assert rep["witness_u"] == 4
 
 
+def test_sieve_without_function_names_the_option(tmp_path):
+    out = tmp_path / "e.json"
+    assert run(["sieve", "--N", "100", "--out", str(out)]) == 2
+    assert read(out)["error"]["message"] == "no --function given"
+
+
+def test_distance_against_a_builtin_g(tmp_path):
+    out = tmp_path / "d.json"
+    assert run(["distance", "--function", "liouville", "--g", "dirichlet_character",
+                "--g-modulus", "4", "--g-index", "1", "--P", "10000", "--out", str(out)]) == 0
+    prof = pretentious_distance(builtin("liouville"),
+                                builtin("dirichlet_character", {"modulus": 4, "index": 1}),
+                                10 ** 4)
+    got = read(out)["result"]["profile"]
+    assert got["g_name"] == prof.g_name
+    assert got["partial"] == prof.partial
+    assert got["trend"] == prof.trend
+
+
 def test_invalid_target_exits_2(tmp_path):
     out = tmp_path / "e.json"
     rc = run(["levelset", "--function", "moebius", "--z", "bogus",
@@ -97,10 +122,19 @@ def test_invalid_target_exits_2(tmp_path):
     ["divisibility", "--set", "squarefree", "--N", "100", "--umax", "0"],
     ["divisibility", "--set", "squarefree", "--N", "100", "--umax", "-4"],
     ["gowers", "--function", "liouville", "--N", "64", "--csv", "never-written.csv"],
+    ["sieve", "--function", "lambda_xi", "--xi", "nan", "--N", "100"],
+    ["distance", "--function", "liouville", "--P", "1000", "--t", "inf"],
+    ["spectrum", "--function", "liouville", "--N", "1000", "--qmax", "3", "--threshold", "nan"],
+    ["levelset", "--function", "liouville", "--z", "1", "--N", "100", "--tol", "nan"],
+    ["levelset", "--function", "liouville", "--z", "1", "--N", "100", "--tol", "-1"],
+    ["divisibility", "--set", "squarefree", "--N", "100", "--floor", "nan"],
+    ["levelset", "--set", "squarefree", "--N", "100", "--random-subset", "nan", "--seed", "1"],
 ], ids=["xi-abc", "xi-1/0", "z-val:1/0", "A-x", "polys-n^", "file-missing", "polys-degree",
         "grid-a", "grid-0", "recurrence-Jmax-0", "convergence-Jmax-0", "Jmax-negative",
         "seed-negative", "gowers-direct-s-negative", "limit-0", "limit-negative",
-        "shift-negative", "Qmax-0", "umax-0", "umax-negative", "gowers-csv-without-grid"])
+        "shift-negative", "Qmax-0", "umax-0", "umax-negative", "gowers-csv-without-grid",
+        "xi-nan", "t-inf", "threshold-nan", "tol-nan", "tol-negative", "floor-nan",
+        "random-subset-nan"])
 def test_malformed_input_exits_2(tmp_path, argv):
     out = tmp_path / "e.json"
     assert run(argv + ["--out", str(out)]) == 2

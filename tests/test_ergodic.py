@@ -173,6 +173,18 @@ def test_convergence_torus_rejects_observable():
                             np.arange(1, 100), 100, observable={0: 1.0})
 
 
+def test_convergence_torus_is_the_recurrence_average_with_oscillation():
+    tor = TorusRotation(0.41421356, ((0.0, 0.2), (0.5, 0.55)))
+    polys = PolynomialFamily(((0, 1), (0, 0, 1)))
+    E = np.arange(1, 3001)
+    rep = convergence_average(tor, None, polys, E, 3000)
+    rec = recurrence_average(tor, None, polys, E, 3000)
+    assert rep.running == rec.running
+    tail = [v for j, v in rep.running if j >= 300]
+    assert len(tail) > 1
+    assert rep.oscillation == max(tail) - min(tail)
+
+
 def test_torus_sweep_matches_grid_integration():
     tor = TorusRotation(0.1234567, ((0.0, 0.3), (0.5, 0.6)))
     shifts = (1, 2, 5)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from multfun import (
     InputError,
+    ResourceError,
     SearchError,
     builtin,
     concentration_analysis,
@@ -21,8 +22,8 @@ from multfun import (
     structure_pair,
     zero_repair,
 )
-from multfun.arith import ONE, ZERO, RootOfUnity
-from multfun.levelsets import GOLDEN_FRAC, LevelSet, _collision_free
+from multfun.arith import ONE, ZERO, RootOfUnity, primes_upto
+from multfun.levelsets import GOLDEN_FRAC, LevelSet, _angle_differences, _collision_free
 from multfun.mf_core import MultiplicativeFunction, PrimePowerSpec
 from multfun.seminorms import gowers_fast
 
@@ -176,6 +177,35 @@ def test_zero_repair_rejects_zero_target(mu):
         zero_repair(mu, ZERO)
 
 
+def test_zero_repair_rescales_gamma_past_a_collision(tmp_path):
+    # f(3) = e(33 gamma_0) makes the observed difference 33 gamma_0 mod 1, which
+    # y^33 hits at gamma_0 = GOLDEN_FRAC; at gamma_0 / 2 it would take n = 66
+    x = 33 * GOLDEN_FRAC % 1.0
+    path = tmp_path / "f.txt"
+    path.write_text(f"2 2 0 0\n3 1 {math.cos(2 * math.pi * x)!r} {math.sin(2 * math.pi * x)!r}\n")
+    f = builtin("custom_file", {"path": str(path)})
+    g = zero_repair(f, 1)
+    assert g.meta["gamma"] == GOLDEN_FRAC / 2.0
+    N = 10 ** 4
+    assert np.array_equal(level_set(g, 1, N, tol=1e-9).members,
+                          level_set(f, 1, N, tol=1e-9).members)
+
+
+def test_zero_repair_charges_the_angle_differences(tmp_path, monkeypatch):
+    # about 900 distinct observed angles: their k^2 differences need ~6 MB
+    rng = np.random.default_rng(3)
+    lines = ["2 2 0 0"]
+    for p in primes_upto(1000).tolist():
+        a = rng.random()
+        lines.append(f"{p} 1 {math.cos(2 * math.pi * a)!r} {math.sin(2 * math.pi * a)!r}")
+    path = tmp_path / "dense.txt"
+    path.write_text("\n".join(lines) + "\n")
+    f = builtin("custom_file", {"path": str(path)})
+    monkeypatch.setenv("MULTFUN_MEM_CAP_MB", "2")
+    with pytest.raises(ResourceError, match="observed angles"):
+        zero_repair(f, 1, N_check=1000)
+
+
 def collision_free_all_pairs(gamma, angles, height=64, eps=1e-8):
     """No y^n (n <= height) lands within eps of any difference of two samples."""
     a = np.asarray(angles, dtype=np.float64)
@@ -203,7 +233,8 @@ _gamma = st.one_of(st.floats(0.0, 1.0, exclude_max=True),
 def test_collision_free_matches_all_pairs(base, repeats, gamma, seed):
     angles = np.repeat(base, repeats[: len(base)])
     np.random.default_rng(seed).shuffle(angles)
-    assert _collision_free(gamma, angles) == collision_free_all_pairs(gamma, angles)
+    assert (_collision_free(gamma, _angle_differences(angles))
+            == collision_free_all_pairs(gamma, angles))
 
 
 # --------------------------------------------------------------------------
@@ -307,6 +338,12 @@ def test_structure_pair_containment_and_zero_mean(mu):
     assert abs(pair.u_mean) <= 2 / math.sqrt(10 ** 5)
 
 
+def test_structure_pair_needs_exact_codes():
+    # lambda_xi(0.3) has no codes, and structure_pair passes no tolerance
+    with pytest.raises(InputError, match="no exact representation"):
+        structure_pair(builtin("lambda_xi", {"xi": 0.3}), 1, 1000)
+
+
 def test_structure_pair_zero_target_short_circuits(mu):
     pair = structure_pair(mu, ZERO, 10 ** 4)
     assert pair.k is None
@@ -406,7 +443,9 @@ def test_indicator_counts_match_modulo_counts(data, EN, u_max, q_max):
     N = data.draw(st.none() | st.integers(1, EN))
     n = EN if N is None else N
     r = data.draw(st.integers(0, (n - 1) // 2))
-    rep = divisibility_report(E, r, u_max, N=N)
+    # the report reads the truncation E.N: cut E at n for the drawn N
+    E_n = LevelSet("random", ONE, n, E.members[E.members <= n], True)
+    rep = divisibility_report(E_n, r, u_max)
     assert rep.rows == modulo_rows(E, r, u_max, N)
     prof = density_profile(E, q_max)
     cells = modulo_cells(E, q_max)

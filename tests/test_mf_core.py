@@ -272,6 +272,16 @@ def test_custom_file_roundtrip(tmp_path):
         assert abs(t.values[n] - oracle_eval(f.spec.rule, n)) < 1e-12
 
 
+def test_repaired_base_without_codes_matches_the_oracle():
+    # mu_xi(0.3) has an irrational phase and no codes, so neither has its repair
+    g = make_repaired(builtin("mu_xi", {"xi": 0.3}), complex(np.exp(0.5j)), 0.5 / (2 * np.pi))
+    t = sieve_range(g, 500)
+    assert t.exact is None
+    assert np.all(t.values[1:] != 0)
+    for n in range(1, 501):
+        assert abs(t.values[n] - oracle_eval(g.spec.rule, n)) < 1e-12
+
+
 def test_custom_file_default_zero(tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("default: zero\n2 1 1 0\n3 1 1 0\n")

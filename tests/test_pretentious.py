@@ -152,6 +152,20 @@ def test_euler_product_keeps_the_modulus_bound():
         euler_product_mean(make_repaired(builtin("moebius"), 2.0, 0.0), 100)
 
 
+@pytest.mark.parametrize("call", [
+    lambda f: pretentious_distance(f, f, 1),
+    lambda f: euler_product_mean(f, 1),
+    lambda f: aperiodicity_test(f, 5, P=1),
+    lambda f: rap_test(f, 5, P=1),
+    lambda f: find_k_and_character(f, 2, 5, P=1),
+], ids=["distance", "euler", "aperiodicity", "rap", "find_k"])
+def test_prime_cutoff_below_2_is_refused(call):
+    # no prime is <= 1: each scan refuses the cutoff rather than reading a
+    # verdict (or a raw numpy error) off an empty prime list
+    with pytest.raises(InputError, match="prime cutoff must be >= 2, got 1"):
+        call(builtin("liouville"))
+
+
 def test_ap_mean_constant_function():
     one = unit_function()
     for q, r in [(1, 0), (3, 2), (7, 0), (10, 9)]:

@@ -116,20 +116,19 @@ def test_approximant_period_bound():
 # Gowers norms: independent brute-force oracle
 
 def brute_gowers_raw(buf, s):
-    """Literal (s+1)-fold multi-difference sum; conjugate when s - |eps| odd."""
+    """Literal (s+1)-fold multi-difference sum; conjugate when s - |eps| odd.
+    Axis i of the broadcast grid runs over n (i = 0) or h_i, so each entry
+    is one tuple (n, h_1..h_s) and its product over the cube vertices."""
     nt = len(buf)
-    total = 0.0 + 0j
-    for tup in itertools.product(range(nt), repeat=s + 1):
-        n, hs = tup[0], tup[1:]
-        v = 1.0 + 0j
-        for eps in itertools.product((0, 1), repeat=s):
-            idx = (n + sum(h * ee for h, ee in zip(hs, eps))) % nt
-            val = buf[idx]
-            if (s - sum(eps)) % 2 == 1:
-                val = val.conjugate()
-            v *= val
-        total += v
-    return total.real
+    n, *hs = np.ix_(*[np.arange(nt)] * (s + 1))
+    prod = np.ones((nt,) * (s + 1), dtype=complex)
+    for eps in itertools.product((0, 1), repeat=s):
+        idx = (n + sum(h * ee for h, ee in zip(hs, eps))) % nt
+        val = buf[idx]
+        if (s - sum(eps)) % 2 == 1:
+            val = val.conj()
+        prod = prod * val
+    return prod.sum().real
 
 
 def brute_gowers_norm(seq, n, s):
@@ -299,6 +298,13 @@ def interval_cube_count(n, s):
 def test_interval_raw_matches_cube_count(s):
     for n in range(1, 13):
         assert seminorms._interval_raw(n, s) == interval_cube_count(n, s), n
+
+
+def test_interval_raw_matches_cube_count_above_the_fast_degrees():
+    # s = 4 takes the cached definitional sum: 1, 10 and 51 cubes
+    assert [seminorms._interval_raw(n, 4) for n in (1, 2, 3)] == [1.0, 10.0, 51.0]
+    for n in (1, 2, 3):
+        assert seminorms._interval_raw(n, 4) == interval_cube_count(n, 4), n
 
 
 @pytest.mark.parametrize("s,n", [(s, n) for s in (1, 2) for n in (1, 2, 3, 1000, 2 ** 16)]
