@@ -322,7 +322,9 @@ def _angle_differences(angles: np.ndarray) -> np.ndarray:
     """The distinct differences of the angles mod 1, rounded to 12 digits, sorted."""
     # repeated angles add no new difference: the set below is the same floats
     angles = np.unique(angles)
-    check_budget(8 * len(angles) ** 2, f"differences of {len(angles)} observed angles")
+    # alive at once: the k^2 differences (8 B each), their distinct-value
+    # mask (1 B each) and the distinct differences returned (at most 8 B each)
+    check_budget(17 * len(angles) ** 2, f"differences of {len(angles)} observed angles")
     # in place: np.unique of (a_j - a_i) % 1.0 rounded to 12 digits, one k^2 array
     diffs = (angles[None, :] - angles[:, None]).ravel()
     np.mod(diffs, 1.0, out=diffs)

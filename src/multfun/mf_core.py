@@ -64,6 +64,7 @@ __all__ = [
 ]
 
 _MOD_BOUND = 1.0 + 1e-12
+_BOUND_BLOCK = 1 << 16     # entries whose |f| _check_bound holds at a time
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,7 +342,10 @@ def _sealed(values: np.ndarray) -> np.ndarray:
 
 def _check_bound(f: MultiplicativeFunction, values: np.ndarray) -> np.ndarray:
     if not f.spec.unbounded:
-        peak = float(np.abs(values).max(initial=0.0))
+        # |values| one block at a time, not as one 8 B per entry temporary;
+        # the maximum (NaN included) is the whole array's
+        peak = float(np.max([np.abs(values[i : i + _BOUND_BLOCK]).max(initial=0.0)
+                             for i in range(0, len(values), _BOUND_BLOCK)], initial=0.0))
         if peak > _MOD_BOUND:
             raise InputError(f"{f.label} exceeds the |f| <= 1 modulus bound (max {peak})")
     return values

@@ -285,13 +285,13 @@ def halasz_classify(f: MultiplicativeFunction, P: int = 10 ** 6,
     # the same t; the scored minimum localizes that t.
     t_grid = np.linspace(-10.0, 10.0, 201)
     cvec = fp * inv_p
-    tail_inc, ratio = _TwistScan(primes, t_grid, P, store=False).scan(cvec)
+    tail_inc, ratio = _TwistScan(primes, t_grid, P).scan(cvec)
     t_star = float(t_grid[int(np.argmin(ratio))])
     min_tail = float(np.min(tail_inc))
     min_ratio = float(np.min(ratio))
     step = float(t_grid[1] - t_grid[0])
     t_fine = np.linspace(t_star - step, t_star + step, 41)
-    tail_f, ratio_f = _TwistScan(primes, t_fine, P, store=False).scan(cvec)
+    tail_f, ratio_f = _TwistScan(primes, t_fine, P).scan(cvec)
     if float(np.min(ratio_f)) < min_ratio:
         t_star = float(t_fine[int(np.argmin(ratio_f))])
         min_ratio = float(np.min(ratio_f))
@@ -345,35 +345,33 @@ class _TwistScan:
     the primes in (bounds[-3], P]; when no window qualifies (P <= 10) it is
     the fallback window of all primes <= P.
 
-    The caller chooses how the twists are held, by how often it reuses
-    them.  With store=True every window keeps its len(t) x (its primes)
-    matrix of p^{-it}, so each exponential is computed once however many
-    vectors are scanned: aperiodicity_test scans one vector per character.
-    With store=False each scan works through a window in blocks of _BLOCK
-    t rows and drops each block after its matrix-vector products: the
-    Halász scans read one vector, so a stored matrix would never be read
-    twice.  Only Re sum_p c_p p^{-it} = cos(t log p) @ Re c + sin(t log p)
-    @ Im c is ever read, so a streamed block holds the cos rows, and the
-    sin rows only when Im c is not zero (f real on the primes needs none).
-    Both paths share the windows and the tail rule, and give the same
-    values up to the summation order of the matrix-vector products.
+    Only Re sum_p c_p p^{-it} is ever read, and two paths compute it, by
+    how many vectors c share the twists.  scan reads one vector, as the
+    Halász scans do: it streams each window in blocks of _BLOCK t rows and
+    drops each block after its matrix-vector products, since no row would
+    be read twice.  A block holds the rows of cos(t log p), which
+    Re sum_p c_p p^{-it} = cos(t log p) @ Re c + sin(t log p) @ Im c reads,
+    and the sin rows only when Im c is not zero (f real on the primes needs
+    none).  scan_characters reads the vectors c conj(chi) of every
+    character mod q <= Q_max, as aperiodicity_test does: it walks each
+    window in chunks of primes, holding the complex p^{-it} of every t and
+    the values of every vector on the chunk, and adds one matrix product of
+    the two per chunk, so each exponential is computed once and read by
+    all the vectors while it is in cache.  Both paths share the windows and
+    the tail rule, and give the same values up to summation order.
     """
 
-    _BLOCK = 8      # t rows of cos (and sin) held at a time by a streamed scan
+    _BLOCK = 8                  # t rows of cos (and sin) held at a time by scan
+    _CHUNK_BYTES = 16 << 20     # twists and vectors held at a time by scan_characters
 
-    def __init__(self, primes: np.ndarray, t_grid: np.ndarray, P: int, *, store: bool):
-        # 16 B per prime and row held at once: the complex p^{-it} of every
-        # window when stored; when streamed, the cos and sin rows of one block
-        # over at most all primes (a real vector holds only the cos rows)
-        rows = len(t_grid) if store else min(self._BLOCK, len(t_grid))
-        check_budget(16 * rows * len(primes),
-                     f"twist scan over {len(t_grid)} t and {len(primes)} primes")
+    def __init__(self, primes: np.ndarray, t_grid: np.ndarray, P: int):
         # windows start at 10: the wider the total log-span, the harder it is
         # for a single t to hold p^{it} coherent across every window
         bounds = [min(10, P)]
         while bounds[-1] * 10 < P:
             bounds.append(bounds[-1] * 10)
         bounds.append(P)
+        self.primes = primes
         self.t_grid = t_grid
         self.logp = np.log(primes.astype(np.float64))
         inv_p = 1.0 / primes
@@ -393,15 +391,19 @@ class _TwistScan:
         # increasing order, so the last one qualifies when no other does
         lo2 = bounds[-3] if len(bounds) >= 3 else bounds[0]
         self.tail_lo = min(lo2, self.windows[-1][0])
-        self.stored = ([self._twist(w[1], self.t_grid) for w in self.windows]
-                       if store else None)
 
-    def _twist(self, window: slice, t: np.ndarray) -> np.ndarray:
-        """The stored len(t) x (window primes) matrix of p^{-it},
-        exponentiated in place."""
-        Z = np.outer(-1j * t, self.logp[window])
-        np.exp(Z, out=Z)
-        return Z
+    def _scores(self, twisted):
+        """From Re sum_p c_p p^{-it} over each window in turn (arrays with t
+        first): per t, the last-two-decade increment and the max windowed
+        ratio against the Mertens rate."""
+        tail_inc = max_ratio = None
+        for (lo, _, s_invp, mert), tw in zip(self.windows, twisted):
+            inc = s_invp - tw
+            ratio = inc / mert if mert > 0 else inc * 0
+            max_ratio = ratio if max_ratio is None else np.maximum(max_ratio, ratio)
+            if lo >= self.tail_lo:
+                tail_inc = inc if tail_inc is None else tail_inc + inc
+        return tail_inc, max_ratio
 
     @staticmethod
     def _real_twist(t: np.ndarray, logp: np.ndarray, c_re: np.ndarray,
@@ -416,26 +418,61 @@ class _TwistScan:
     def scan(self, cvec: np.ndarray):
         """cvec = f(p) conj(chi(p)) / p.  Returns, per t: the last-two-decade
         increment and the max windowed ratio against the Mertens rate."""
-        if self.stored is None:
-            c_re = np.ascontiguousarray(cvec.real)
-            c_im = np.ascontiguousarray(cvec.imag) if cvec.imag.any() else None
-        tail_inc = max_ratio = None
-        for k, (lo, window, s_invp, mert) in enumerate(self.windows):
-            if self.stored is not None:
-                twisted = (self.stored[k] @ cvec[window]).real
-            else:
-                logp, re = self.logp[window], c_re[window]
-                im = None if c_im is None else c_im[window]
-                twisted = np.empty(len(self.t_grid))
-                for i in range(0, len(self.t_grid), self._BLOCK):
-                    j = i + self._BLOCK
-                    twisted[i:j] = self._real_twist(self.t_grid[i:j], logp, re, im)
-            inc = s_invp - twisted
-            ratio = inc / mert if mert > 0 else inc * 0
-            max_ratio = ratio if max_ratio is None else np.maximum(max_ratio, ratio)
-            if lo >= self.tail_lo:
-                tail_inc = inc if tail_inc is None else tail_inc + inc
-        return tail_inc, max_ratio
+        n_t = len(self.t_grid)
+        # 16 B per prime and t row of one block over at most all primes: its
+        # cos and sin rows (a real vector holds only the cos rows)
+        check_budget(16 * min(self._BLOCK, n_t) * len(self.primes),
+                     f"twist scan over {n_t} t and {len(self.primes)} primes")
+        c_re = np.ascontiguousarray(cvec.real)
+        c_im = np.ascontiguousarray(cvec.imag) if cvec.imag.any() else None
+
+        def window_sum(window):
+            logp, re = self.logp[window], c_re[window]
+            im = None if c_im is None else c_im[window]
+            twisted = np.empty(n_t)
+            for i in range(0, n_t, self._BLOCK):
+                j = i + self._BLOCK
+                twisted[i:j] = self._real_twist(self.t_grid[i:j], logp, re, im)
+            return twisted
+
+        return self._scores(window_sum(w[1]) for w in self.windows)
+
+    def scan_characters(self, c: np.ndarray, Q_max: int):
+        """scan(c conj(chi(p))) for every character chi mod q <= Q_max at
+        once.  Returns two len(t) x m arrays, one column per character in
+        the characters_mod listing of q = 1, ..., Q_max."""
+        tables = [np.conj(character_table(q)) for q in range(1, Q_max + 1)]
+        m = sum(len(tab) for tab in tables)
+        n_t = len(self.t_grid)
+        longest = max(w[1].stop - w[1].start for w in self.windows)
+        K = max(1, min(self._CHUNK_BYTES // (16 * (n_t + m)), longest))
+        # 16 B per prime of a chunk for each of its n_t twist rows and m vectors
+        check_budget(16 * (n_t + m) * K,
+                     f"twist scan over {n_t} t and {m} characters, {K} primes at a time")
+        vectors = np.empty(m * K, dtype=np.complex128)
+        twists = np.empty(n_t * K, dtype=np.complex128)
+        minus_it = (-1j * self.t_grid)[:, None]
+
+        def window_sum(window):
+            twisted = np.zeros((n_t, m))
+            for a in range(window.start, window.stop, K):
+                k = min(K, window.stop - a)
+                # contiguous m x k and n_t x k views: take writes into them unbuffered
+                block = vectors[: m * k].reshape(m, k)
+                Z = twists[: n_t * k].reshape(n_t, k)
+                row = 0
+                for tab in tables:
+                    np.take(tab, self.primes[a : a + k] % tab.shape[1], axis=1,
+                            out=block[row : row + len(tab)], mode="clip")
+                    row += len(tab)
+                block *= c[a : a + k]
+                # p^{-it} = exp((-it) log p) for every t and prime of the chunk
+                np.multiply(minus_it, self.logp[a : a + k], out=Z)
+                np.exp(Z, out=Z)
+                twisted += (Z @ block.T).real
+            return twisted
+
+        return self._scores(window_sum(w[1]) for w in self.windows)
 
 
 # --------------------------------------------------------------------------
@@ -465,19 +502,15 @@ def aperiodicity_test(f: MultiplicativeFunction, Q_max: int = 60, P: int = 10 **
     fp = f.prime_values(primes)
     inv_p = 1.0 / primes
     t_grid = np.linspace(-10.0, 10.0, 41)
-    scan = _TwistScan(primes, t_grid, P, store=True)
+    labels = [(q, chi.index) for q in range(1, Q_max + 1) for chi in characters_mod(q)]
+    scans = _TwistScan(primes, t_grid, P).scan_characters(fp * inv_p, Q_max)
 
     # (value, q, index, |t|, t) per character: the least tail increment
     # (plateau candidate) and the least max-window ratio (divergence floor)
-    tails, scores = [], []
-    for q in range(1, Q_max + 1):
-        res = primes % q
-        for chi in characters_mod(q):
-            cvec = fp * np.conj(chi.table)[res] * inv_p
-            for best, vals in zip((tails, scores), scan.scan(cvec)):
-                j = int(np.argmin(vals))
-                best.append((float(vals[j]), q, chi.index,
-                             abs(float(t_grid[j])), float(t_grid[j])))
+    tails, scores = (
+        [(float(vals[j, col]), q, index, abs(float(t_grid[j])), float(t_grid[j]))
+         for col, ((q, index), j) in enumerate(zip(labels, np.argmin(vals, axis=0)))]
+        for vals in scans)
     min_tail, q_b, idx_b, _, t_b = min(tails)
     min_score = min(scores)[0]
     evidence = {

@@ -211,7 +211,7 @@ def test_twist_matrices_charged_to_cap(tmp_path, monkeypatch):
     # the Halász scans stream their exponentials in blocks of 8 t rows, so
     # classify at 10^5 holds ~1.2 MB of them, not 201 t over 9592 primes
     # (~29 MB), and fits under 16 MB; the paths that still allocate are
-    # charged in test_pretentious (stored windows, streamed blocks)
+    # charged in test_pretentious (character-scan chunks, streamed blocks)
     monkeypatch.setenv("MULTFUN_MEM_CAP_MB", "16")
     out = tmp_path / "c.json"
     rc = run(["classify", "--function", "liouville", "--P", "100000",

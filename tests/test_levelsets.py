@@ -27,7 +27,7 @@ from multfun.levelsets import GOLDEN_FRAC, LevelSet, _angle_differences, _collis
 from multfun.mf_core import MultiplicativeFunction, PrimePowerSpec
 from multfun.seminorms import gowers_fast
 
-from conftest import squarefree_count_oracle
+from conftest import squarefree_count_oracle, traced_peak
 
 
 def test_level_set_liouville_plus_one(lam):
@@ -192,7 +192,8 @@ def test_zero_repair_rescales_gamma_past_a_collision(tmp_path):
 
 
 def test_zero_repair_charges_the_angle_differences(tmp_path, monkeypatch):
-    # about 900 distinct observed angles: their k^2 differences need ~6 MB
+    # about 900 distinct observed angles: building their k^2 differences
+    # holds ~13 MB
     rng = np.random.default_rng(3)
     lines = ["2 2 0 0"]
     for p in primes_upto(1000).tolist():
@@ -235,6 +236,19 @@ def test_collision_free_matches_all_pairs(base, repeats, gamma, seed):
     np.random.default_rng(seed).shuffle(angles)
     assert (_collision_free(gamma, _angle_differences(angles))
             == collision_free_all_pairs(gamma, angles))
+
+
+def test_angle_differences_peak_within_their_charge(monkeypatch):
+    # 1000 distinct angles: the 10^6 differences, their mask and the
+    # distinct ones returned stay within the 17 B per difference charged,
+    # plus the k sorted angles (slack: 64 B per angle); a cap below the
+    # charge, though above the differences' own 8 MB, refuses the build
+    angles = np.random.default_rng(5).random(1000)
+    _angle_differences(angles[:10])     # numpy's first np.unique call imports ~1 MB
+    assert traced_peak(lambda: _angle_differences(angles)) <= 17 * 1000 ** 2 + 64 * 1000
+    monkeypatch.setenv("MULTFUN_MEM_CAP_MB", "16")
+    with pytest.raises(ResourceError, match="1000 observed angles"):
+        _angle_differences(angles)
 
 
 # --------------------------------------------------------------------------

@@ -17,8 +17,10 @@ from multfun.arith import (
     totient,
 )
 from multfun.mf_core import (
+    _BOUND_BLOCK,
     _KINDS,
     ExactCodes,
+    _check_bound,
     _alphabet,
     exact_order,
     make_repaired,
@@ -240,6 +242,27 @@ def test_modulus_bound_checked_on_the_alphabet(lam, monkeypatch):
     monkeypatch.setattr(mf_core, "root_table", lambda b: np.append(root_table(b)[:-1], 2.0))
     with pytest.raises(InputError, match="modulus bound"):
         sieve_range(lam, 100)
+
+
+def test_bound_check_holds_one_block_of_moduli(phi):
+    # the maximum of |f| over a 10^6-entry table is taken one block at a
+    # time: the 8 B per entry float temporary of the whole table is not made
+    values = sieve_range(phi, 10 ** 6).values
+    assert traced_peak(lambda: _check_bound(phi, values)) <= 8 * _BOUND_BLOCK + 4096
+    assert 8 * _BOUND_BLOCK < 8 * len(values) // 10
+
+
+def test_bound_check_reports_the_whole_table_maximum():
+    # the largest modulus sits in the last, partial block; the message
+    # carries the maximum of |values| over the whole table
+    from multfun.mf_core import MultiplicativeFunction, PrimePowerSpec
+
+    f = MultiplicativeFunction("too_big", PrimePowerSpec(lambda p, k: 0.5))
+    values = np.full(3 * _BOUND_BLOCK + 5, 0.5 + 0.5j)
+    values[_BOUND_BLOCK] = 1.5
+    values[-1] = 3.0 - 4.0j
+    with pytest.raises(InputError, match=r"modulus bound \(max 5\.0\)"):
+        _check_bound(f, values)
 
 
 def test_unbounded_flag_allows_large_values():

@@ -343,35 +343,50 @@ def tail_oracle(primes, cvec, t_grid, P):
     return np.array(out)
 
 
+def character_columns(c, primes, Q_max):
+    """The vectors c conj(chi(p)) of every chi mod q <= Q_max, in the listing
+    order of _TwistScan.scan_characters' columns."""
+    return [c * np.conj(chi.table)[primes % q]
+            for q in range(1, Q_max + 1) for chi in characters_mod(q)]
+
+
 @pytest.mark.parametrize("P", [2, 7, 10, 11, 50, 100, 101, 1000, 1001, 1005, 1008, 1009,
                                10 ** 4, 10005, 10 ** 5, 100002])
 def test_twist_scan_tail_matches_definition(P, l13, lam):
     # l13 is complex on the primes (cos and sin rows when streamed), lam
-    # real (cos rows only)
+    # real (cos rows only); the chunked columns checked are chi_0 mod 1
+    # (c itself) and the complex chi mod 5 of index 1
     primes = primes_upto(P)
     t_grid = np.array([-3.5, 0.0, 1.25, 7.0])
+    scan = _TwistScan(primes, t_grid, P)
     for f in (l13, lam):
-        cvec = f.prime_values(primes) / primes
-        oracle = tail_oracle(primes, cvec, t_grid, P)
-        for store in (True, False):
-            tail_inc, _ = _TwistScan(primes, t_grid, P, store=store).scan(cvec)
-            assert np.max(np.abs(tail_inc - oracle)) < 1e-12, (f.label, store)
+        c = f.prime_values(primes) / primes
+        chunked, _ = scan.scan_characters(c, 5)
+        vectors = character_columns(c, primes, 5)
+        for col in (0, 7):
+            oracle = tail_oracle(primes, vectors[col], t_grid, P)
+            assert np.max(np.abs(chunked[:, col] - oracle)) < 1e-12, (f.label, col)
+        tail_inc, _ = scan.scan(c)
+        assert np.max(np.abs(tail_inc - tail_oracle(primes, c, t_grid, P))) < 1e-12, f.label
 
 
 @pytest.mark.parametrize("n_t", [1, 7, 8, 9, 41, 201])
 @pytest.mark.parametrize("P", [7, 1009, 10 ** 5])
 def test_streamed_and_stored_scans_agree(P, n_t, l13, lam):
-    # grids shorter than, equal to and just past one block of t rows, and
-    # ones whose last block is partial
+    # the chunked scan of every character mod q <= 5 at once against the
+    # streamed scan of each of its vectors, on grids shorter than, equal to
+    # and just past one block of t rows, and ones whose last block is
+    # partial; at 10^5 the last window spans two chunks of primes
     primes = primes_upto(P)
     t_grid = np.linspace(-10.0, 10.0, n_t)
-    stored = _TwistScan(primes, t_grid, P, store=True)
-    streamed = _TwistScan(primes, t_grid, P, store=False)
+    scan = _TwistScan(primes, t_grid, P)
     for f in (l13, lam):
-        cvec = f.prime_values(primes) / primes
-        for a, b in zip(stored.scan(cvec), streamed.scan(cvec)):
-            assert a.shape == b.shape == (n_t,)
-            assert np.max(np.abs(a - b)) <= 1e-15
+        c = f.prime_values(primes) / primes
+        chunked = scan.scan_characters(c, 5)
+        for col, cvec in enumerate(character_columns(c, primes, 5)):
+            for a, b in zip(chunked, scan.scan(cvec)):
+                assert a.shape == (n_t, 10) and b.shape == (n_t,)
+                assert np.max(np.abs(a[:, col] - b)) <= 1e-15, (f.label, col)
 
 
 def test_streamed_scan_peak_within_its_block_charge(l13, lam):
@@ -379,35 +394,61 @@ def test_streamed_scan_peak_within_its_block_charge(l13, lam):
     primes: for a complex vector its cos and sin rows, the 16 * min(8,
     len(t)) * pi(P) bytes it charges to the cap, for a real one only the
     8 B cos rows; plus the log p it keeps and the per-window vectors
-    (slack: 32 B per prime).  A stored scan holds all 201 rows."""
+    (slack: 32 B per prime).  A chunked scan of the 278 characters mod
+    q <= 30 holds the twists and vectors of one chunk of K primes, the
+    16 * (41 + 278) * K bytes it charges, plus the same 32 B per prime and
+    the per-window sums and scores (slack: eight 41 x 278 float arrays)."""
     P = 10 ** 5
     primes = primes_upto(P)
     cvec = l13.prime_values(primes) / primes
     t_grid = np.linspace(-10.0, 10.0, 201)
-    streamed = traced_peak(lambda: _TwistScan(primes, t_grid, P, store=False).scan(cvec))
-    stored = traced_peak(lambda: _TwistScan(primes, t_grid, P, store=True).scan(cvec))
+    streamed = traced_peak(lambda: _TwistScan(primes, t_grid, P).scan(cvec))
     assert streamed <= (16 * 8 + 32) * len(primes)
-    assert streamed <= stored / 10
     real = lam.prime_values(primes) / primes
-    streamed_real = traced_peak(lambda: _TwistScan(primes, t_grid, P, store=False).scan(real))
+    streamed_real = traced_peak(lambda: _TwistScan(primes, t_grid, P).scan(real))
     assert streamed_real <= (8 * 8 + 32) * len(primes)
+    t41 = np.linspace(-10.0, 10.0, 41)
+    K = _TwistScan._CHUNK_BYTES // (16 * (41 + 278))
+    for q in range(1, 31):      # the cached character tables are not the scan's
+        characters_mod(q)
+    chunked = traced_peak(lambda: _TwistScan(primes, t41, P).scan_characters(cvec, 30))
+    assert chunked <= 16 * (41 + 278) * K + 32 * len(primes) + 8 * 8 * 41 * 278
 
 
 def test_streamed_twist_block_charged_to_cap(monkeypatch):
     # one block of 8 t rows over the 9592 primes to 10^5 is ~1.2 MB
     P = 10 ** 5
     primes = primes_upto(P)
+    scan = _TwistScan(primes, np.linspace(-10.0, 10.0, 201), P)
     monkeypatch.setenv("MULTFUN_MEM_CAP_MB", "1")
     with pytest.raises(ResourceError, match="twist scan"):
-        _TwistScan(primes, np.linspace(-10.0, 10.0, 201), P, store=False)
+        scan.scan(1.0 / primes)
 
 
 def test_stored_twist_windows_charged_to_cap(monkeypatch, lam):
-    # the sieve context for 10^5 (~2.6 MB) fits under 5 MB, the stored
-    # windows of 41 t over 9592 primes (~6.3 MB) do not
-    monkeypatch.setenv("MULTFUN_MEM_CAP_MB", "5")
+    # the chunked scan of the 278 characters mod q <= 30 holds 41 twist rows
+    # and 278 vector rows over 3287 primes at a time, 16776848 B: it runs
+    # under a 16 MB cap and is refused under 15 MB, where the sieve context
+    # for 10^5 (~2.6 MB) still fits
+    monkeypatch.setenv("MULTFUN_MEM_CAP_MB", "16")
+    aperiodicity_test(lam, Q_max=30, P=10 ** 5)
+    monkeypatch.setenv("MULTFUN_MEM_CAP_MB", "15")
     with pytest.raises(ResourceError, match="twist scan"):
-        aperiodicity_test(lam, Q_max=2, P=10 ** 5)
+        aperiodicity_test(lam, Q_max=30, P=10 ** 5)
+
+
+@pytest.mark.parametrize("P", [11, 101, 10 ** 5])
+def test_principal_characters_tie_bitwise(P, l13, lam):
+    # on the window primes (all above 10) chi_0 mod 1, 2, 3, 6 and 30 are all
+    # 1, so their columns must be bitwise equal for min to keep (1, 0) ahead
+    primes = primes_upto(P)
+    offsets = np.cumsum([0] + [len(characters_mod(q)) for q in range(1, 30)])
+    cols = [offsets[q - 1] for q in (1, 2, 3, 6, 30)]
+    scan = _TwistScan(primes, np.linspace(-10.0, 10.0, 41), P)
+    for f in (l13, lam):
+        for vals in scan.scan_characters(f.prime_values(primes) / primes, 30):
+            for col in cols[1:]:
+                assert np.array_equal(vals[:, col], vals[:, cols[0]]), (f.label, col)
 
 
 def _tail_set(primes, P):
@@ -515,3 +556,69 @@ def test_character_scans_match_per_character_loops(name, Q, P):
         if math.gcd(Q, r) == 1:
             rep = ap_mean(f, Q, r, P)
             assert abs(rep.decomposition - ap_decomposition_oracle(f, Q, r, P)) < 1e-12
+
+
+def per_character_scans(f, Q_max, P):
+    """aperiodicity_test's (value, q, index, |t|, t) candidates from a loop of
+    streamed scans, one per character mod q <= Q_max: the least tail
+    increment and the least max-window ratio of each, in listing order."""
+    primes = primes_upto(P)
+    c = f.prime_values(primes) / primes
+    t_grid = np.linspace(-10.0, 10.0, 41)
+    scan = _TwistScan(primes, t_grid, P)
+    tails, scores = [], []
+    for q in range(1, Q_max + 1):
+        res = primes % q
+        for chi in characters_mod(q):
+            for best, vals in zip((tails, scores), scan.scan(c * np.conj(chi.table)[res])):
+                j = int(np.argmin(vals))
+                best.append((float(vals[j]), q, chi.index, abs(float(t_grid[j])),
+                             float(t_grid[j])))
+    return tails, scores
+
+
+def assert_evidence_matches(rep, tails, scores):
+    """The report against the least of the per-character candidates: the
+    same character, t and verdict, and values within 1e-15."""
+    (tail, q, index, _, t), score = min(tails), min(scores)[0]
+    ev = rep.evidence
+    assert (ev["best_chi"], ev["best_t"]) == ((q, index), t)
+    assert abs(ev["min_tail_increment"] - tail) <= 1e-15
+    assert abs(ev["min_max_window_ratio"] - score) <= 1e-15
+    if tail < PLATEAU_CAP:
+        assert (rep.verdict, rep.chi, rep.t) == ("periodic_structure", (q, index), t)
+    elif score >= pretentious.APERIODIC_MIN_RATIO:
+        assert (rep.verdict, rep.chi, rep.t) == ("aperiodic_evidence", None, None)
+    else:
+        assert (rep.verdict, rep.chi, rep.t) == ("inconclusive", (q, index), t)
+
+
+@pytest.mark.parametrize("name", list(ORACLE_CASES))
+def test_aperiodicity_matches_per_character_scans(name):
+    # the characters mod q <= Q lead the listing mod q <= Q_top, so one loop
+    # per P serves every bound up to Q_top.  The 1102 streamed scans mod
+    # q <= 60 at 10^4 (about 2 s) run for one real and one complex f; there
+    # the last window spans two chunks of primes
+    f = ORACLE_CASES[name]
+    wide = name in ("liouville", "lambda_1/3")
+    for P, Q_top in ((2, 60), (7, 60), (10, 60), (100, 60), (10 ** 4, 60 if wide else 30)):
+        tails, scores = per_character_scans(f, Q_top, P)
+        for Q in (5, 30, 60):
+            if Q <= Q_top:
+                m = sum(len(characters_mod(q)) for q in range(1, Q + 1))
+                assert_evidence_matches(aperiodicity_test(f, Q_max=Q, P=P),
+                                        tails[:m], scores[:m])
+    assert_evidence_matches(aperiodicity_test(f, Q_max=5, P=10 ** 5),
+                            *per_character_scans(f, 5, 10 ** 5))
+
+
+@pytest.mark.parametrize("K", [1, 7, 22])
+@pytest.mark.parametrize("P", [1000, 1009])
+def test_aperiodicity_chunk_boundaries(monkeypatch, P, K):
+    # chunks of K primes for the 41 t and 10 characters mod q <= 5: the
+    # window (10, 100] holds 21 primes, (100, 1000] 143 and (1000, 1009] one,
+    # so chunks end on, one short of and one past a window's end
+    monkeypatch.setattr(_TwistScan, "_CHUNK_BYTES", 16 * (41 + 10) * K)
+    for f in ORACLE_CASES.values():
+        assert_evidence_matches(aperiodicity_test(f, Q_max=5, P=P),
+                                *per_character_scans(f, 5, P))
