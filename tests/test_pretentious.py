@@ -376,7 +376,7 @@ def test_streamed_and_stored_scans_agree(P, n_t, l13, lam):
     # the chunked scan of every character mod q <= 5 at once against the
     # streamed scan of each of its vectors, on grids shorter than, equal to
     # and just past one block of t rows, and ones whose last block is
-    # partial; at 10^5 the last window spans two chunks of primes
+    # partial; at 10^5 with 201 t the last window spans two chunks of primes
     primes = primes_upto(P)
     t_grid = np.linspace(-10.0, 10.0, n_t)
     scan = _TwistScan(primes, t_grid, P)
