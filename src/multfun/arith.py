@@ -148,9 +148,11 @@ def mem_cap_bytes() -> int:
     """Configured memory cap for sieves and twist scans (env MULTFUN_MEM_CAP_MB,
     a positive number of megabytes, default 4096).
 
-    A twist scan is charged 16 B per prime for each row of p^{-it} it holds
-    at once: len(t) rows when it stores its windows, min(8, len(t)) when it
-    streams them."""
+    A twist scan is charged for one chunk of K primes, about 16 MB: 8 B per
+    prime for each row it holds, per t cos(t log p), sin(t log p) when f or
+    a character is complex and the real and imaginary parts of the twisted
+    values when both are, and per character the real part of its conjugate
+    values, the imaginary part too when some character is complex."""
     raw = os.environ.get("MULTFUN_MEM_CAP_MB", "").strip() or str(DEFAULT_MEM_CAP_MB)
     if not raw.isdecimal() or int(raw) < 1:
         raise InputError(f"MULTFUN_MEM_CAP_MB must be a positive integer (megabytes), "

@@ -26,6 +26,7 @@ periodic.  The scalar rule (prime_power_value) is the oracle for the arrays.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -133,7 +134,7 @@ def prime_power_value(f: MultiplicativeFunction, p: int, k: int) -> complex:
         v = complex(f.spec.rule(p, 1)) ** k
     else:
         v = complex(f.spec.rule(p, k))
-    if not f.spec.unbounded and abs(v) > _MOD_BOUND:
+    if not f.spec.unbounded and not abs(v) <= _MOD_BOUND:   # NaN fails too
         raise InputError(f"{f.label}({p}^{k}) = {v} breaks the |f| <= 1 modulus bound")
     return v
 
@@ -343,10 +344,10 @@ def _sealed(values: np.ndarray) -> np.ndarray:
 def _check_bound(f: MultiplicativeFunction, values: np.ndarray) -> np.ndarray:
     if not f.spec.unbounded:
         # |values| one block at a time, not as one 8 B per entry temporary;
-        # the maximum (NaN included) is the whole array's
+        # the maximum (NaN included, which then fails the bound) is the whole array's
         peak = float(np.max([np.abs(values[i : i + _BOUND_BLOCK]).max(initial=0.0)
                              for i in range(0, len(values), _BOUND_BLOCK)], initial=0.0))
-        if peak > _MOD_BOUND:
+        if not peak <= _MOD_BOUND:
             raise InputError(f"{f.label} exceeds the |f| <= 1 modulus bound (max {peak})")
     return values
 
@@ -819,6 +820,8 @@ def parse_custom_file(path) -> tuple[dict[tuple[int, int], complex], str]:
             value = complex(float(parts[2]), float(parts[3]))
         except ValueError as exc:
             raise InputError(f"{path}:{lineno}: expected 'p k re im', got {body!r}") from exc
+        if not cmath.isfinite(value):
+            raise InputError(f"{path}:{lineno}: value {value} is not finite")
         if not is_prime(p):
             raise InputError(f"{path}:{lineno}: {p} is not prime")
         if k < 1:

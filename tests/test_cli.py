@@ -99,6 +99,20 @@ def test_invalid_target_exits_2(tmp_path):
     assert data["error"]["exit_code"] == 2
 
 
+@pytest.mark.parametrize("line", ["2 1 nan 0", "3 1 0 inf", "5 2 -inf nan"])
+def test_non_finite_custom_value_exits_2(tmp_path, line):
+    # NaN fails no '>' test, so it once passed the |f| <= 1 bound and gave
+    # "nan" means; the file's line is named in the report
+    path = tmp_path / "f.txt"
+    path.write_text(f"# values\n{line}\n")
+    out = tmp_path / "e.json"
+    assert run(["mean", "--function", "custom_file", "--file", str(path), "--N", "1000",
+                "--P", "1000", "--out", str(out)]) == 2
+    err = read(out)["error"]
+    assert err["type"] == "InputError" and err["exit_code"] == 2
+    assert f"{path}:2:" in err["message"]
+
+
 @pytest.mark.parametrize("argv", [
     ["levelset", "--function", "lambda_xi", "--xi", "abc", "--z", "1", "--N", "100"],
     ["levelset", "--function", "lambda_xi", "--xi", "1/0", "--z", "1", "--N", "100"],
@@ -208,10 +222,10 @@ def test_oversized_input_exits_3(tmp_path, argv):
 
 
 def test_twist_matrices_charged_to_cap(tmp_path, monkeypatch):
-    # the Halász scans stream their exponentials in blocks of 8 t rows, so
-    # classify at 10^5 holds ~1.2 MB of them, not 201 t over 9592 primes
-    # (~29 MB), and fits under 16 MB; the paths that still allocate are
-    # charged in test_pretentious (character-scan chunks, streamed blocks)
+    # the Halász scans of a real f hold the 201 cos rows of one chunk of
+    # primes, here the 8363 of (10^4, 10^5], ~13.4 MB, not all 9592 primes
+    # as complex exponentials (~31 MB), and fit under 16 MB; the charges
+    # themselves are tested in test_pretentious
     monkeypatch.setenv("MULTFUN_MEM_CAP_MB", "16")
     out = tmp_path / "c.json"
     rc = run(["classify", "--function", "liouville", "--P", "100000",

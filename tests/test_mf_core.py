@@ -230,6 +230,16 @@ def test_modulus_bound_enforced():
         sieve_range(f, 100)
 
 
+def test_nan_value_breaks_the_modulus_bound():
+    from multfun.mf_core import MultiplicativeFunction, PrimePowerSpec
+
+    f = MultiplicativeFunction("nan_valued", PrimePowerSpec(lambda p, k: complex("nan")))
+    with pytest.raises(InputError, match="modulus bound"):
+        eval_at(f, 2)
+    with pytest.raises(InputError, match="modulus bound"):
+        sieve_range(f, 100)
+
+
 def test_modulus_bound_checked_when_values_are_built(mu):
     t = sieve_range(make_repaired(mu, 2.0, 0.0), 100)
     with pytest.raises(InputError, match="modulus bound"):
@@ -341,6 +351,10 @@ def test_custom_file_parse_errors(tmp_path):
     dup.write_text("2 1 1 0\n2 1 0 0\n")
     with pytest.raises(InputError, match="duplicate"):
         parse_custom_file(dup)
+    nan = tmp_path / "nan.txt"
+    nan.write_text("2 1 1 0\n3 1 nan 0\n")
+    with pytest.raises(InputError, match=r"nan\.txt:2: .* not finite"):
+        parse_custom_file(nan)
 
 
 def test_power_wrapper(l13):

@@ -350,86 +350,117 @@ def character_columns(c, primes, Q_max):
             for q in range(1, Q_max + 1) for chi in characters_mod(q)]
 
 
+def definitional_scans(c, primes, t_grid, P, Q_max):
+    """Per t (rows) and per chi mod q <= Q_max (columns, in listing order):
+    the last-two-decade increment of c conj(chi(p)) and its max windowed
+    ratio against the Mertens rate, from their definition.  Each decade
+    window (lo, hi] of the bounds 10, 100, ..., P that holds a prime gives
+    sum 1/p - Re exp(-i t log p) @ c conj(chi(p)) over its primes, the whole
+    exponential matrix at once, and the rate 2 (ln ln hi - ln ln max(lo, 2));
+    with no such window, all primes <= P form one window of rate
+    2 max(ln ln max(P, 3), 0.1).  The tail sums the windows from the
+    third-last bound on (the first with two bounds), or the one window."""
+    bounds = [min(10, P)]
+    while bounds[-1] * 10 < P:
+        bounds.append(bounds[-1] * 10)
+    bounds.append(P)
+    tail_lo = bounds[-3] if len(bounds) >= 3 else bounds[0]
+    vectors = np.array(character_columns(c, primes, Q_max)).T
+    windows = [(lo, 2 * (math.log(math.log(hi)) - math.log(math.log(max(lo, 2)))),
+                (primes > lo) & (primes <= hi)) for lo, hi in zip(bounds, bounds[1:])]
+    windows = [w for w in windows if w[2].any()] or [
+        (tail_lo, 2 * max(math.log(math.log(max(P, 3))), 0.1), primes <= P)]
+    tail, ratio = 0.0, -np.inf
+    for lo, rate, mask in windows:
+        p = primes[mask].astype(np.float64)
+        twisted = (np.exp(-1j * np.outer(t_grid, np.log(p))) @ vectors[mask]).real
+        inc = (1.0 / p).sum() - twisted
+        ratio = np.maximum(ratio, inc / rate)
+        if lo >= tail_lo:
+            tail = tail + inc
+    return tail, ratio
+
+
 @pytest.mark.parametrize("P", [2, 7, 10, 11, 50, 100, 101, 1000, 1001, 1005, 1008, 1009,
                                10 ** 4, 10005, 10 ** 5, 100002])
 def test_twist_scan_tail_matches_definition(P, l13, lam):
-    # l13 is complex on the primes (cos and sin rows when streamed), lam
-    # real (cos rows only); the chunked columns checked are chi_0 mod 1
-    # (c itself) and the complex chi mod 5 of index 1
+    # l13 is complex on the primes, lam real (no sin rows against chi_0
+    # mod 1, as the Halász scans of a real f run); the columns checked are
+    # chi_0 mod 1 (c itself) and the complex chi mod 5 of index 1
     primes = primes_upto(P)
     t_grid = np.array([-3.5, 0.0, 1.25, 7.0])
-    scan = _TwistScan(primes, t_grid, P)
+    scan = _TwistScan(primes, P)
     for f in (l13, lam):
         c = f.prime_values(primes) / primes
-        chunked, _ = scan.scan_characters(c, 5)
+        chunked, _ = scan.scan_characters(c, t_grid, 5)
         vectors = character_columns(c, primes, 5)
         for col in (0, 7):
             oracle = tail_oracle(primes, vectors[col], t_grid, P)
             assert np.max(np.abs(chunked[:, col] - oracle)) < 1e-12, (f.label, col)
-        tail_inc, _ = scan.scan(c)
-        assert np.max(np.abs(tail_inc - tail_oracle(primes, c, t_grid, P))) < 1e-12, f.label
+        tail_inc, _ = scan.scan_characters(c, t_grid, 1)
+        assert tail_inc.shape == (len(t_grid), 1)
+        assert np.max(np.abs(tail_inc[:, 0] - tail_oracle(primes, c, t_grid, P))) < 1e-12, f.label
 
 
 @pytest.mark.parametrize("n_t", [1, 7, 8, 9, 41, 201])
 @pytest.mark.parametrize("P", [7, 1009, 10 ** 5])
 def test_streamed_and_stored_scans_agree(P, n_t, l13, lam):
-    # the chunked scan of every character mod q <= 5 at once against the
-    # streamed scan of each of its vectors, on grids shorter than, equal to
-    # and just past one block of t rows, and ones whose last block is
-    # partial; at 10^5 with 201 t the last window spans two chunks of primes
+    # the scan of every character mod q <= 5 at once, and the Halász-shape
+    # scan of chi_0 mod 1 alone, against the definitional scans of each
+    # vector, for grids of 1 to 201 t; at 10^5 with 201 t the last window
+    # spans several chunks of primes
     primes = primes_upto(P)
     t_grid = np.linspace(-10.0, 10.0, n_t)
-    scan = _TwistScan(primes, t_grid, P)
+    scan = _TwistScan(primes, P)
     for f in (l13, lam):
         c = f.prime_values(primes) / primes
-        chunked = scan.scan_characters(c, 5)
-        for col, cvec in enumerate(character_columns(c, primes, 5)):
-            for a, b in zip(chunked, scan.scan(cvec)):
-                assert a.shape == (n_t, 10) and b.shape == (n_t,)
-                assert np.max(np.abs(a[:, col] - b)) <= 1e-15, (f.label, col)
+        want = definitional_scans(c, primes, t_grid, P, 5)
+        for Q_max, m in ((5, 10), (1, 1)):
+            for a, b in zip(scan.scan_characters(c, t_grid, Q_max), want):
+                assert a.shape == (n_t, m)
+                assert np.max(np.abs(a - b[:, :m])) <= 1e-15, (f.label, Q_max)
 
 
-def test_streamed_scan_peak_within_its_block_charge(l13, lam):
-    """A streamed 201-t scan holds one block of t rows over at most all the
-    primes: for a complex vector its cos and sin rows, the 16 * min(8,
-    len(t)) * pi(P) bytes it charges to the cap, for a real one only the
-    8 B cos rows; plus the log p it keeps and the per-window vectors
-    (slack: 32 B per prime).  A chunked scan of the 278 characters mod
-    q <= 30 holds the twists and vectors of one chunk of K primes, the
-    16 * (41 + 278) * K bytes it charges, plus the same 32 B per prime and
-    the per-window sums and scores (slack: eight 41 x 278 float arrays)."""
+def test_twist_scan_peak_within_its_chunk_charge(monkeypatch, l13, lam):
+    """A scan allocates the twist and character rows of one chunk of
+    primes, the bytes it charges to the cap, and holds besides them log p
+    and the real and imaginary parts of c (slack: 32 B per prime) and its
+    per-window sums and scores (slack: eight len(t) x m float arrays).
+    Shapes: the Halász scans' 201 t against chi_0 mod 1 (m = 1) and the
+    aperiodicity scan's 41 t against the 278 characters mod q <= 30, each
+    for a complex (l13) and a real (lam) vector."""
     P = 10 ** 5
     primes = primes_upto(P)
-    cvec = l13.prime_values(primes) / primes
-    t_grid = np.linspace(-10.0, 10.0, 201)
-    streamed = traced_peak(lambda: _TwistScan(primes, t_grid, P).scan(cvec))
-    assert streamed <= (16 * 8 + 32) * len(primes)
-    real = lam.prime_values(primes) / primes
-    streamed_real = traced_peak(lambda: _TwistScan(primes, t_grid, P).scan(real))
-    assert streamed_real <= (8 * 8 + 32) * len(primes)
-    t41 = np.linspace(-10.0, 10.0, 41)
-    K = _TwistScan._CHUNK_BYTES // (16 * (41 + 278))
+    charged = []
+    monkeypatch.setattr(pretentious, "check_budget", lambda nbytes, what: charged.append(nbytes))
     for q in range(1, 31):      # the cached character tables are not the scan's
         characters_mod(q)
-    chunked = traced_peak(lambda: _TwistScan(primes, t41, P).scan_characters(cvec, 30))
-    assert chunked <= 16 * (41 + 278) * K + 32 * len(primes) + 8 * 8 * 41 * 278
+    scan = _TwistScan(primes, P)
+    for f in (l13, lam):
+        c = f.prime_values(primes) / primes
+        for n_t, Q_max, m in ((201, 1, 1), (41, 30, 278)):
+            t_grid = np.linspace(-10.0, 10.0, n_t)
+            peak = traced_peak(lambda: scan.scan_characters(c, t_grid, Q_max))
+            assert charged[-1] <= _TwistScan._CHUNK_BYTES
+            assert charged[-1] <= peak <= charged[-1] + 32 * len(primes) + 8 * 8 * n_t * m, \
+                (f.label, n_t)
 
 
-def test_streamed_twist_block_charged_to_cap(monkeypatch):
-    # one block of 8 t rows over the 9592 primes to 10^5 is ~1.2 MB
-    P = 10 ** 5
-    primes = primes_upto(P)
-    scan = _TwistScan(primes, np.linspace(-10.0, 10.0, 201), P)
-    monkeypatch.setenv("MULTFUN_MEM_CAP_MB", "1")
+def test_halasz_scan_charged_to_cap(monkeypatch, lam):
+    # the 201 cos rows of a real f over the 8363 primes of (10^4, 10^5],
+    # its longest window, are ~13.4 MB: refused under an 8 MB cap, where
+    # the sieve context for 10^5 (~2.6 MB) still fits
+    monkeypatch.setenv("MULTFUN_MEM_CAP_MB", "8")
     with pytest.raises(ResourceError, match="twist scan"):
-        scan.scan(1.0 / primes)
+        halasz_classify(lam, P=10 ** 5, N=10 ** 5)
 
 
 def test_stored_twist_windows_charged_to_cap(monkeypatch, lam):
-    # the chunked scan of the 278 characters mod q <= 30 holds 41 twist rows
-    # and 278 vector rows over 3287 primes at a time, 16776848 B: it runs
-    # under a 16 MB cap and is refused under 15 MB, where the sieve context
-    # for 10^5 (~2.6 MB) still fits
+    # the scan of the 278 characters mod q <= 30 for a real f holds the 41
+    # cos and 41 sin rows and the 278 Re and 278 Im character rows, 8 B each,
+    # over 3287 primes at a time, 16776848 B: it runs under a 16 MB cap and
+    # is refused under 15 MB, where the sieve context for 10^5 (~2.6 MB)
+    # still fits
     monkeypatch.setenv("MULTFUN_MEM_CAP_MB", "16")
     aperiodicity_test(lam, Q_max=30, P=10 ** 5)
     monkeypatch.setenv("MULTFUN_MEM_CAP_MB", "15")
@@ -444,9 +475,10 @@ def test_principal_characters_tie_bitwise(P, l13, lam):
     primes = primes_upto(P)
     offsets = np.cumsum([0] + [len(characters_mod(q)) for q in range(1, 30)])
     cols = [offsets[q - 1] for q in (1, 2, 3, 6, 30)]
-    scan = _TwistScan(primes, np.linspace(-10.0, 10.0, 41), P)
+    scan = _TwistScan(primes, P)
+    t_grid = np.linspace(-10.0, 10.0, 41)
     for f in (l13, lam):
-        for vals in scan.scan_characters(f.prime_values(primes) / primes, 30):
+        for vals in scan.scan_characters(f.prime_values(primes) / primes, t_grid, 30):
             for col in cols[1:]:
                 assert np.array_equal(vals[:, col], vals[:, cols[0]]), (f.label, col)
 
@@ -559,21 +591,19 @@ def test_character_scans_match_per_character_loops(name, Q, P):
 
 
 def per_character_scans(f, Q_max, P):
-    """aperiodicity_test's (value, q, index, |t|, t) candidates from a loop of
-    streamed scans, one per character mod q <= Q_max: the least tail
+    """aperiodicity_test's (value, q, index, |t|, t) candidates from the
+    definitional scans of every character mod q <= Q_max: the least tail
     increment and the least max-window ratio of each, in listing order."""
     primes = primes_upto(P)
-    c = f.prime_values(primes) / primes
     t_grid = np.linspace(-10.0, 10.0, 41)
-    scan = _TwistScan(primes, t_grid, P)
+    scans = definitional_scans(f.prime_values(primes) / primes, primes, t_grid, P, Q_max)
+    labels = [(q, chi.index) for q in range(1, Q_max + 1) for chi in characters_mod(q)]
     tails, scores = [], []
-    for q in range(1, Q_max + 1):
-        res = primes % q
-        for chi in characters_mod(q):
-            for best, vals in zip((tails, scores), scan.scan(c * np.conj(chi.table)[res])):
-                j = int(np.argmin(vals))
-                best.append((float(vals[j]), q, chi.index, abs(float(t_grid[j])),
-                             float(t_grid[j])))
+    for col, (q, index) in enumerate(labels):
+        for best, vals in zip((tails, scores), scans):
+            j = int(np.argmin(vals[:, col]))
+            best.append((float(vals[j, col]), q, index, abs(float(t_grid[j])),
+                         float(t_grid[j])))
     return tails, scores
 
 
@@ -595,9 +625,9 @@ def assert_evidence_matches(rep, tails, scores):
 
 @pytest.mark.parametrize("name", list(ORACLE_CASES))
 def test_aperiodicity_matches_per_character_scans(name):
-    # the characters mod q <= Q lead the listing mod q <= Q_top, so one loop
-    # per P serves every bound up to Q_top.  The 1102 streamed scans mod
-    # q <= 60 at 10^4 (about 2 s) run for one real and one complex f; there
+    # the characters mod q <= Q lead the listing mod q <= Q_top, so one
+    # oracle scan per P serves every bound up to Q_top.  The 1102 characters
+    # mod q <= 60 at 10^4 are scanned for one real and one complex f; there
     # the last window spans two chunks of primes
     f = ORACLE_CASES[name]
     wide = name in ("liouville", "lambda_1/3")
@@ -617,8 +647,11 @@ def test_aperiodicity_matches_per_character_scans(name):
 def test_aperiodicity_chunk_boundaries(monkeypatch, P, K):
     # chunks of K primes for the 41 t and 10 characters mod q <= 5: the
     # window (10, 100] holds 21 primes, (100, 1000] 143 and (1000, 1009] one,
-    # so chunks end on, one short of and one past a window's end
-    monkeypatch.setattr(_TwistScan, "_CHUNK_BYTES", 16 * (41 + 10) * K)
+    # so chunks end on, one short of and one past a window's end.  A chunk
+    # holds 8 B per prime for each of 2 rows per character (Re, Im) and
+    # per t: cos and sin, and for a complex f also Re w and Im w
     for f in ORACLE_CASES.values():
+        t_rows = 4 if f.prime_values(primes_upto(P)).imag.any() else 2
+        monkeypatch.setattr(_TwistScan, "_CHUNK_BYTES", 8 * (t_rows * 41 + 2 * 10) * K)
         assert_evidence_matches(aperiodicity_test(f, Q_max=5, P=P),
                                 *per_character_scans(f, 5, P))
