@@ -42,6 +42,7 @@ __all__ = [
     "mem_cap_bytes",
     "check_budget",
     "geometric_grid",
+    "grid_sums",
     "running_means",
     "residue_sums",
     "class_sums",
@@ -343,18 +344,23 @@ def geometric_grid(lo: int, hi: int) -> np.ndarray:
     return g
 
 
+def grid_sums(x: np.ndarray, ends: np.ndarray, running=np.cumsum, empty=0.0) -> np.ndarray:
+    """running(x)[e - 1] for each e in the ascending ends, empty where e = 0.
+    running (np.cumsum or np.cumprod) works in order, so blocks of _SUM_BLOCK
+    entries, each later one run after the carry from the one before it, give
+    the values of one whole running(x)."""
+    out = [np.full(np.count_nonzero(ends == 0), empty, np.result_type(empty, running(x[:0])))]
+    for lo in range(0, int(ends.max(initial=0)), _SUM_BLOCK):
+        block = x[lo : lo + _SUM_BLOCK]
+        run = running(np.concatenate(([carry], block)))[1:] if lo else running(block)
+        carry = run[-1]
+        out.append(run[ends[(ends > lo) & (ends <= lo + _SUM_BLOCK)] - 1 - lo])
+    return np.concatenate(out)
+
+
 def running_means(x: np.ndarray, grid: np.ndarray) -> list:
-    """(m, mean of x[:m]) for each m in the ascending grid, 1 <= m <= len(x).
-    np.cumsum adds in order, so blocks of _SUM_BLOCK entries, each one's first
-    entry carrying the sum before it, give the sums of one whole cumsum."""
-    sums, carry = [np.cumsum(x[:0])], None
-    for lo in range(0, int(grid.max(initial=0)), _SUM_BLOCK):
-        block = x[lo : lo + _SUM_BLOCK].astype(sums[0].dtype)
-        if lo:
-            block[0] += carry
-        carry = np.cumsum(block, out=block)[-1]
-        sums.append(block[grid[(grid > lo) & (grid <= lo + _SUM_BLOCK)] - 1 - lo])
-    return list(zip(grid.tolist(), (np.concatenate(sums) / grid).tolist()))
+    """(m, mean of x[:m]) for each m in the ascending grid, 1 <= m <= len(x)."""
+    return list(zip(grid.tolist(), (grid_sums(x, grid) / grid).tolist()))
 
 
 def residue_sums(c: np.ndarray, res: np.ndarray, q: int) -> np.ndarray:

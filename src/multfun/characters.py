@@ -11,7 +11,6 @@ deterministic and the principal character always comes first.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -56,11 +55,6 @@ class DirichletCharacter:
     @property
     def label(self) -> str:
         return f"chi[{self.modulus}.{self.index}]"
-
-    def to_json(self) -> str:
-        """Export per the wire format {modulus, values: [[re, im], ...]}."""
-        vals = [[float(v.real), float(v.imag)] for v in self.table]
-        return json.dumps({"modulus": self.modulus, "values": vals})
 
     def __repr__(self):
         kind = "principal" if self.is_principal else f"order {self.order}"

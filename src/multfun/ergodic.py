@@ -57,14 +57,14 @@ class FiniteSystem:
         return itertools.product(*(range(m) for m in self.sizes))
 
     def normalize_set(self, A) -> frozenset:
+        k = len(self.sizes)
         out = set()
         for x in A:
             if isinstance(x, (int, np.integer)):
-                x = (int(x),) * len(self.sizes)
-            x = tuple(int(c) % m for c, m in zip(x, self.sizes))
-            if len(x) != len(self.sizes):
-                raise InputError(f"point {x} does not match system arity {len(self.sizes)}")
-            out.add(x)
+                x = (int(x),) * k
+            if len(x) != k:
+                raise InputError(f"point {tuple(x)} does not match system arity {k}")
+            out.add(tuple(int(c) % m for c, m in zip(x, self.sizes)))
         return frozenset(out)
 
     def shift_set(self, A: frozenset, a: int) -> frozenset:
@@ -119,13 +119,8 @@ def intersection_measure(system, A, shifts) -> Fraction | float:
     """
     shifts = tuple(int(a) for a in shifts)
     if isinstance(system, FiniteSystem):
-        base = system.normalize_set(A)
-        inter = set(base)
-        for a in shifts:
-            inter &= system.shift_set(base, a)
-            if not inter:
-                break
-        return Fraction(len(inter), system.total)
+        return Fraction(_integral(system, _observable_table(system, A, None), shifts),
+                        system.total)
     if isinstance(system, TorusRotation):
         if A is not None:
             system = TorusRotation(system.alpha, tuple(A))
@@ -222,14 +217,29 @@ def _check_table(system: FiniteSystem, points: int, polys: PolynomialFamily) -> 
                             f"{work} point shifts, above the budget of {_TABLE_BUDGET}")
 
 
-def _finite_integrand_table(system: FiniteSystem, A, polys: PolynomialFamily):
-    """Integrand depends only on n mod lcm(sizes) for integer polynomials."""
-    _check_table(system, len(A), polys)
-    L = system.period
-    fracs = []
-    for rho in range(L):
-        fracs.append(intersection_measure(system, A, polys.evaluate(rho)))
-    return L, fracs
+def _integral(system: FiniteSystem, w: dict, shifts) -> int | float:
+    """The sum over the support of w of w(x) * prod_i w(x + a_i), the shifts
+    a_i taken componentwise mod each factor: the integral of w times
+    T^{a_1}w ... T^{a_l}w against the counting measure.  w maps the points of
+    its support to their weights and is 0 elsewhere."""
+    total = 0
+    for x, v in w.items():
+        for a in shifts:
+            v *= w.get(tuple((c + a) % m for c, m in zip(x, system.sizes)), 0)
+            if not v:
+                break
+        total += v
+    return total
+
+
+def _integrand_table(system: FiniteSystem, A, polys: PolynomialFamily, observable=None):
+    """The integrand at each residue rho mod the period L of the system (it
+    depends only on n mod L for integer polynomials), for the indicator of A
+    or the observable."""
+    _check_table(system, len(A) if observable is None else system.total, polys)
+    w = _observable_table(system, A, observable)
+    return np.array([_integral(system, w, polys.evaluate(rho)) / system.total
+                     for rho in range(system.period)])
 
 
 def recurrence_average(system, A, polys: PolynomialFamily, E, J_max: int) -> RecurrenceReport:
@@ -243,11 +253,8 @@ def recurrence_average(system, A, polys: PolynomialFamily, E, J_max: int) -> Rec
     J = len(mem)
     floor = 10.0 / J_max
     if isinstance(system, FiniteSystem):
-        L, fracs = _finite_integrand_table(system, A, polys)
-        table = np.array([float(fr) for fr in fracs])
-        residues = mem % L
-        tf = table[residues]
-        exact_zero = all(fracs[rho] == 0 for rho in np.unique(residues))
+        tf = _integrand_table(system, A, polys)[mem % system.period]
+        exact_zero = bool(np.all(tf == 0.0))
     elif isinstance(system, TorusRotation):
         lims = len(polys) * (len(system.arcs) + 1)
         if J * lims > 2_000_000:
@@ -289,21 +296,7 @@ def convergence_average(system, A, polys: PolynomialFamily, E, J_max: int,
         return _with_oscillation(rep)
     if not isinstance(system, FiniteSystem):
         raise InputError(f"unsupported system {type(system).__name__}")
-    _check_table(system, system.total, polys)
-    obs = _observable_table(system, A, observable)
-    L = system.period
-    table = np.empty(L, dtype=np.float64)
-    pts = list(system.points())
-    vals = np.array([obs[x] for x in pts])
-    for rho in range(L):
-        shifts = polys.evaluate(rho)
-        prod = vals.copy()
-        for a in shifts:
-            shifted = np.array([obs[tuple((c + a) % m for c, m in zip(x, system.sizes))]
-                                for x in pts])
-            prod = prod * shifted
-        table[rho] = prod.mean()
-    tf = table[mem % L]
+    tf = _integrand_table(system, A, polys, observable)[mem % system.period]
     running = running_means(tf, geometric_grid(1, J))
     rep = RecurrenceReport(
         running=running, limit_estimate=running[-1][1], positivity="n/a",
@@ -321,9 +314,11 @@ def _with_oscillation(rep: RecurrenceReport) -> RecurrenceReport:
 
 
 def _observable_table(system: FiniteSystem, A, observable) -> dict:
+    """The weights w of _integral on their support: 1 (an int, so that sums
+    stay exact) at each point of A when observable is None, else the
+    observable's nonzero values, in the order of system.points()."""
     if observable is None:
-        base = system.normalize_set(A)
-        return {x: 1.0 if x in base else 0.0 for x in system.points()}
+        return dict.fromkeys(system.normalize_set(A), 1)
     table = dict(observable)
     out = {}
     for x in system.points():
@@ -331,4 +326,4 @@ def _observable_table(system: FiniteSystem, A, observable) -> dict:
         if key not in table:
             raise InputError(f"observable undefined at point {x}")
         out[x] = float(table[key])
-    return out
+    return {x: v for x, v in out.items() if v}

@@ -28,6 +28,7 @@ from .arith import (
     check_budget,
     geometric_grid,
     get_context,
+    grid_sums,
     large_prime_multiples,
     primes_upto,
     snap_root_of_unity,
@@ -50,7 +51,6 @@ from .pretentious import (
     _classify_trend,
     _distance_profile,
     _first_plateau_character,
-    _partials_at_grid,
     rap_test,
 )
 from .seminorms import gowers_fast
@@ -265,7 +265,8 @@ def concentration_analysis(f: MultiplicativeFunction, P: int) -> ConcentrationAn
     off = dist > 1e-9
     tail_total = float(inv_p[off].sum())
     grid = geometric_grid(10, P)
-    tail_partial = _partials_at_grid(np.where(off, inv_p, 0.0), primes, grid).tolist()
+    ends = np.searchsorted(primes, grid, "right")
+    tail_partial = grid_sums(np.where(off, inv_p, 0.0), ends).tolist()
     trend, _, _ = _classify_trend([int(x) for x in grid], tail_partial)
     fuzzy_outside = [v for v, _ in fuzzy if float(np.min(np.abs(gvals - v))) > 1e-9]
     if fuzzy_outside:

@@ -440,16 +440,16 @@ def _sieve_generic(f, N, ctx):
                     idx = idx[(idx // pe) % p != 0]
                 values[idx] *= v
                 pe *= p
-    # A large prime q has q^2 > N, so f(q) is its only factor, applied as the
-    # ratio f(q) / 1 that the loop above forms (which sets signed zeros).  The
+    # A large prime q has q^2 > N, so f(q), from the kind's prime_values (the
+    # rule's value bit for bit), is its only factor, applied as the ratio
+    # f(q) / 1 that the loop above forms (which sets signed zeros).  The
     # product is taken out of place: numpy rounds out-of-place complex
     # products, and in-place ones of two or more entries, by its vector kernel
     # (fused on FMA hardware), but in-place one-entry products by the plain
     # formula.  So it matches the strided slices values[q::q] *= r bit for bit;
     # their one-entry case (q > N // 2) multiplies an exact 1.
     Q = ctx.large_primes
-    r = np.array([prime_power_value(f, q, 1) / (1 + 0j) for q in Q.tolist()],
-                 dtype=np.complex128)
+    r = _KINDS[f.kind].prime_values(f, Q, 1) / (1 + 0j)
     moves = r != 1
     r = r[moves]
     for idx, c in large_prime_multiples(Q[moves], N):
@@ -506,6 +506,17 @@ def _no_codes(f, ps, m):
 def _repaired_prime_values(f, ps, m):
     base_vals = f.meta["base"].prime_values(ps, m)
     return np.where(base_vals == 0, f.meta["y"], base_vals)
+
+
+def _power_prime_values(f, ps, m):
+    # the rule's own Python powers, once per distinct value of the base (told
+    # apart bitwise, so that signed zeros keep theirs): (f(p)^k)^m for a
+    # completely multiplicative base, f(p^m)^k otherwise
+    k, whole = f.meta["k"], f.spec.completely_multiplicative
+    base = f.meta["base"].prime_values(ps, 1 if whole else m)
+    distinct, inverse = np.unique(base.view("V16"), return_inverse=True)
+    powers = [(v ** k) ** m if whole else v ** k for v in distinct.view(np.complex128).tolist()]
+    return np.array(powers, dtype=np.complex128)[inverse]
 
 
 def _character_prime_values(f, ps, m):
@@ -620,7 +631,7 @@ _KINDS = {
         zero_free=lambda f: True,
     ),
     "power": _Kind(
-        prime_values=lambda f, ps, m: f.meta["base"].prime_values(ps, m) ** f.meta["k"],
+        prime_values=_power_prime_values,
         zero_free=lambda f: zero_free(f.meta["base"]),
     ),
     "generic": _Kind(),

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import (check_budget, class_sums, geometric_grid, primes_upto, residue_sums,
-                    running_means)
+from .arith import (check_budget, class_sums, geometric_grid, grid_sums, primes_upto,
+                    residue_sums, running_means)
 from .characters import character_table, characters_mod
 from .errors import InputError
 from .mf_core import (
@@ -93,19 +93,7 @@ def _two_decades_back(grid) -> int:
     """Index of the last grid point <= max(P // 100, min(100, P)), P = grid[-1]
     (0 when there is none): where the last-two-decades tail starts."""
     P = grid[-1]
-    target = max(P // 100, min(100, P))
-    i_lo = 0
-    for i, p in enumerate(grid):
-        if p <= target:
-            i_lo = i
-    return i_lo
-
-
-def _partials_at_grid(terms: np.ndarray, primes: np.ndarray, grid: np.ndarray,
-                      running=np.cumsum, empty=0.0) -> np.ndarray:
-    """running(terms) over the primes <= each grid point; empty before the first."""
-    idx = np.searchsorted(primes, grid, side="right")
-    return np.concatenate(([empty], running(terms)))[idx]
+    return max(int(np.searchsorted(grid, max(P // 100, min(100, P)), "right")) - 1, 0)
 
 
 def _first_plateau_character(terms: np.ndarray, primes: np.ndarray, grid: np.ndarray,
@@ -137,7 +125,7 @@ def _distance_profile(fp, gp, primes, t, f_name, g_name, grid) -> DistanceProfil
         c = c * np.exp(-1j * t * np.log(primes.astype(np.float64)))
     # clamp float dust: terms are nonnegative for |f|, |g| <= 1
     terms = np.maximum((1.0 - c.real) / primes, 0.0)
-    partial = _partials_at_grid(terms, primes, grid).tolist()
+    partial = grid_sums(terms, np.searchsorted(primes, grid, "right")).tolist()
     prof = DistanceProfile(f_name=f_name, g_name=g_name, t=float(t),
                            P_grid=[int(x) for x in grid], partial=partial)
     prof.trend, prof.increment, prof.mertens_increment = _classify_trend(prof.P_grid, partial)
@@ -189,7 +177,8 @@ def euler_product_mean(f: MultiplicativeFunction, P: int) -> EulerProductMean:
         pk[:n] /= primes[:n]
         inner[:n] += pk[:n] * f.prime_values(primes[:n], m)
     factors = (1.0 - 1.0 / primes) * inner
-    partials = _partials_at_grid(factors, primes, grid, np.cumprod, 1.0).tolist()
+    ends = np.searchsorted(primes, grid, "right")
+    partials = grid_sums(factors, ends, np.cumprod, 1.0).tolist()
     value = partials[-1]
     lo = max(len(partials) - max(2, len(partials) // 4), 0)
     tailvals = partials[lo:]
@@ -273,7 +262,8 @@ def halasz_classify(f: MultiplicativeFunction, P: int = 10 ** 6,
     grid = geometric_grid(10, P)
 
     # condition (i): complex series sum (1 - f(p))/p converges
-    partials_c = _partials_at_grid((1.0 - fp) * inv_p, primes, grid).tolist()
+    ends = np.searchsorted(primes, grid, "right")
+    partials_c = grid_sums((1.0 - fp) * inv_p, ends).tolist()
     lo_i = _two_decades_back(grid)
     series_inc = abs(partials_c[-1] - partials_c[lo_i])
     series_converges = series_inc < PLATEAU_CAP

@@ -26,7 +26,9 @@ from multfun.arith import (
     class_sums,
     e,
     factorize,
+    geometric_grid,
     get_context,
+    grid_sums,
     is_prime,
     large_prime_multiples,
     primes_upto,
@@ -515,15 +517,29 @@ def test_class_sums_match_residue_sums(q):
 
 @pytest.mark.parametrize("n", [_SUM_BLOCK - 1, _SUM_BLOCK, _SUM_BLOCK + 1, 3 * _SUM_BLOCK + 5])
 def test_running_means_match_one_cumsum(n):
-    """The blocked running sums equal one whole np.cumsum bit for bit, for
-    real and complex x, at grid points on and beside the block edges."""
+    """The blocked running sums and products equal one whole np.cumsum or
+    np.cumprod bit for bit, for real and complex x, at grid points on and
+    beside the block edges, and at the prime counts of a geometric grid of
+    prime cutoffs (0 before the first prime), as the Euler products and the
+    distance profiles read them."""
     rng = np.random.default_rng(n)
     edges = [m for k in range(1, 4) for m in (k * _SUM_BLOCK - 1, k * _SUM_BLOCK,
                                                  k * _SUM_BLOCK + 1)]
     grid = np.array(sorted({1, 2, n, *(m for m in edges if m <= n)}), dtype=np.int64)
+    primes = primes_upto(3 * 10 ** 6)[:n]
+    counts = np.searchsorted(primes, geometric_grid(1, int(primes[-1])), "right")
+    assert counts[0] == 0 and counts[-1] == n
+    assert n <= _SUM_BLOCK or (counts < _SUM_BLOCK).any() and (counts > _SUM_BLOCK).any()
     real = rng.standard_normal(n) * 1e3
     for x in (real, real + 1j * rng.standard_normal(n), np.exp(2j * np.pi * rng.random(n))):
         got = running_means(x, grid)
         assert [m for m, _ in got] == grid.tolist()
         want = np.cumsum(x)[grid - 1] / grid
         assert_identical(np.array([v for _, v in got], dtype=x.dtype), want)
+        assert_identical(grid_sums(x, grid), np.cumsum(x)[grid - 1])
+        assert_identical(grid_sums(x, counts), np.concatenate(([0.0], np.cumsum(x)))[counts])
+    near_one = 1.0 + rng.standard_normal(n) * 1e-6
+    for x in (near_one, near_one * np.exp(2j * np.pi * rng.random(n))):
+        assert_identical(grid_sums(x, grid, np.cumprod, 1.0), np.cumprod(x)[grid - 1])
+        assert_identical(grid_sums(x, counts, np.cumprod, 1.0),
+                         np.concatenate(([1.0], np.cumprod(x)))[counts])

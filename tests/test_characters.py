@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -175,11 +174,10 @@ def test_reconstruction_on_random_pairs():
         done += 1
 
 
-def test_json_export():
+def test_character_mod_4_values():
     chi = characters_mod(4)[1]
-    data = json.loads(chi.to_json())
-    assert data["modulus"] == 4
-    assert data["values"] == [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]
+    assert chi.modulus == 4
+    assert chi.table.tolist() == [0, 1, 0, -1]
 
 
 def test_character_table_rows_follow_listing():

@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -228,3 +230,68 @@ def test_cyclic_recurrence_matches_divisibility_counts():
         want = count / (u * len(shifted))
         assert abs(avg.limit_estimate - want) <= 1e-12 * want, u
         assert (avg.positivity == "zero_exact") == (u in certified), u
+
+
+def brute_integrals(sizes, weight, polys, L):
+    """Per-point oracle: at each residue rho mod L, the sum over every point x
+    of the product system of weight(x) * prod_i weight(x + p_i(rho))."""
+    points = list(itertools.product(*(range(m) for m in sizes)))
+    table = []
+    for rho in range(L):
+        total = 0
+        for x in points:
+            v = weight(x)
+            for coeffs in polys:
+                a = sum(c * rho ** k for k, c in enumerate(coeffs))
+                v = v * weight(tuple((c + a) % m for c, m in zip(x, sizes)))
+            total += v
+        table.append(total)
+    return table, len(points)
+
+
+PRODUCT_CASES = [
+    ((2, 3), [(0, 0), (1, 2), (0, 0), (3, -1)], ((0, 1),)),
+    ((4, 6), [(1, 1), (1, 1), (5, 7), (2, 0), (0, 3)], ((0, 1), (0, 0, 1))),
+    ((2, 3, 5), [(0, 0, 0), (1, 1, 1), (1, 1, 1), (0, 2, 4), (1, 0, 3)], ((0, 2), (0, 1, 1))),
+    ((3, 3), [(0, 0), (1, 1), (2, 2), (0, 0), 4], ((0, 1), (0, 2), (0, 0, 0, 1))),
+]
+
+
+@pytest.mark.parametrize("sizes, A, coeffs", PRODUCT_CASES)
+def test_product_systems_match_per_point_oracle(sizes, A, coeffs):
+    """intersection_measure, recurrence_average and convergence_average on
+    product systems, with points of A repeated or given off their residues,
+    against the per-point sums of brute_integrals."""
+    system = FiniteSystem(sizes)
+    polys = PolynomialFamily(coeffs)
+    L = math.lcm(*sizes)
+    members = {tuple(c % m for c, m in zip((x,) * len(sizes) if isinstance(x, int) else x, sizes))
+               for x in A}
+    counts, total = brute_integrals(sizes, lambda x: int(x in members), coeffs, L)
+    for rho in range(L):
+        shifts = polys.evaluate(rho)
+        assert intersection_measure(system, A, shifts) == Fraction(counts[rho], total)
+    E = np.array([3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9] * 20)
+    means = np.cumsum([counts[n % L] / total for n in E]) / np.arange(1, len(E) + 1)
+    rec = recurrence_average(system, A, polys, E, len(E))
+    conv = convergence_average(system, A, polys, E, len(E))
+    assert conv.running == rec.running
+    for j, v in rec.running:
+        assert v == pytest.approx(means[j - 1], abs=1e-15)
+    assert rec.exact_zero == all(counts[n % L] == 0 for n in E)
+    rng = np.random.default_rng(len(A))
+    obs = {x: float(rng.random()) if rng.random() < 0.8 else 0.0
+           for x in itertools.product(*(range(m) for m in sizes))}
+    sums, _ = brute_integrals(sizes, obs.__getitem__, coeffs, L)
+    means = np.cumsum([sums[n % L] / total for n in E]) / np.arange(1, len(E) + 1)
+    for j, v in convergence_average(system, None, polys, E, len(E), observable=obs).running:
+        assert v == pytest.approx(means[j - 1], abs=1e-15)
+
+
+@pytest.mark.parametrize("point", [(1, 2, 99), (1,), ()])
+def test_points_of_the_wrong_arity_are_refused(point):
+    system = FiniteSystem((2, 3))
+    with pytest.raises(InputError, match="arity"):
+        intersection_measure(system, [(0, 0), point], ())
+    with pytest.raises(InputError, match="arity"):
+        recurrence_average(system, [point], PolynomialFamily(((0, 1),)), np.arange(1, 10), 9)

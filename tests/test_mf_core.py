@@ -363,6 +363,38 @@ def test_power_wrapper(l13):
         assert abs(eval_at(cube, n) - eval_at(l13, n) ** 3) < 1e-12
 
 
+@pytest.mark.parametrize("N", [960, 961, 962, 10 ** 4])
+def test_sieved_squares_match_pointwise_evaluation(N, custom_path):
+    """sieve_range(f ** 2, N) against eval_at at every n <= N, for bases of
+    the generic, phase, character and repaired kinds; every n above sqrt(N)
+    whose largest prime q exceeds sqrt(N) takes f(q) from the large-prime
+    pass, and at n = q the entry equals the rule's f(q)."""
+    root = math.isqrt(N)
+    large = [q for q in primes_upto(N).tolist() if q > root]
+    for base in (builtin("lambda_xi", {"xi": 0.1234567}), builtin("mu_xi", {"xi": "1/4"}),
+                 builtin("dirichlet_character", {"modulus": 5, "index": 1}),
+                 make_repaired(builtin("moebius"), complex(np.exp(0.5j)), 0.5),
+                 builtin("custom_file", {"path": str(custom_path)})):
+        f = base ** 2
+        values = sieve_range(f, N).values
+        want = np.array([eval_at(f, n) for n in range(1, N + 1)])
+        assert np.max(np.abs(values[1:] - want)) < 1e-12, f.label
+        assert all(values[q] == prime_power_value(f, q, 1) for q in large), f.label
+
+
+def test_power_prime_values_keep_signed_zeros(tmp_path):
+    """f(3) = 0 + 1j and f(5) = -0.0 + 1j are equal as complex numbers, but
+    the rule squares them to -1 + 0j and -1 - 0j; the power kind's array form
+    keeps each one's sign."""
+    path = tmp_path / "signs.txt"
+    path.write_text("3 1 0 1\n5 1 -0.0 1\n")
+    f = builtin("custom_file", {"path": str(path)}) ** 2
+    ps = primes_upto(100)
+    rule = np.array([prime_power_value(f, p, 1) for p in ps.tolist()], dtype=np.complex128)
+    assert np.signbit(rule.imag[1:3]).tolist() == [False, True]
+    assert f.prime_values(ps).tobytes() == rule.tobytes()
+
+
 def test_sieve_budget_cap(monkeypatch, mu):
     from multfun import ResourceError
 
@@ -423,12 +455,7 @@ def test_kind_registry_conformance(name, custom_path):
         ps = np.array([p for p in primes.tolist() if p ** m <= N])
         rule = np.array([prime_power_value(f, p, m) for p in ps.tolist()], dtype=np.complex128)
         got = f.prime_values(ps, m)
-        if f.kind == "power":
-            # numpy's complex power of the base's array rounds differently
-            # from the rule's Python complex power, in the last bits
-            assert np.max(np.abs(got - rule)) < 1e-12, m
-        else:
-            assert got.tobytes() == rule.tobytes(), m       # signbits included
+        assert got.tobytes() == rule.tobytes(), m       # signbits included
         if roots is not None and f.kind != "repaired":
             want = [eval_at(f, p ** m) for p in ps.tolist()]
             assert np.max(np.abs(roots[kind.prime_codes(f, ps, m)] - want)) < 1e-12, m

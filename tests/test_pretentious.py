@@ -483,6 +483,23 @@ def test_principal_characters_tie_bitwise(P, l13, lam):
                 assert np.array_equal(vals[:, col], vals[:, cols[0]]), (f.label, col)
 
 
+@pytest.mark.parametrize("P", [2, 7, 10, 11, 100, 1009, 10 ** 4, 5 * 10 ** 5, 10 ** 6])
+def test_two_decades_back_is_the_last_point_below_the_cut(P):
+    """The tail start against its loop definition: the index of the last grid
+    point <= max(P // 100, min(100, P)), or 0 when no point is, on the
+    geometric grid as an array and as the list that _classify_trend reads."""
+    grid = geometric_grid(10, P)
+    target = max(P // 100, min(100, P))
+    want = 0
+    for i, p in enumerate(grid.tolist()):
+        if p <= target:
+            want = i
+    assert _two_decades_back(grid) == want
+    assert _two_decades_back(grid.tolist()) == want
+    above = [p for p in grid.tolist() if p > target] or [P]
+    assert _two_decades_back(above) == 0
+
+
 def _tail_set(primes, P):
     """The primes above the two-decades cut, and their sum of 1/p."""
     grid = geometric_grid(10, P)
