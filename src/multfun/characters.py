@@ -17,8 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import factorize, root_table, totient
-from .errors import InputError, ResourceError
+from .arith import check_budget, factorize, root_table, totient
+from .errors import InputError
 
 __all__ = [
     "DirichletCharacter",
@@ -133,20 +133,15 @@ def character_table(q: int) -> np.ndarray:
     return _character_group(q)[0]
 
 
+@lru_cache(maxsize=64)
 def _character_group(q: int) -> tuple[np.ndarray, list[DirichletCharacter]]:
     if q < 1:
         raise InputError(f"modulus must be >= 1, got {q}")
     if q > 10**6:
         raise InputError(f"modulus {q} above the supported bound 10^6")
-    phi_q = totient(q)
-    check = 16 * q * phi_q
-    if check > 2 * 1024**3:
-        raise ResourceError(f"character group mod {q} needs ~{check // 1024**2} MB of tables")
-    return _character_group_cached(q)
-
-
-@lru_cache(maxsize=64)
-def _character_group_cached(q: int) -> tuple[np.ndarray, list[DirichletCharacter]]:
+    # the build peaks at what it keeps: 24 B per entry of the phi(q) x q tables
+    # (int64 exponents, complex values) and about 0.5 KB per character object
+    check_budget((24 * q + 1024) * totient(q), f"character group mod {q}")
     gens = _unit_group_structure(q)
     dlogs = _dlog_tables(q, gens)
     orders = [d for _, d in gens]
@@ -154,9 +149,11 @@ def _character_group_cached(q: int) -> tuple[np.ndarray, list[DirichletCharacter
     coprime = np.array([math.gcd(n, q) == 1 for n in range(q)], dtype=bool)
     # one row per character: exponent vectors in lexicographic order
     evs = np.array(list(itertools.product(*(range(d) for d in orders))), dtype=np.int64)
-    expos = ((evs * (L // np.array(orders, dtype=np.int64))) @ dlogs) % L
+    expos = (evs * (L // np.array(orders, dtype=np.int64))) @ dlogs
+    expos %= L
     expos[:, ~coprime] = -1
-    tables = np.where(expos >= 0, root_table(L)[np.maximum(expos, 0)], 0.0)
+    tables = root_table(L)[expos]       # an exponent -1 reads the last root,
+    tables[:, ~coprime] = 0             # so the non-units are zeroed here
     tables.flags.writeable = False
     expos.flags.writeable = False
     chars = []

@@ -236,8 +236,12 @@ def _integrand_table(system: FiniteSystem, A, polys: PolynomialFamily, observabl
     """The integrand at each residue rho mod the period L of the system (it
     depends only on n mod L for integer polynomials), for the indicator of A
     or the observable."""
-    _check_table(system, len(A) if observable is None else system.total, polys)
-    w = _observable_table(system, A, observable)
+    if observable is None:
+        w = _observable_table(system, A, None)      # one entry per distinct point of A
+        _check_table(system, len(w), polys)
+    else:
+        _check_table(system, system.total, polys)   # the build walks every point
+        w = _observable_table(system, A, observable)
     return np.array([_integral(system, w, polys.evaluate(rho)) / system.total
                      for rho in range(system.period)])
 

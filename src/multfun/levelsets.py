@@ -261,15 +261,13 @@ def concentration_analysis(f: MultiplicativeFunction, P: int) -> ConcentrationAn
                                      bucket_masses=top, thresholds=thresholds)
     group = [RootOfUnity(j, L) for j in range(L)]
     gvals = np.array([g.value for g in group])
-    dist = np.min(np.abs(fp[:, None] - gvals[None, :]), axis=1)
-    off = dist > 1e-9
+    off = _off_group(fp, gvals)
     tail_total = float(inv_p[off].sum())
     grid = geometric_grid(10, P)
     ends = np.searchsorted(primes, grid, "right")
     tail_partial = grid_sums(np.where(off, inv_p, 0.0), ends).tolist()
     trend, _, _ = _classify_trend([int(x) for x in grid], tail_partial)
-    fuzzy_outside = [v for v, _ in fuzzy if float(np.min(np.abs(gvals - v))) > 1e-9]
-    if fuzzy_outside:
+    if _off_group(np.array([v for v, _ in fuzzy], dtype=np.complex128), gvals).any():
         verdict = "inconclusive"
     elif trend == "plateau":
         verdict = "concentrated"
@@ -278,6 +276,14 @@ def concentration_analysis(f: MultiplicativeFunction, P: int) -> ConcentrationAn
     return ConcentrationAnalysis(points=points, group=group, tail=tail_total,
                                  tail_trend=trend, verdict=verdict,
                                  bucket_masses=top, thresholds=thresholds)
+
+
+def _off_group(values: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """The values farther than 1e-9 from every one of the L roots e(j/L),
+    measured to the root nearest by angle, which is the nearest root."""
+    L = len(roots)
+    nearest = roots[np.rint(np.angle(values) * L / (2 * np.pi)).astype(np.int64) % L]
+    return np.abs(values - nearest) > 1e-9
 
 
 # --------------------------------------------------------------------------
@@ -302,10 +308,10 @@ def zero_repair(f: MultiplicativeFunction, z, N_check: int = 10 ** 4) -> Multipl
     vals = table.values[1:]
     vals = vals[vals != 0]
     sample = vals[:: max(1, len(vals) // 4096)]
-    diffs = _angle_differences(np.angle(sample) / (2 * np.pi) % 1.0)
+    angles = np.unique(np.angle(sample) / (2 * np.pi) % 1.0)
     gamma = GOLDEN_FRAC
     for scale in range(64):
-        if _collision_free(gamma, diffs):
+        if _collision_free(gamma, angles):
             break
         gamma = GOLDEN_FRAC / (2.0 + scale)
     else:
@@ -319,31 +325,22 @@ def zero_repair(f: MultiplicativeFunction, z, N_check: int = 10 ** 4) -> Multipl
     return g
 
 
-def _angle_differences(angles: np.ndarray) -> np.ndarray:
-    """The distinct differences of the angles mod 1, rounded to 12 digits, sorted."""
-    # repeated angles add no new difference: the set below is the same floats
-    angles = np.unique(angles)
-    # alive at once: the k^2 differences (8 B each), their distinct-value
-    # mask (1 B each) and the distinct differences returned (at most 8 B each)
-    check_budget(17 * len(angles) ** 2, f"differences of {len(angles)} observed angles")
-    # in place: np.unique of (a_j - a_i) % 1.0 rounded to 12 digits, one k^2 array
-    diffs = (angles[None, :] - angles[:, None]).ravel()
-    np.mod(diffs, 1.0, out=diffs)
-    np.round(diffs, 12, out=diffs)
-    diffs.sort()
-    return diffs[np.concatenate(([True], diffs[1:] != diffs[:-1]))]
-
-
-def _collision_free(gamma: float, diffs: np.ndarray) -> bool:
-    """No n gamma mod 1 (n <= 64) lies within 1e-8 of a sorted difference, around
-    the circle.  Below a shift the circular distance is least at the nearest
-    difference or at the first, above it at the nearest or at the last."""
-    shifts = (np.arange(1, 65) * gamma) % 1.0
-    i = np.searchsorted(diffs, shifts)
-    last = len(diffs) - 1
-    near = diffs[np.clip(np.stack([0 * i, i - 1, i, 0 * i + last]), 0, last)]
-    d = np.abs(near - shifts)
-    return bool(np.min(np.minimum(d, 1.0 - d)) >= 1e-8)
+def _collision_free(gamma: float, angles: np.ndarray) -> bool:
+    """No n gamma mod 1 (n <= 64) lies within 1e-8, around the circle, of a
+    difference b - a mod 1 of two of the sorted distinct angles, rounded to 12
+    digits.  Around the circle b - a is nearest n gamma where b is nearest
+    a + n gamma, so for each shift and each angle a only the two angles b
+    around a + n gamma are compared: 64 x k floats per array for k angles
+    (zero_repair samples k <= 8191), where all pairs would take k^2."""
+    shifts = (np.arange(1, 65) * gamma % 1.0)[:, None]
+    i = np.searchsorted(angles, (angles + shifts) % 1.0)
+    for step in (-1, 0):
+        d = np.round((angles[(i + step) % len(angles)] - angles) % 1.0, 12)
+        d -= shifts
+        np.abs(d, out=d)
+        if np.min(np.minimum(d, 1.0 - d)) < 1e-8:
+            return False
+    return True
 
 
 # --------------------------------------------------------------------------
@@ -439,12 +436,12 @@ def structure_pair(f: MultiplicativeFunction, z, N: int, k_max: int = 8,
         k, chi = res.k, res.chi
         if res.fallback:
             notes.append("(k, chi) from the concentration-group fallback")
-        g_table = sieve_range(g, N) if g is not f else table
-        if not np.array_equal(g_table.exact.members(target), E.members):
-            raise SearchError("zero repair altered the level set on [N]")
         zk = target ** k
+        # g's codes are f's wherever f(n) != 0, and ExactCodes.members never
+        # counts an n carrying a repaired factor, so the level set of g^k is
+        # read from f's own codes
         R = LevelSet(source=f"{g.label}^{k}", z=zk, N=N,
-                     members=g_table.exact.members(zk, power=k), exact=True, function=g)
+                     members=table.exact.members(zk, power=k), exact=True, function=g)
         rap = rap_test(g ** k, Q_max=Q_max, P=P)
     ind_E = E.indicator()
     ind_R = R.indicator()

@@ -451,15 +451,14 @@ class AperiodicityReport:
     evidence: dict = field(default_factory=dict)
 
 
-def aperiodicity_test(f: MultiplicativeFunction, Q_max: int = 60, P: int = 10 ** 5,
-                      ap_check_N: int | None = None) -> AperiodicityReport:
+def aperiodicity_test(f: MultiplicativeFunction, Q_max: int = 60,
+                      P: int = 10 ** 5) -> AperiodicityReport:
     """Scan all (chi mod q <= Q_max, t on a grid of 41 points in [-10, 10])
     twisted distance profiles.
 
     A plateauing profile yields periodic_structure(chi, t); if every profile
     diverges the verdict is aperiodic_evidence.  The verdict is heuristic:
-    finite truncations cannot certify divergence.  Optionally cross-validates
-    with direct progression means at N = ap_check_N for q <= 10.
+    finite truncations cannot certify divergence.
     """
     _check_q_max(Q_max)
     primes = primes_upto(P)
@@ -486,15 +485,6 @@ def aperiodicity_test(f: MultiplicativeFunction, Q_max: int = 60, P: int = 10 **
         "best_t": t_b,
         "P": int(P),
     }
-    if ap_check_N:
-        table = sieve_range(f, ap_check_N)
-        means = {}
-        for q in range(1, 11):
-            for r in range(q):
-                rep = ap_mean(f, q, r, ap_check_N, table=table)
-                means[f"{q},{r}"] = complex(rep.direct)
-        evidence["ap_means_max_abs"] = max(abs(v) for v in means.values())
-        evidence["ap_means"] = means
     if min_tail < PLATEAU_CAP:
         return AperiodicityReport("periodic_structure", (q_b, idx_b), t_b, True, evidence)
     if min_score >= APERIODIC_MIN_RATIO:

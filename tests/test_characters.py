@@ -5,12 +5,17 @@ import pytest
 
 from multfun import (
     InputError,
+    ResourceError,
     characters_mod,
     indicator_decomposition,
     induce,
     principal_character,
 )
+from multfun import characters
+from multfun.arith import totient
 from multfun.characters import character_table
+
+from conftest import traced_peak
 
 
 def phi_oracle(q):
@@ -190,3 +195,26 @@ def test_character_table_rows_follow_listing():
             assert chi.index == j
             assert np.array_equal(table[j], chi.table)
         assert character_table(q) is table
+
+
+@pytest.mark.parametrize("q", [360, 503])
+def test_character_group_peak_within_its_charge(q, monkeypatch):
+    # the build is charged what it holds at its peak, within a quarter
+    charged = []
+    monkeypatch.setattr(characters, "check_budget", lambda nbytes, what: charged.append(nbytes))
+    characters._character_group.cache_clear()
+    peak = traced_peak(lambda: characters_mod(q))
+    assert len(charged) == 1
+    assert 24 * q * totient(q) < peak <= charged[0] <= 1.25 * peak
+
+
+def test_character_group_is_charged_to_the_cap(monkeypatch):
+    # mod 3001 the build takes ~216 MB; the cap refuses it, and a cache hit
+    # is not charged again
+    characters._character_group.cache_clear()
+    monkeypatch.setenv("MULTFUN_MEM_CAP_MB", "64")
+    with pytest.raises(ResourceError, match="character group mod 3001"):
+        characters_mod(3001)
+    chars = characters_mod(1009)                # ~24 MB
+    monkeypatch.setenv("MULTFUN_MEM_CAP_MB", "1")
+    assert characters_mod(1009) is chars

@@ -362,6 +362,19 @@ def test_recurrence_csv(tmp_path, command):
                                                        for j, v in running]
 
 
+@pytest.mark.parametrize("command", ["recurrence", "convergence"])
+def test_table_budget_counts_distinct_points(tmp_path, command):
+    # 5001 copies of one point: the table shifts one point, 1000 x 1 x 2
+    # point shifts, not the 1000 x 5001 x 2 > 10^7 of the points as listed
+    reports = []
+    for A in (",".join(["0"] * 5001), "0"):
+        out = tmp_path / "r.json"
+        assert run([command, "--m", "1000", "--A", A, "--polys", "n", "--N", "2000",
+                    "--Jmax", "1000", "--out", str(out)]) == 0
+        reports.append(read(out)["result"])
+    assert reports[0] == reports[1]
+
+
 def test_apmean_command(tmp_path):
     out = tmp_path / "ap.json"
     rc = run(["apmean", "--function", "lambda_xi", "--xi", "1/3",

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from multfun import (
     InputError,
-    ResourceError,
     SearchError,
     builtin,
     concentration_analysis,
@@ -22,8 +21,9 @@ from multfun import (
     structure_pair,
     zero_repair,
 )
+from multfun import levelsets
 from multfun.arith import ONE, ZERO, RootOfUnity, primes_upto
-from multfun.levelsets import GOLDEN_FRAC, LevelSet, _angle_differences, _collision_free
+from multfun.levelsets import GOLDEN_FRAC, LevelSet, _collision_free, _off_group
 from multfun.mf_core import MultiplicativeFunction, PrimePowerSpec
 from multfun.seminorms import gowers_fast
 
@@ -152,6 +152,26 @@ def test_ruzsa_dichotomy_consistency():
     assert counts.max() / 10 ** 6 < 0.01
 
 
+@pytest.mark.parametrize("L", [1, 2, 3, 4, 6, 12, 16, 37, 64])
+def test_off_group_matches_the_broadcast_minimum(L):
+    # exact roots, zeros (signed too), points 1e-9 off a root along and across
+    # the circle, and random points inside and on the circle
+    roots = np.array([RootOfUnity(j, L).value for j in range(L)])
+    rng = np.random.default_rng(L)
+    picked = roots[rng.integers(0, L, 300)]
+    values = np.concatenate([
+        roots, [0j, complex(-0.0, -0.0), complex(-1.0, -0.0), complex(-1.0, 0.0)],
+        picked * np.exp(1j * rng.choice([-1e-9, 1e-9, -2e-9, 2e-9, 5e-10], 300)),
+        picked * (1 + rng.choice([-1e-9, 1e-9, 9.99e-10, 1.001e-9], 300)),
+        picked + 1e-9, picked - 1e-9j,
+        rng.random(500) * np.exp(2j * np.pi * rng.random(500)),
+        np.exp(2j * np.pi * rng.random(500)),
+    ])
+    want = np.min(np.abs(values[:, None] - roots[None, :]), axis=1) > 1e-9
+    assert np.array_equal(_off_group(values, roots), want)
+    assert want.any() and not want.all()
+
+
 # --------------------------------------------------------------------------
 # Zero repair
 
@@ -191,20 +211,45 @@ def test_zero_repair_rescales_gamma_past_a_collision(tmp_path):
                           level_set(f, 1, N, tol=1e-9).members)
 
 
-def test_zero_repair_charges_the_angle_differences(tmp_path, monkeypatch):
-    # about 900 distinct observed angles: building their k^2 differences
-    # holds ~13 MB
-    rng = np.random.default_rng(3)
-    lines = ["2 2 0 0"]
-    for p in primes_upto(1000).tolist():
-        a = rng.random()
-        lines.append(f"{p} 1 {math.cos(2 * math.pi * a)!r} {math.sin(2 * math.pi * a)!r}")
-    path = tmp_path / "dense.txt"
+def _dense_custom_file(path, N=8000, zero=7919, seed=11):
+    """A custom file with f(p^k) at random 2^20-th roots of unity for every
+    p^k <= N, except f(zero) = 0: its values at the n <= N have about N
+    distinct angles."""
+    rng = np.random.default_rng(seed)
+    lines = [f"{zero} 1 0 0"]
+    for p in primes_upto(N).tolist():
+        pk, k = p, 1
+        while pk <= N:
+            if pk != zero:
+                a = 2 * math.pi * int(rng.integers(0, 2 ** 20)) / 2 ** 20
+                lines.append(f"{p} {k} {math.cos(a)!r} {math.sin(a)!r}")
+            pk, k = pk * p, k + 1
     path.write_text("\n".join(lines) + "\n")
-    f = builtin("custom_file", {"path": str(path)})
-    monkeypatch.setenv("MULTFUN_MEM_CAP_MB", "2")
-    with pytest.raises(ResourceError, match="observed angles"):
-        zero_repair(f, 1, N_check=1000)
+    return builtin("custom_file", {"path": str(path)})
+
+
+def test_zero_repair_of_a_dense_custom_file_fits_a_small_cap(tmp_path, monkeypatch):
+    # about 8000 distinct observed angles: their k^2 differences would take
+    # ~1 GB, the collision search holds a few arrays of 64 x k floats (~4 MB
+    # each); the first four gammas collide with the differences
+    f = _dense_custom_file(tmp_path / "dense.txt")
+    vals = sieve_range(f, 8000).values[1:]
+    vals = vals[vals != 0]
+    assert len(np.unique(np.angle(vals) / (2 * np.pi) % 1.0)) > 7900
+    monkeypatch.setenv("MULTFUN_MEM_CAP_MB", "16")
+    g = zero_repair(f, 1, N_check=8000)
+    assert g.kind == "repaired"
+    assert g.meta["gamma"] == GOLDEN_FRAC / 5.0
+
+
+def test_collision_search_peak_is_a_few_shift_arrays():
+    # 8191 angles, the most zero_repair samples: the search holds the 64 x k
+    # neighbour indices and at most three float arrays of that shape at once
+    # (~17 MB in all, 64 KB of slack), where the k^2 differences took ~1.1 GB
+    angles = np.unique(np.random.default_rng(5).random(8191))
+    k = len(angles)
+    _collision_free(GOLDEN_FRAC, angles[:10])
+    assert traced_peak(lambda: _collision_free(GOLDEN_FRAC, angles)) <= 4 * 64 * k * 8 + 2 ** 16
 
 
 def collision_free_all_pairs(gamma, angles, height=64, eps=1e-8):
@@ -234,21 +279,31 @@ _gamma = st.one_of(st.floats(0.0, 1.0, exclude_max=True),
 def test_collision_free_matches_all_pairs(base, repeats, gamma, seed):
     angles = np.repeat(base, repeats[: len(base)])
     np.random.default_rng(seed).shuffle(angles)
-    assert (_collision_free(gamma, _angle_differences(angles))
+    assert (_collision_free(gamma, np.unique(angles))
             == collision_free_all_pairs(gamma, angles))
 
 
-def test_angle_differences_peak_within_their_charge(monkeypatch):
-    # 1000 distinct angles: the 10^6 differences, their mask and the
-    # distinct ones returned stay within the 17 B per difference charged,
-    # plus the k sorted angles (slack: 64 B per angle); a cap below the
-    # charge, though above the differences' own 8 MB, refuses the build
-    angles = np.random.default_rng(5).random(1000)
-    _angle_differences(angles[:10])     # numpy's first np.unique call imports ~1 MB
-    assert traced_peak(lambda: _angle_differences(angles)) <= 17 * 1000 ** 2 + 64 * 1000
-    monkeypatch.setenv("MULTFUN_MEM_CAP_MB", "16")
-    with pytest.raises(ResourceError, match="1000 observed angles"):
-        _angle_differences(angles)
+# 5e-13 is the reach of the 12-digit rounding: at 1e-8 +- 5e-13 the rounded
+# difference decides on which side of the 1e-8 threshold the pair falls
+_PLANTED = [0.0, 5e-9, -5e-9, 1e-8, -1e-8, 2e-8, -2e-8,
+            1e-8 - 5e-13, 1e-8 + 5e-13, -1e-8 - 5e-13, -1e-8 + 5e-13]
+
+
+@pytest.mark.parametrize("delta", _PLANTED)
+@pytest.mark.parametrize("n", [1, 2, 33, 64])
+@pytest.mark.parametrize("a", [0.35, 0.97])
+def test_collision_free_on_planted_differences(a, n, delta):
+    # the pair (a, a + n gamma + delta) among angles that are otherwise free;
+    # from a = 0.97 the partner wraps around the circle
+    gamma = GOLDEN_FRAC / 3.0
+    angles = np.array([0.1, 0.8, a, (a + n * gamma + delta) % 1.0])
+    assert collision_free_all_pairs(gamma, angles[:3])
+    want = collision_free_all_pairs(gamma, angles)
+    assert _collision_free(gamma, np.unique(angles)) == want
+    if abs(delta) < 1e-8:
+        assert not want
+    if abs(delta) > 1.5e-8:
+        assert want
 
 
 # --------------------------------------------------------------------------
@@ -356,6 +411,23 @@ def test_structure_pair_needs_exact_codes():
     # lambda_xi(0.3) has no codes, and structure_pair passes no tolerance
     with pytest.raises(InputError, match="no exact representation"):
         structure_pair(builtin("lambda_xi", {"xi": 0.3}), 1, 1000)
+
+
+def test_structure_pair_sieves_no_repaired_function_at_N(mu, mu2, monkeypatch):
+    # R is read from f's own codes; the repaired g is sieved only by
+    # zero_repair's own check at N_check = 10^4
+    calls = []
+
+    def recording(f, N):
+        calls.append((f.kind, N))
+        return sieve_range(f, N)
+
+    monkeypatch.setattr(levelsets, "sieve_range", recording)
+    N = 3 * 10 ** 4
+    pair = structure_pair(mu, 1, N, P=10 ** 5)
+    assert ("repaired", N) not in calls
+    assert calls.count(("repaired", 10 ** 4)) == 1
+    assert np.array_equal(pair.R.members, level_set(mu2, 1, N).members)
 
 
 def test_structure_pair_zero_target_short_circuits(mu):

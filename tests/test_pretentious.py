@@ -263,13 +263,14 @@ def test_halasz_dyadic_case_iii():
 # Aperiodicity and rational almost periodicity
 
 def test_aperiodicity_liouville(lam):
-    rep = aperiodicity_test(lam, Q_max=30, P=10 ** 6, ap_check_N=10 ** 7)
+    rep = aperiodicity_test(lam, Q_max=30, P=10 ** 6)
     assert rep.verdict == "aperiodic_evidence"
     assert rep.heuristic
-    means = rep.evidence["ap_means"]
+    N = 10 ** 7
+    table = sieve_range(lam, N)
     for q in range(1, 7):
         for r in range(q):
-            assert abs(means[f"{q},{r}"]) < 0.01, (q, r)
+            assert abs(ap_mean(lam, q, r, N, table=table).direct) < 0.01, (q, r)
 
 
 def test_aperiodicity_character_detected(chi4):
