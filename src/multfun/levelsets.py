@@ -1,13 +1,14 @@
 """Level sets E(f, z) and the structure pipeline built on them.
 
 Extraction is integer-exact whenever the function carries exact codes
-(rational-phase catalog entries, characters, zero-repaired functions);
-the float path must be asked for explicitly with a tolerance.  On top of
-level sets: progression density profiles, Ruzsa concentration analysis,
-zero repair, the smallest-power/character search, structure pairs
-(level set, rational superset, relative-uniformity scores), divisibility
-reports with symbolic residue obstructions, squarefree multiplicative
-closures of prime sets, and seeded random relative subsets.
+(rational-phase catalog entries, characters, the squarefree indicator and
+phi(n)/n); the float path, which zero-repaired functions take, must be asked
+for explicitly with a tolerance.  On top of level sets: progression density
+profiles, Ruzsa concentration analysis, zero repair, the
+smallest-power/character search, structure pairs (level set, rational
+superset, relative-uniformity scores), divisibility reports with symbolic
+residue obstructions, squarefree multiplicative closures of prime sets, and
+seeded random relative subsets.
 """
 
 from __future__ import annotations
@@ -295,7 +296,9 @@ def zero_repair(f: MultiplicativeFunction, z, N_check: int = 10 ** 4) -> Multipl
     gamma starts at the golden-ratio fractional constant and is rescaled
     until powers y^n (n <= 64) avoid the observed image of f, so level sets
     at nonzero targets are preserved; the finite collision check is a
-    documented approximation of the full requirement.
+    documented approximation of the full requirement.  When f has exact codes
+    and z is exact, the level set of g on [1, N_check], read from g's sieved
+    values within 1e-9, must equal f's exact one.
     """
     target = normalize_target(z)
     if isinstance(target, Zero):
@@ -319,8 +322,8 @@ def zero_repair(f: MultiplicativeFunction, z, N_check: int = 10 ** 4) -> Multipl
     y = complex(np.exp(2j * np.pi * gamma))
     g = make_repaired(f, y, gamma)
     # repaired level set must match the original on the checked truncation
-    if exact and not np.array_equal(sieve_range(g, N_check).exact.members(target),
-                                    table.exact.members(target)):
+    if exact and not np.array_equal(level_set(g, target, N_check, tol=1e-9).members,
+                                    level_set(f, target, N_check, table=table).members):
         raise SearchError("zero repair failed to preserve the level set")
     return g
 
@@ -362,6 +365,13 @@ def find_k_and_character(g: MultiplicativeFunction, k_max: int = 8,
     Falls back to k = |G| with the trivial character when the scan misses
     but the concentration group is finite; otherwise raises SearchError.
     """
+    return _find_k(g, k_max, Q_max, P, None)
+
+
+def _find_k(g: MultiplicativeFunction, k_max: int, Q_max: int, P: int,
+            conc: ConcentrationAnalysis | None) -> FindKResult:
+    """find_k_and_character, whose fallback reads conc, the concentration
+    analysis of g at P, when the caller has one, and runs it otherwise."""
     if not 1 <= k_max <= K_MAX_BOUND:
         raise InputError(f"power bound k_max = {k_max} outside the supported [1, {K_MAX_BOUND}]")
     _check_q_max(Q_max)
@@ -380,7 +390,8 @@ def find_k_and_character(g: MultiplicativeFunction, k_max: int = 8,
             prof = _distance_profile(gk, chi.values_at(primes), primes, 0.0,
                                      f"{g.label}^{k}", chi.label, grid)
             return FindKResult(k=k, chi=chi, profile=prof)
-    conc = concentration_analysis(g, max(P, 10 ** 3))
+    if conc is None:
+        conc = concentration_analysis(g, max(P, 10 ** 3))
     if conc.verdict == "concentrated" and conc.group_size and conc.group_size <= k_max * 8:
         k = conc.group_size
         chi = principal_character(1)
@@ -431,15 +442,15 @@ def structure_pair(f: MultiplicativeFunction, z, N: int, k_max: int = 8,
     else:
         # E is exact: without a tolerance, level_set refuses a table without codes
         g = zero_repair(f, target, N_check=min(N, 10 ** 4))
-        conc = concentration_analysis(g, P)
-        res = find_k_and_character(g, k_max=k_max, Q_max=Q_max, P=P)
+        conc = concentration_analysis(g, P)      # P < 1000 exits here
+        res = _find_k(g, k_max, Q_max, P, conc)
         k, chi = res.k, res.chi
         if res.fallback:
             notes.append("(k, chi) from the concentration-group fallback")
         zk = target ** k
-        # g's codes are f's wherever f(n) != 0, and ExactCodes.members never
-        # counts an n carrying a repaired factor, so the level set of g^k is
-        # read from f's own codes
+        # R is read from f's own codes: g^k = f^k wherever f(n) != 0, and an
+        # n carrying a repaired factor is not counted, as y was chosen so that
+        # its powers avoid the image of f
         R = LevelSet(source=f"{g.label}^{k}", z=zk, N=N,
                      members=table.exact.members(zk, power=k), exact=True, function=g)
         rap = rap_test(g ** k, Q_max=Q_max, P=P)

@@ -15,13 +15,14 @@ level-set extraction downstream is integer-exact and never builds them.  The
 |f| <= 1 bound of a table of root-of-unity codes is checked on its alphabet,
 the order-th roots of unity.  phi(n)/n is determined by rad(n)
 (RadicalCodes): its level set at phi(r)/r enumerates the n <= N with
-rad(n) = r directly, with no table over [0, N].
+rad(n) = r directly, with no table over [0, N].  A zero-repaired function
+has no codes, whatever its base: the generic pass sieves it.
 
 _KINDS is the one place where a catalog kind is defined: f.kind names a
-_Kind record holding the kind's codes and sieve, its values f(p^m) and their
-exact codes over an array of primes for one exponent m, the codes' order, and
-whether its functions are zero-free, supported on the squarefree integers or
-periodic.  The scalar rule (prime_power_value) is the oracle for the arrays.
+_Kind record holding the kind's codes and sieve, its values f(p^m) over an
+array of primes for one exponent m, and whether its functions are zero-free,
+supported on the squarefree integers or periodic.  The scalar rule
+(prime_power_value) is the oracle for the arrays.
 """
 
 from __future__ import annotations
@@ -142,10 +143,6 @@ def prime_power_value(f: MultiplicativeFunction, p: int, k: int) -> complex:
 # --------------------------------------------------------------------------
 # Exact representations attached to sieve tables
 
-# entries per block of y ** yexp factors, so that their temporaries stay small
-_Y_BLOCK = 1 << 14
-
-
 def members_of(mask: np.ndarray) -> np.ndarray:
     """The n >= 1 with mask[n - 1] set, as int64; 1 is added in place."""
     idx = np.flatnonzero(mask)
@@ -156,14 +153,10 @@ def members_of(mask: np.ndarray) -> np.ndarray:
 @dataclass(eq=False)
 class ExactCodes:
     """Finite-alphabet value codes: codes[n] = -1 means f(n) = 0, a code
-    j >= 0 means f(n) = e(j/order).  The optional yexp array counts repaired
-    prime-power factors (see zero repair); entries with yexp > 0 carry an
-    off-alphabet factor y^yexp and never match a root-of-unity target."""
+    j >= 0 means f(n) = e(j/order)."""
 
     order: int
     codes: np.ndarray
-    yexp: np.ndarray | None = None
-    y: complex | None = None
 
     def code_of(self, z: RootOfUnity) -> int | None:
         if self.order % z.den != 0:
@@ -175,7 +168,7 @@ class ExactCodes:
         if power < 1:
             raise InputError(f"power must be >= 1, got {power}")
         codes = self.codes[1:]
-        if isinstance(target, Zero):        # a repaired table has no code -1 above 0
+        if isinstance(target, Zero):
             return members_of(codes == -1)
         if not isinstance(target, RootOfUnity):
             raise InputError(f"exact membership needs a root of unity or 0, got {target!r}")
@@ -187,20 +180,12 @@ class ExactCodes:
         else:
             m = codes >= 0
             m &= (codes.astype(np.int64) * power - j) % self.order == 0
-        if self.yexp is not None:
-            m &= self.yexp[1:] == 0
         return members_of(m)
 
     def values(self) -> np.ndarray:
-        """e(code/order) at each code (one lookup in the roots of unity with a
-        0 appended, for code -1), times y^yexp in blocks of _Y_BLOCK entries."""
-        values = np.append(root_table(self.order), 0)[self.codes]
-        if self.yexp is not None:
-            for lo in range(0, len(values), _Y_BLOCK):
-                v, yexp = values[lo : lo + _Y_BLOCK], self.yexp[lo : lo + _Y_BLOCK]
-                has_y = yexp > 0
-                v[has_y] = v[has_y] * (self.y ** yexp[has_y].astype(np.float64))
-        return values
+        """e(code/order) at each code: one lookup in the roots of unity with a
+        0 appended, for code -1."""
+        return np.append(root_table(self.order), 0)[self.codes]
 
 
 @dataclass(eq=False)
@@ -268,17 +253,13 @@ class RadicalCodes:
         return None
 
 
-def _alphabet(exact) -> bool:
-    """True for root-of-unity codes, whose values all lie in root_table(order) or 0."""
-    return isinstance(exact, ExactCodes) and exact.yexp is None
-
-
 @dataclass(eq=False)
 class SieveTable:
     """f on [0, N]: its exact codes, when the kind has them, and its values.
     A table with codes builds its values from them on first read, and checks
-    the |f| <= 1 bound on them unless sieve_range checked it on the alphabet;
-    sieve_range sets the values of a table without codes."""
+    the |f| <= 1 bound on them unless they are root-of-unity codes, whose
+    alphabet sieve_range checked; sieve_range sets the values of a table
+    without codes."""
 
     N: int
     source: str
@@ -289,7 +270,7 @@ class SieveTable:
     def values(self) -> np.ndarray:
         """Read-only complex128 values, values[n] = f(n) and values[0] = 0."""
         values = _sealed(self.exact.values())
-        if not _alphabet(self.exact):
+        if not isinstance(self.exact, ExactCodes):
             _check_bound(self.function, values)
         return values
 
@@ -319,8 +300,9 @@ def sieve_range(f: MultiplicativeFunction, N: int) -> SieveTable:
     The kind (see _KINDS) builds its exact codes when it has them, and the
     table its values from them on first read.  A kind without codes sieves its
     values here: from the additive statistics for irrational phases, by a
-    generic prime-power pass otherwise.  The |f| <= 1 bound is checked here on
-    the alphabet of root-of-unity codes and on the values of kinds without codes.
+    generic prime-power pass otherwise (every zero-repaired function among
+    them).  The |f| <= 1 bound is checked here on the alphabet of root-of-unity
+    codes and on the values of kinds without codes.
     """
     if N < 1:
         raise InputError(f"sieve bound must be >= 1, got {N}")
@@ -330,7 +312,7 @@ def sieve_range(f: MultiplicativeFunction, N: int) -> SieveTable:
     table = SieveTable(N=N, source=f.label, exact=kind.codes(f, N, ctx), function=f)
     if table.exact is None:
         table.values = _check_bound(f, _sealed(kind.sieve(f, N, ctx)))
-    elif _alphabet(table.exact):
+    elif isinstance(table.exact, ExactCodes):
         _check_bound(f, root_table(table.exact.order))
     return table
 
@@ -370,42 +352,6 @@ def _tau_character_codes(f, N, ctx):
     codes = lut[ctx.tau]
     codes[0] = -1
     return ExactCodes(order=chi.expo_mod, codes=codes)
-
-
-def _repaired_codes(f, N, ctx):
-    base = f.meta["base"]
-    order = exact_order(base)
-    if order is None:
-        return None
-    code = _KINDS[base.kind].prime_codes
-    root = np.zeros(N + 1, dtype=np.int32)
-    yexp = np.zeros(N + 1, dtype=np.int8)
-    # telescoped deltas over the exponents m of the small primes p (the p^m <=
-    # N are a prefix): an exact-exponent-m slot accumulates the code of f(p^m)
-    # and the zero count for (p, m)
-    ps = np.asarray(ctx.small_primes, dtype=np.int64)
-    pe, m, prev = ps, 1, np.zeros(len(ps), dtype=np.int64)
-    while len(pe):
-        c = code(base, ps[: len(pe)], m)
-        dcs = np.maximum(c, 0) - np.maximum(prev[: len(pe)], 0)
-        dzs = (c < 0).astype(np.int64) - (prev[: len(pe)] < 0)
-        for q, dc, dz in zip(pe.tolist(), dcs.tolist(), dzs.tolist()):
-            if dc:
-                root[q::q] += dc
-            if dz:
-                yexp[q::q] += dz
-        pe, m, prev = pe * ps[: len(pe)], m + 1, c
-        pe = pe[pe <= N]
-    # a large prime q has q^2 > N, so only its first power enters
-    large = code(base, ctx.large_primes, 1)
-    dc = np.maximum(large, 0)
-    dz = (large < 0).astype(np.int8)
-    for idx, c in large_prime_multiples(ctx.large_primes, N):
-        root[idx] += dc[:c]
-        yexp[idx] += dz[:c]
-    root %= order
-    root[0] = -1
-    return ExactCodes(order=order, codes=root, yexp=yexp, y=f.meta["y"])
 
 
 def _sieve_generic(f, N, ctx):
@@ -458,12 +404,7 @@ def _sieve_generic(f, N, ctx):
 
 
 # --------------------------------------------------------------------------
-# Exact prime-power codes (for zero repair and level-set machinery)
-
-def exact_order(f: MultiplicativeFunction) -> int | None:
-    """Alphabet size of f's exact root-of-unity representation, if any."""
-    return _KINDS[f.kind].exact_order(f)
-
+# Zero-freeness and zero repair
 
 def zero_free(f: MultiplicativeFunction) -> bool:
     """True when the kind structurally excludes zero values."""
@@ -471,7 +412,8 @@ def zero_free(f: MultiplicativeFunction) -> bool:
 
 
 def make_repaired(base: MultiplicativeFunction, y: complex, gamma: float) -> MultiplicativeFunction:
-    """f with zero prime-power values replaced by the fixed unimodular y."""
+    """f with zero prime-power values replaced by the fixed unimodular y.
+    It has no codes: sieve_range sieves it by the generic pass."""
 
     def rule(p, k):
         v = prime_power_value(base, p, k)
@@ -499,10 +441,6 @@ def _constant_prime_values(f, ps, m):
     return np.full(len(ps), prime_power_value(f, 2, m), dtype=np.complex128)
 
 
-def _no_codes(f, ps, m):
-    raise InputError(f"{f.label} has no exact prime-power codes")
-
-
 def _repaired_prime_values(f, ps, m):
     base_vals = f.meta["base"].prime_values(ps, m)
     return np.where(base_vals == 0, f.meta["y"], base_vals)
@@ -526,26 +464,17 @@ def _character_prime_values(f, ps, m):
     return np.array(by_class, dtype=np.complex128)[ps % chi.modulus]
 
 
-def _character_prime_codes(f, ps, m):
-    # chi(p^m) = chi(p)^m: on the units, m times the exponent of chi(p)
-    chi = f.meta["char"]
-    by_class = np.where(chi.expo >= 0, chi.expo * m % chi.expo_mod, -1)
-    return by_class[ps % chi.modulus]
-
-
 @dataclass(frozen=True)
 class _Kind:
-    """What one catalog kind knows about its functions f: prime_values and
-    prime_codes give f(p^m) over an array of primes for one m, with the scalar
-    rule prime_power_value as their oracle.  The defaults are the generic
-    behaviour: no codes, a prime-power sieve (run only for f without codes),
-    f(p^m) from the rule, no structural zeros or support."""
+    """What one catalog kind knows about its functions f: prime_values gives
+    f(p^m) over an array of primes for one m, with the scalar rule
+    prime_power_value as its oracle.  The defaults are the generic behaviour:
+    no codes, a prime-power sieve (run only for f without codes), f(p^m) from
+    the rule, no structural zeros or support."""
 
     codes: Callable = lambda f, N, ctx: None        # (f, N, ctx) -> exact codes or None
     sieve: Callable = _sieve_generic                # (f, N, ctx) -> values, f without codes
     prime_values: Callable = _generic_prime_values  # (f, primes, m) -> f(p^m) as complex
-    prime_codes: Callable = _no_codes               # (f, primes, m) -> codes, -1 when 0
-    exact_order: Callable = lambda f: None          # alphabet size of the codes
     zero_free: Callable = lambda f: False           # f(n) != 0 for every n
     squarefree_only: Callable = lambda f: False     # f(n) = 0 off the squarefree n
     period_codes: Callable = lambda f: None         # a periodic f's codes on [0, period)
@@ -555,8 +484,8 @@ def _squarefree_only(f) -> bool:
     return f.meta.get("squarefree_only", False)
 
 
-def _phase_kind(stat: str, weight: Callable[[int], int]) -> _Kind:
-    """The phases e(xi * stat(n)) of one prime-factor count, stat(p^k) = weight(k).
+def _phase_kind(stat: str) -> _Kind:
+    """The phases e(xi * stat(n)) of one prime-factor count.
 
     A rational xi = a/b gives the codes a * stat(n) mod b; the squarefree_only
     members vanish off the squarefree n.  Codes and irrational phases are
@@ -581,27 +510,18 @@ def _phase_kind(stat: str, weight: Callable[[int], int]) -> _Kind:
             values[~ctx.squarefree] = 0
         return values
 
-    def prime_codes(f, ps, m):
-        if "b" not in f.meta:
-            return _no_codes(f, ps, m)
-        zero = _squarefree_only(f) and m >= 2
-        return np.full(len(ps), -1 if zero else (f.meta["a"] * weight(m)) % f.meta["b"])
-
     return _Kind(codes=codes, sieve=sieve, prime_values=_constant_prime_values,
-                 prime_codes=prime_codes, exact_order=lambda f: f.meta.get("b"),
                  zero_free=lambda f: not _squarefree_only(f),
                  squarefree_only=_squarefree_only)
 
 
 # The one place where a catalog kind is defined; f.kind selects the entry.
 _KINDS = {
-    "omega_phase": _phase_kind("big_omega", lambda k: k),
-    "small_omega_phase": _phase_kind("small_omega", lambda k: 1),
+    "omega_phase": _phase_kind("big_omega"),
+    "small_omega_phase": _phase_kind("small_omega"),
     "squarefree_indicator": _Kind(
         codes=_squarefree_codes,
         prime_values=_constant_prime_values,
-        prime_codes=lambda f, ps, m: np.full(len(ps), 0 if m == 1 else -1),
-        exact_order=lambda f: 1,
         squarefree_only=lambda f: True,
     ),
     "phi_ratio": _Kind(
@@ -612,22 +532,15 @@ _KINDS = {
     "periodic": _Kind(
         codes=_periodic_codes,
         prime_values=_character_prime_values,
-        prime_codes=_character_prime_codes,
-        exact_order=lambda f: f.meta["char"].expo_mod,
         zero_free=lambda f: f.meta["char"].modulus == 1,
         period_codes=lambda f: ExactCodes(f.meta["char"].expo_mod, f.meta["char"].expo),
     ),
     "tau_character": _Kind(
         codes=_tau_character_codes,
         prime_values=_constant_prime_values,
-        prime_codes=lambda f, ps, m: np.full(
-            len(ps), f.meta["char"].expo[(m + 1) % f.meta["char"].modulus]),
-        exact_order=lambda f: f.meta["char"].expo_mod,
     ),
     "repaired": _Kind(
-        codes=_repaired_codes,
         prime_values=_repaired_prime_values,
-        exact_order=lambda f: exact_order(f.meta["base"]),
         zero_free=lambda f: True,
     ),
     "power": _Kind(

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from multfun import InputError, arith, builtin, sieve_range
+from multfun import InputError, arith, builtin, eval_at, sieve_range
 from multfun.arith import (
     MINUS_ONE,
     ONE,
@@ -40,7 +40,6 @@ from multfun.arith import (
 from multfun.characters import characters_mod
 from multfun.levelsets import level_set, sp_set
 from multfun.mf_core import (
-    _Y_BLOCK,
     _cyclic_unit_group,
     make_repaired,
     prime_power_value,
@@ -203,37 +202,18 @@ def test_sieve_phi_over_n(N):
     assert_identical(sieve_range(builtin("phi_over_n"), N).values, want)
 
 
+def assert_matches_eval_at(f, table):
+    """The table of f against eval_at at every n <= N, within 1e-12."""
+    want = np.array([0] + [eval_at(f, n) for n in range(1, table.N + 1)])
+    assert np.max(np.abs(table.values - want)) < 1e-12, f.label
+
+
 @pytest.mark.parametrize("N", NS)
 def test_sieve_repaired_moebius(N):
-    y, gamma = complex(np.exp(2j * np.pi * 0.3)), 0.3
-    t = sieve_range(make_repaired(builtin("moebius"), y, gamma), N)
-    # moebius codes 1 at p and none (zero) at p^k, k >= 2
-    codes = stat(N, lambda fs: sum(k == 1 for _, k in fs) % 2, np.int32)
-    codes[0] = -1
-    yexp = stat(N, lambda fs: sum(k >= 2 for _, k in fs), np.int8)
-    assert_identical(t.exact.codes, codes)
-    assert_identical(t.exact.yexp, yexp)
-    want = root_table(2)[np.maximum(codes, 0)]
-    want[0] = 0
-    has_y = yexp > 0
-    want[has_y] = want[has_y] * (y ** yexp[has_y].astype(np.float64))
-    assert_identical(t.values, want)
-
-
-@pytest.mark.parametrize("N", [_Y_BLOCK - 2, _Y_BLOCK - 1, _Y_BLOCK, 7 * _Y_BLOCK + 1])
-def test_sieve_repaired_blocks_match_one_pass(N):
-    """The y ** yexp factors, applied in blocks, against the same expression
-    over the whole table, across the block boundaries (7 * 2^14 - 1 = 3^2 * 12743
-    carries a y factor at the last entry of a block)."""
-    for base in (builtin("moebius"), builtin("mu_squared")):
-        for gamma in (0.1, 0.37, 0.5):
-            y = complex(np.exp(2j * np.pi * gamma))
-            t = sieve_range(make_repaired(base, y, gamma), N)
-            want = np.append(root_table(t.exact.order), 0)[t.exact.codes]
-            has_y = t.exact.yexp > 0
-            want[has_y] = want[has_y] * (y ** t.exact.yexp[has_y].astype(np.float64))
-            want[0] = 0
-            assert_identical(t.values, want)
+    g = make_repaired(builtin("moebius"), complex(np.exp(2j * np.pi * 0.3)), 0.3)
+    t = sieve_range(g, N)
+    assert t.exact is None
+    assert_matches_eval_at(g, t)
 
 
 @pytest.mark.parametrize("q, N", [(15, 10), (15, 24)] + [(77, N) for N in NS if N <= 120])
@@ -242,21 +222,12 @@ def test_sieve_repaired_character_zero_at_a_large_prime(q, N):
     above sqrt(N) (5 for q = 15, 7 below N = 49 and 11 below N = 121 for
     q = 77), the large-prime pass repairs it."""
     y, gamma = complex(np.exp(2j * np.pi * 0.3)), 0.3
-    for index, chi in enumerate(characters_mod(q)):
-        f = builtin("dirichlet_character", {"modulus": q, "index": index})
-        t = sieve_range(make_repaired(f, y, gamma), N)
-        order = chi.expo_mod
-        codes = stat(N, lambda fs: sum(k * int(chi.expo[p % q]) for p, k in fs if q % p) % order,
-                     np.int32)
-        codes[0] = -1
-        yexp = stat(N, lambda fs: sum(q % p == 0 for p, _ in fs), np.int8)
-        assert_identical(t.exact.codes, codes)
-        assert_identical(t.exact.yexp, yexp)
-        want = root_table(order)[np.maximum(codes, 0)]
-        want[0] = 0
-        has_y = yexp > 0
-        want[has_y] = want[has_y] * (y ** yexp[has_y].astype(np.float64))
-        assert_identical(t.values, want)
+    for index in range(len(characters_mod(q))):
+        g = make_repaired(builtin("dirichlet_character", {"modulus": q, "index": index}),
+                          y, gamma)
+        t = sieve_range(g, N)
+        assert t.exact is None
+        assert_matches_eval_at(g, t)
 
 
 def formula_codes(f, ctx):
@@ -407,7 +378,7 @@ def test_level_set_codes_path(N, custom_path):
         fresh, read = sieve_range(f, N), sieve_range(f, N)
         read.values
         assert (fresh.exact is None) == (read.exact is None), name
-        for key in ("codes", "yexp", "order"):
+        for key in ("codes", "order"):
             want = getattr(read.exact, key, None)
             got = getattr(fresh.exact, key, None)
             assert (got is None) == (want is None), (name, key)

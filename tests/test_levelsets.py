@@ -180,11 +180,20 @@ def test_zero_repair_moebius(mu):
     assert g is not mu
     N = 10 ** 4
     Ef = level_set(mu, 1, N)
-    Eg = level_set(g, 1, N)
+    Eg = level_set(g, 1, N, tol=1e-9)
     assert np.array_equal(Ef.members, Eg.members)
     # repaired function never vanishes
     tg = sieve_range(g, N)
     assert np.all(tg.values[1:] != 0)
+
+
+def test_zero_repair_catches_a_planted_collision(mu, monkeypatch):
+    # gamma = 1/2 makes y = -1, so g(4) = y lands on the target -1; with the
+    # collision search bypassed, only the check of g's level set sees it
+    monkeypatch.setattr(levelsets, "GOLDEN_FRAC", 0.5)
+    monkeypatch.setattr(levelsets, "_collision_free", lambda gamma, angles: True)
+    with pytest.raises(SearchError, match="failed to preserve the level set"):
+        zero_repair(mu, -1)
 
 
 def test_zero_repair_keeps_zero_free_functions(lam, l13):
@@ -361,6 +370,21 @@ def test_structure_pair_notes_the_fallback():
     assert pair.k == 16
     assert pair.chi.modulus == 1
     assert "(k, chi) from the concentration-group fallback" in pair.notes
+
+
+def test_structure_pair_runs_one_concentration_analysis(monkeypatch):
+    # the (k, chi) scan misses, and the fallback reads structure_pair's analysis
+    calls = []
+
+    def counting(g, P):
+        calls.append(P)
+        return concentration_analysis(g, P)
+
+    monkeypatch.setattr(levelsets, "concentration_analysis", counting)
+    pair = structure_pair(builtin("lambda_xi", {"xi": "1/16"}), 1, 10 ** 4,
+                          k_max=8, Q_max=10, P=10 ** 4)
+    assert pair.k == 16
+    assert calls == [10 ** 4]
 
 
 def test_structure_pair_moebius(mu, mu2):

@@ -21,8 +21,6 @@ from multfun.mf_core import (
     _KINDS,
     ExactCodes,
     _check_bound,
-    _alphabet,
-    exact_order,
     make_repaired,
     parse_custom_file,
     prime_power_value,
@@ -117,23 +115,25 @@ def member_mask_oracle(exact, target, power):
     """The int64 residue formula for {n : f(n)^power == target}."""
     codes = exact.codes
     if isinstance(target, Zero):
-        m = codes == -1 if exact.yexp is None else np.zeros(len(codes), dtype=bool)
+        m = codes == -1
     else:
         j = exact.code_of(target)
         m = np.zeros(len(codes), dtype=bool)
         if j is not None:
             m = (codes >= 0) & ((codes.astype(np.int64) * power - j) % exact.order == 0)
-            if exact.yexp is not None:
-                m &= exact.yexp == 0
     m[0] = False
     return m
 
 
-@pytest.mark.parametrize("name", list(REGISTRY_CASES))
+# the registry cases whose tables carry finite-alphabet codes
+CODED_CASES = ["liouville", "moebius", "lambda_xi(1/3)", "mu_xi(1/4)", "kappa_xi(2/5)",
+               "mu_squared", "chi mod 5", "chi mod 1", "chi_of_tau(5)"]
+
+
+@pytest.mark.parametrize("name", CODED_CASES)
 def test_member_mask_matches_residue_formula(name, custom_path):
     exact = sieve_range(REGISTRY_CASES[name](custom_path), 10 ** 4).exact
-    if not isinstance(exact, ExactCodes):
-        pytest.skip("no finite-alphabet codes")
+    assert isinstance(exact, ExactCodes)
     targets = [ONE, RootOfUnity(1, 2), ZERO, RootOfUnity(1, 3), RootOfUnity(1, 4)]
     for target in targets:
         for power in (1, 2, 3):
@@ -241,9 +241,8 @@ def test_nan_value_breaks_the_modulus_bound():
 
 
 def test_modulus_bound_checked_when_values_are_built(mu):
-    t = sieve_range(make_repaired(mu, 2.0, 0.0), 100)
     with pytest.raises(InputError, match="modulus bound"):
-        t.values
+        sieve_range(make_repaired(mu, 2.0, 0.0), 100)
 
 
 def test_modulus_bound_checked_on_the_alphabet(lam, monkeypatch):
@@ -419,7 +418,7 @@ def test_sieve_memory_within_the_charge(name, custom_path):
     table = sieve_range(f, N)
     table.values
     assert traced_peak(lambda: sieve_range(f, N).values) <= 30 * (N + 1)
-    if _alphabet(table.exact) or f.kind == "phi_ratio":
+    if table.exact is not None:
         assert traced_peak(lambda: sieve_range(f, N)) <= 6 * (N + 1)
 
 
@@ -437,9 +436,9 @@ def test_registry_cases_cover_every_kind(custom_path):
 
 @pytest.mark.parametrize("name", list(REGISTRY_CASES))
 def test_kind_registry_conformance(name, custom_path):
-    """Each kind's values and codes at prime powers, zero-freeness, squarefree
-    support and period agree with the scalar rule, pointwise evaluation and
-    its sieve."""
+    """Each kind's values at prime powers, zero-freeness, squarefree support
+    and period agree with the scalar rule, pointwise evaluation and its
+    sieve."""
     f = REGISTRY_CASES[name](custom_path)
     kind = _KINDS[f.kind]
     N = 10 ** 4
@@ -447,23 +446,14 @@ def test_kind_registry_conformance(name, custom_path):
     want = np.array([eval_at(f, p) for p in primes.tolist()])
     assert np.max(np.abs(f.prime_values(primes) - want)) < 1e-12
 
-    # f(p^m) and its codes over the primes with p^m <= N, for every m with 2^m <= N
-    order = exact_order(f)
-    roots = None if order is None else np.append(root_table(order), 0)
+    # f(p^m) over the primes with p^m <= N, for every m with 2^m <= N
     m = 1
     while 2 ** m <= N:
         ps = np.array([p for p in primes.tolist() if p ** m <= N])
         rule = np.array([prime_power_value(f, p, m) for p in ps.tolist()], dtype=np.complex128)
         got = f.prime_values(ps, m)
         assert got.tobytes() == rule.tobytes(), m       # signbits included
-        if roots is not None and f.kind != "repaired":
-            want = [eval_at(f, p ** m) for p in ps.tolist()]
-            assert np.max(np.abs(roots[kind.prime_codes(f, ps, m)] - want)) < 1e-12, m
         m += 1
-    if roots is None or f.kind == "repaired":
-        # a repaired value carries y off the alphabet; its codes live in the table
-        with pytest.raises(InputError, match="no exact prime-power codes"):
-            kind.prime_codes(f, primes, 1)
 
     values = sieve_range(f, N).values
     if zero_free(f):
