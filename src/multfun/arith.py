@@ -60,6 +60,9 @@ def root_table(b: int) -> np.ndarray:
     Snapping makes the order-1, -2 and -4 roots exact, so catalog values
     like lambda(n) and chi mod 4 compare exactly against +-1 and +-i.
     """
+    # 40 B per root, the ru_maxrss growth at b = 10^6, 10^7 and 3 * 10^7: the
+    # float angles (8), 2 pi i times them (16) and their exponentials (16)
+    check_budget(40 * b, f"a table of the {b}-th roots of unity")
     tb = e(np.arange(b) / b)
     for part in (tb.real, tb.imag):
         part[np.abs(part) < 1e-14] = 0.0
@@ -200,16 +203,19 @@ def large_prime_multiples(Q: np.ndarray, N: int):
         yield m * Q[:c], c
 
 
+_TAU_INT16_MAX_N = 10 ** 15
+
+
 class SieveContext:
     """The primes up to N, split at sqrt(N); the additive statistics built lazily."""
 
     def __init__(self, N: int):
         if N < 1:
             raise InputError(f"sieve bound must be >= 1, got {N}")
-        # per entry the context holds at most 16 bytes, 10 below the charge:
+        # per entry the context holds at most 14 bytes, 12 below the charge:
         # the prime mask (1) while the primes are sieved, the int8 Omega,
-        # omega and squarefree tables (3), tau (4) and the radical (8); the
-        # primes add 8 per prime, and a caller's tables are charged by it
+        # omega and squarefree tables (3), the int16 tau (2) and the radical
+        # (8); the primes add 8 per prime, and a caller's tables are charged by it
         check_budget(26 * (N + 1), f"sieve context for N={N}")
         self.N = N
         self.primes = np.flatnonzero(_prime_mask(N)).astype(np.int64)
@@ -272,11 +278,15 @@ class SieveContext:
 
     @property
     def tau(self) -> np.ndarray:
-        """tau(n): number of divisors (int32), derived from omega: 2^omega(n),
-        then (k + 1) / k at each multiple of each p^k, k >= 2."""
+        """tau(n): number of divisors, derived from omega: 2^omega(n), then
+        (k + 1) / k at each multiple of each p^k, k >= 2.  int16, which holds
+        every tau(n) for n <= 10^15 (the largest is 26880); int32 above.  A
+        partial product never exceeds the final tau(n), and each update
+        divides before it multiplies, so no entry wraps."""
 
         def build():
-            t = np.left_shift(1, self.small_omega, dtype=np.int32)
+            dtype = np.int16 if self.N <= _TAU_INT16_MAX_N else np.int32
+            t = np.left_shift(1, self.small_omega, dtype=dtype)
             t[0] = 0
             for p in self.small_primes:
                 pk, j = p * p, 2

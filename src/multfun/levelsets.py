@@ -82,6 +82,7 @@ K_MAX_BOUND = 64
 # Python bytes per density cell or divisibility row (a tuple, its ints and
 # its slot in the container), charged to the memory cap
 _ROW_BYTES = 200
+_TEXT_BLOCK = 1 << 14      # members formatted per write of LevelSet.to_text
 
 
 def normalize_target(z):
@@ -125,7 +126,14 @@ class LevelSet:
         return ind
 
     def to_text(self, path) -> None:
-        Path(path).write_text("\n".join(map(str, self.members.tolist())) + "\n")
+        """One member per line (a lone newline for the empty set), written
+        _TEXT_BLOCK members at a time, so no string of the whole file is built."""
+        with open(path, "w") as out:
+            if not self.count:
+                out.write("\n")
+            for lo in range(0, self.count, _TEXT_BLOCK):
+                block = self.members[lo : lo + _TEXT_BLOCK].tolist()
+                out.write("\n".join(map(str, block)) + "\n")
 
     def to_bitmap(self, path) -> None:
         """Length-N bitmap, one bit per integer, little-endian bit order."""

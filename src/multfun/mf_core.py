@@ -7,11 +7,14 @@ vectorized pass over the multiples of all primes above sqrt(N)
 (arith.large_prime_multiples), which multiply last as the largest factor of
 n.  Catalog entries with rational phase parameters additionally carry an
 exact finite-alphabet representation (ExactCodes): every nonzero value is
-e(code/order), value 0 is code -1.  A kind builds its int32 codes as one
-lookup of the table's additive statistic (or residue) in a table over the
-statistic's few values.  A table with codes is its codes: sieve_range builds
-no values for it, and the table builds them from the codes on first read, so
-level-set extraction downstream is integer-exact and never builds them.  The
+e(code/order), value 0 is code -1.  Codes are stored at the width of their
+alphabet (code_dtype: int8 for an order up to 127, int16 up to 32767, int32
+up to 2^31 - 1, int64 above).  A kind builds them as one lookup of the
+table's additive statistic (or residue) in a table over the statistic's few
+values, cast to that width first, so no wider array of N + 1 codes is made.
+A table with codes is its codes: sieve_range builds no values for it, and
+the table builds them from the codes on first read, so level-set extraction
+downstream is integer-exact and never builds them.  The
 |f| <= 1 bound of a table of root-of-unity codes is checked on its alphabet,
 the order-th roots of unity.  phi(n)/n is determined by rad(n)
 (RadicalCodes): its level set at phi(r)/r enumerates the n <= N with
@@ -150,10 +153,19 @@ def members_of(mask: np.ndarray) -> np.ndarray:
     return idx
 
 
+def code_dtype(order: int) -> np.dtype:
+    """The narrowest signed integer type whose maximum is at least order: it
+    holds the codes -1..order-1 of an alphabet of order roots of unity."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if order <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
 @dataclass(eq=False)
 class ExactCodes:
     """Finite-alphabet value codes: codes[n] = -1 means f(n) = 0, a code
-    j >= 0 means f(n) = e(j/order)."""
+    j >= 0 means f(n) = e(j/order).  The codes have dtype code_dtype(order)."""
 
     order: int
     codes: np.ndarray
@@ -178,8 +190,11 @@ class ExactCodes:
         if power == 1:
             m = codes == j     # codes are reduced mod order already
         else:
-            m = codes >= 0
-            m &= (codes.astype(np.int64) * power - j) % self.order == 0
+            # f(n)^power == target iff code * power = j (mod order): that test
+            # over the alphabet, with power reduced mod order and False for
+            # code -1, looked up at each code, so no wider array of codes is made
+            hit = np.arange(self.order) * (power % self.order) % self.order == j
+            m = np.append(hit, False)[codes]
         return members_of(m)
 
     def values(self) -> np.ndarray:
@@ -306,6 +321,8 @@ def sieve_range(f: MultiplicativeFunction, N: int) -> SieveTable:
     """
     if N < 1:
         raise InputError(f"sieve bound must be >= 1, got {N}")
+    # a table holds 16 B per entry of complex values, or codes of 1 to 8 B
+    # (code_dtype) that build those values on first read
     check_budget(30 * (N + 1), f"sieve of {f.label} to N={N}")
     ctx = get_context(N)
     kind = _KINDS[f.kind]
@@ -336,19 +353,25 @@ def _check_bound(f: MultiplicativeFunction, values: np.ndarray) -> np.ndarray:
 
 def _squarefree_codes(f, N, ctx):
     # squarefree[0] is False, so code 0 is -1 as well
-    return ExactCodes(order=1, codes=np.where(ctx.squarefree, np.int32(0), np.int32(-1)))
+    zero, minus_one = np.array([0, -1], dtype=code_dtype(1))
+    return ExactCodes(order=1, codes=np.where(ctx.squarefree, zero, minus_one))
+
+
+def _period_codes(chi) -> ExactCodes:
+    """A character's codes on one period [0, q), at the width of its alphabet."""
+    return ExactCodes(order=chi.expo_mod, codes=chi.expo.astype(code_dtype(chi.expo_mod)))
 
 
 def _periodic_codes(f, N, ctx):
     chi = f.meta["char"]
-    codes = np.tile(chi.expo.astype(np.int32), N // len(chi.expo) + 1)[: N + 1]
+    codes = np.tile(_period_codes(chi).codes, N // chi.modulus + 1)[: N + 1]
     codes[0] = -1 if chi.modulus > 1 else codes[0]
     return ExactCodes(order=chi.expo_mod, codes=codes)
 
 
 def _tau_character_codes(f, N, ctx):
     chi = f.meta["char"]
-    lut = chi.expo[np.arange(int(ctx.tau.max()) + 1) % chi.modulus].astype(np.int32)
+    lut = _period_codes(chi).codes[np.arange(int(ctx.tau.max()) + 1) % chi.modulus]
     codes = lut[ctx.tau]
     codes[0] = -1
     return ExactCodes(order=chi.expo_mod, codes=codes)
@@ -497,7 +520,7 @@ def _phase_kind(stat: str) -> _Kind:
             return None
         a, b = f.meta["a"], f.meta["b"]
         s = getattr(ctx, stat)
-        c = ((a * np.arange(int(s.max()) + 1, dtype=np.int64)) % b).astype(np.int32)[s]
+        c = ((a * np.arange(int(s.max()) + 1, dtype=np.int64)) % b).astype(code_dtype(b))[s]
         if _squarefree_only(f):
             c[~ctx.squarefree] = -1
         c[0] = -1
@@ -533,7 +556,7 @@ _KINDS = {
         codes=_periodic_codes,
         prime_values=_character_prime_values,
         zero_free=lambda f: f.meta["char"].modulus == 1,
-        period_codes=lambda f: ExactCodes(f.meta["char"].expo_mod, f.meta["char"].expo),
+        period_codes=lambda f: _period_codes(f.meta["char"]),
     ),
     "tau_character": _Kind(
         codes=_tau_character_codes,

@@ -156,6 +156,15 @@ class EulerProductMean:
     flagged: bool
 
 
+def _euler_terms(primes: np.ndarray) -> np.ndarray:
+    """The number of terms p^-m f(p^m) kept in each Euler factor: the least
+    m >= 1 whose geometric tail, sum_{k > m} p^-k = p^-m / (p - 1), is at
+    most EULER_TAIL_TOL, that is, the ceiling of
+    log(1 / (EULER_TAIL_TOL (p - 1))) / log p."""
+    ratio = np.log(1.0 / (EULER_TAIL_TOL * (primes - 1))) / np.log(primes)
+    return np.maximum(1, np.ceil(ratio)).astype(np.int64)
+
+
 def euler_product_mean(f: MultiplicativeFunction, P: int) -> EulerProductMean:
     """The product over p <= P of (1 - 1/p)(1 + sum_m p^{-m} f(p^m)).
 
@@ -167,8 +176,7 @@ def euler_product_mean(f: MultiplicativeFunction, P: int) -> EulerProductMean:
     """
     primes = primes_upto(P)
     grid = geometric_grid(10, P)
-    mmax = np.array([max(1, math.ceil(math.log(1.0 / (EULER_TAIL_TOL * (p - 1)), p)))
-                     for p in primes.tolist()])
+    mmax = _euler_terms(primes)
     # mmax does not increase with p, so the primes with a term p^-m f(p^m) are a prefix
     inner = np.ones(len(primes), dtype=np.complex128)
     pk = np.ones(len(primes))

@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .arith import class_sums, e, geometric_grid, running_means
+from .arith import check_budget, class_sums, e, geometric_grid, running_means
 from .errors import InputError, ResourceError
 from .mf_core import MultiplicativeFunction, sieve_range
 
@@ -55,6 +55,14 @@ __all__ = [
 _OP_BUDGET = 2 ** 31            # operations of a definitional sum or a rational scan
 _FAST_U3_MAX_NT = 1 << 15
 _ROW_BUDGET = 1 << 20           # complex entries per batch of transformed rows
+# The ru_maxrss growth of one _energies call, per byte of its transform's
+# output (given rows, one fresh process per size): one zero-padded row (U^2)
+# 3.00-3.04 for m = 2^18..2^23, real or complex, plus about 0.4 MiB at any m
+# (3.9 at m = 2^16, 50 at 2^10); a U^3 batch of _ROW_BUDGET entries 2.1-2.3
+# for m = 2 to 2^13.  Of the 48 MiB of a real row at m = 2^21, tracemalloc
+# sees 32; the rest is the FFT library's own scratch.
+_FFT_RSS_PER_BYTE = 3
+_FFT_RSS_FIXED = 1 << 20
 
 
 def _as_values(x, N=None):
@@ -236,6 +244,9 @@ def _energies(rows, m: int) -> np.ndarray:
     have equal modulus, so every bin counts twice except bin 0 and, for
     even m, bin m/2.  At m = 1 the one bin is bin 0 and counts once.
     """
+    bins = m if np.iscomplexobj(rows) else m // 2 + 1
+    check_budget(_FFT_RSS_PER_BYTE * 16 * len(rows) * bins + _FFT_RSS_FIXED,
+                 f"a batch of {len(rows)} length-{m} transforms")
     if np.iscomplexobj(rows):
         F = np.fft.fft(rows, m, axis=1)
         p = F.real ** 2 + F.imag ** 2

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from multfun import InputError, arith, builtin, eval_at, sieve_range
+from multfun import InputError, ResourceError, arith, builtin, eval_at, sieve_range
 from multfun.arith import (
     MINUS_ONE,
     ONE,
@@ -120,6 +120,13 @@ def code_table(N, order, code_of):
     return out
 
 
+def test_root_table_charged_at_40_bytes_per_root(monkeypatch):
+    monkeypatch.setenv("MULTFUN_MEM_CAP_MB", "1")
+    assert len(root_table(2 ** 20 // 40)) == 2 ** 20 // 40
+    with pytest.raises(ResourceError, match="roots of unity"):
+        root_table(2 ** 20 // 40 + 1)
+
+
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 8, 9, 10, 24, 25, 26, 48, 49, 50, 120, 121, 122,
                                10 ** 4])
 def test_context_primes_without_spf(N):
@@ -129,12 +136,20 @@ def test_context_primes_without_spf(N):
     assert ctx.primes.tolist() == want
 
 
+def assert_same_integers(got, want, dtype):
+    """got has the given dtype and, widened to int64, equals the int64 want,
+    so that a value which wrapped in a narrow type cannot match."""
+    assert got.dtype == dtype
+    assert_identical(got.astype(np.int64), want)
+
+
 @pytest.mark.parametrize("N", NS)
 def test_context_statistics(N):
     ctx = SieveContext(N)
     assert_identical(ctx.big_omega, stat(N, lambda fs: sum(k for _, k in fs), np.int8))
     assert_identical(ctx.small_omega, stat(N, len, np.int8))
-    assert_identical(ctx.tau, stat(N, lambda fs: math.prod(k + 1 for _, k in fs), np.int32))
+    assert_same_integers(ctx.tau, stat(N, lambda fs: math.prod(k + 1 for _, k in fs), np.int64),
+                         np.int16)
     assert_identical(ctx.radical, stat(N, lambda fs: math.prod(p for p, _ in fs), np.int64))
     sqf = stat(N, lambda fs: all(k == 1 for _, k in fs), bool)
     sqf[0] = False
@@ -144,7 +159,7 @@ def test_context_statistics(N):
 DERIVED_STATS = {
     "big_omega": (lambda fs: sum(k for _, k in fs), np.int8),
     "small_omega": (len, np.int8),
-    "tau": (lambda fs: math.prod(k + 1 for _, k in fs), np.int32),
+    "tau": (lambda fs: math.prod(k + 1 for _, k in fs), np.int16),
 }
 
 
@@ -153,7 +168,8 @@ DERIVED_STATS = {
 def test_context_statistic_read_alone(N, name):
     """Omega and tau start from omega; each of the three, read first and
     alone on a fresh context, matches its definition."""
-    assert_identical(getattr(SieveContext(N), name), stat(N, *DERIVED_STATS[name]))
+    definition, dtype = DERIVED_STATS[name]
+    assert_same_integers(getattr(SieveContext(N), name), stat(N, definition, np.int64), dtype)
 
 
 def test_one_large_prime_pass_per_context(monkeypatch):
@@ -235,20 +251,26 @@ def formula_codes(f, ctx):
     m = f.meta
     if f.kind in ("omega_phase", "small_omega_phase"):
         stat = ctx.big_omega if f.kind == "omega_phase" else ctx.small_omega
-        c = ((stat.astype(np.int64) * m["a"]) % m["b"]).astype(np.int32)
+        c = (stat.astype(np.int64) * m["a"]) % m["b"]
         if m.get("squarefree_only"):
             c[~ctx.squarefree] = -1
     elif f.kind == "tau_character":
-        c = m["char"].expo[ctx.tau % m["char"].modulus].astype(np.int32)
+        c = m["char"].expo[ctx.tau.astype(np.int64) % m["char"].modulus]
     elif f.kind == "periodic":
         q = m["char"].modulus
-        c = np.tile(m["char"].expo, (ctx.N + q) // q)[: ctx.N + 1].astype(np.int32)
+        c = np.tile(m["char"].expo, (ctx.N + q) // q)[: ctx.N + 1]
         if q == 1:
             return c
     else:
-        c = np.where(ctx.squarefree, 0, -1).astype(np.int32)
+        c = np.where(ctx.squarefree, 0, -1).astype(np.int64)
     c[0] = -1
     return c
+
+
+def code_width(order):
+    """The width rule for codes -1..order-1: the narrowest of int8, int16,
+    int32 and int64 whose maximum is at least order."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if order <= np.iinfo(t).max)
 
 
 def lookup_code_cases():
@@ -258,6 +280,10 @@ def lookup_code_cases():
     phases += [dataclasses.replace(builtin("lambda_xi", {"xi": "2/3"}), meta={"a": 5, "b": 3}),
                dataclasses.replace(builtin("mu_xi", {"xi": "3/4"}),
                                    meta={"a": 11, "b": 4, "squarefree_only": True})]
+    # alphabets on both sides of the int8 and int16 widths, with codes
+    # b - stat(n) near the top of each
+    phases += [builtin(name, {"xi": f"{b - 1}/{b}"}) for name, b in
+               (("lambda_xi", 127), ("mu_xi", 128), ("kappa_xi", 32767), ("lambda_xi", 32768))]
     taus = [builtin("chi_of_tau", {"modulus": b}) for b in range(1, 31) if _cyclic_unit_group(b)]
     chars = [builtin("dirichlet_character", {"modulus": q, "index": i})
              for q in (1, 3, 4, 15) for i in range(len(characters_mod(q)))]
@@ -269,7 +295,8 @@ def lookup_code_cases():
 def test_lookup_codes_match_the_formulas(N):
     ctx = get_context(N)
     for f in lookup_code_cases():
-        assert_identical(sieve_range(f, N).exact.codes, formula_codes(f, ctx))
+        exact = sieve_range(f, N).exact
+        assert_same_integers(exact.codes, formula_codes(f, ctx), code_width(exact.order))
     for name in ("lambda_xi", "mu_xi", "kappa_xi"):
         for xi in (0.3, 1 / 7, 0.5 + 1e-9, math.sqrt(2), -0.3, 0.0):
             f = builtin(name, {"xi": xi})

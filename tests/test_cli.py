@@ -1,7 +1,10 @@
 import ast
 import importlib
 import json
+import os
 import pkgutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -217,6 +220,30 @@ def test_malformed_mem_cap_exits_2(tmp_path, monkeypatch, cap):
 def test_oversized_input_exits_3(tmp_path, argv):
     out = tmp_path / "r.json"
     assert run(argv + ["--out", str(out)]) == 3
+    err = read(out)["error"]
+    assert err["type"] == "ResourceError" and err["exit_code"] == 3
+
+
+@pytest.mark.parametrize("cap, argv", [
+    # the sieve's 120 MiB charge passes; the U^2 transform at m = 2^23
+    # (about 3 B of RSS per output byte, 192 MiB) does not
+    ("160", ["gowers", "--function", "liouville", "--s", "2", "--grid", "4194304"]),
+    # the alphabet's roots of unity, 40 B each, are above the default cap
+    (None, ["sieve", "--function", "lambda_xi", "--xi", "1/3000000000", "--N", "100"]),
+], ids=["gowers-transform", "root-table"])
+def test_charged_allocations_exit_3_in_a_fresh_process(tmp_path, cap, argv):
+    """Each command, run as a user runs it, ends in exit 3 with a JSON
+    ResourceError report before it allocates, not in a traceback."""
+    env = dict(os.environ, PYTHONPATH=str(Path(multfun.__file__).parents[1]))
+    env.pop("MULTFUN_MEM_CAP_MB", None)
+    if cap is not None:
+        env["MULTFUN_MEM_CAP_MB"] = cap
+    out = tmp_path / "r.json"
+    proc = subprocess.run([sys.executable, "-c", "from multfun.cli import main; main()",
+                           *argv, "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
     err = read(out)["error"]
     assert err["type"] == "ResourceError" and err["exit_code"] == 3
 

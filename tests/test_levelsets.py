@@ -23,7 +23,13 @@ from multfun import (
 )
 from multfun import levelsets
 from multfun.arith import ONE, ZERO, RootOfUnity, primes_upto
-from multfun.levelsets import GOLDEN_FRAC, LevelSet, _collision_free, _off_group
+from multfun.levelsets import (
+    _TEXT_BLOCK,
+    GOLDEN_FRAC,
+    LevelSet,
+    _collision_free,
+    _off_group,
+)
 from multfun.mf_core import MultiplicativeFunction, PrimePowerSpec
 from multfun.seminorms import gowers_fast
 
@@ -630,3 +636,23 @@ def test_level_set_exports(tmp_path, lam):
     assert len(raw) == (20 + 7) // 8
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
     assert np.flatnonzero(bits[:20]).tolist() == [int(n) - 1 for n in E.members]
+
+
+@pytest.mark.parametrize("count", [0, 1, _TEXT_BLOCK - 1, _TEXT_BLOCK, _TEXT_BLOCK + 1])
+def test_members_text_is_one_string_of_lines(tmp_path, count):
+    """The blockwise file has the bytes of the whole-set string, the lone
+    newline of an empty set included."""
+    members = np.arange(1, count + 1, dtype=np.int64) * 7919
+    E = LevelSet("t", ONE, 10 ** 9, members, exact=True)
+    path = tmp_path / "members.txt"
+    E.to_text(path)
+    assert path.read_bytes() == ("\n".join(map(str, members.tolist())) + "\n").encode()
+
+
+def test_members_text_memory_is_one_block(tmp_path):
+    """Writing 8 blocks of members of up to 10 digits holds the strings of one
+    block (about 115 B per member) at a time, not of the whole set (about
+    850 B per block member here)."""
+    members = np.arange(1, 8 * _TEXT_BLOCK + 1, dtype=np.int64) * 7919
+    E = LevelSet("t", ONE, 10 ** 10, members, exact=True)
+    assert traced_peak(lambda: E.to_text(tmp_path / "members.txt")) <= 160 * _TEXT_BLOCK

@@ -21,6 +21,7 @@ from multfun.mf_core import (
     _KINDS,
     ExactCodes,
     _check_bound,
+    code_dtype,
     make_repaired,
     parse_custom_file,
     prime_power_value,
@@ -142,6 +143,29 @@ def test_member_mask_matches_residue_formula(name, custom_path):
             np.testing.assert_array_equal(got,
                                           np.flatnonzero(member_mask_oracle(exact, target, power)),
                                           err_msg=f"{target} power {power}")
+
+
+def test_code_width_rule():
+    orders = [1, 2, 127, 128, 32767, 32768, 2 ** 31 - 1, 2 ** 31]
+    assert [code_dtype(order) for order in orders] == [
+        np.int8, np.int8, np.int8, np.int16, np.int16, np.int32, np.int32, np.int64]
+
+
+@pytest.mark.parametrize("xi", ["126/127", "127/128", "32766/32767"])
+def test_member_mask_of_a_power_on_narrow_codes(xi):
+    """Powers up to and past the order, on int8 and int16 codes near the top
+    of their alphabet (code b - Omega(n) off the zeros of mu_xi), against the
+    int64 residue formula."""
+    exact = sieve_range(builtin("mu_xi", {"xi": xi}), 10 ** 4).exact
+    assert exact.codes.dtype == code_dtype(exact.order)
+    on = exact.codes[exact.codes >= 0].astype(np.int64)
+    for power in (2, 64, 129, exact.order + 1):
+        hit = np.unique(on * power % exact.order).tolist()
+        for target in [ZERO] + [RootOfUnity(j, exact.order) for j in hit + [0, 1]]:
+            np.testing.assert_array_equal(
+                exact.members(target, power),
+                np.flatnonzero(member_mask_oracle(exact, target, power)),
+                err_msg=f"{target} power {power}")
 
 
 @pytest.mark.parametrize("f", catalog_functions(), ids=lambda f: f.label)
@@ -420,6 +444,19 @@ def test_sieve_memory_within_the_charge(name, custom_path):
     assert traced_peak(lambda: sieve_range(f, N).values) <= 30 * (N + 1)
     if table.exact is not None:
         assert traced_peak(lambda: sieve_range(f, N)) <= 6 * (N + 1)
+
+
+@pytest.mark.parametrize("name", CODED_CASES)
+def test_coded_sieve_memory_within_its_codes(name, custom_path):
+    """With a warm context, a coded sieve allocates its codes, at the width
+    of their alphabet, and at most one byte per entry besides (the
+    squarefree mask's complement of mu_xi), plus 128 KiB for the small
+    tables and numpy's index buffers: no wider array of N + 1 codes."""
+    f = REGISTRY_CASES[name](custom_path)
+    N = 10 ** 5
+    exact = sieve_range(f, N).exact
+    bound = (code_dtype(exact.order).itemsize + 1) * (N + 1) + 2 ** 17
+    assert traced_peak(lambda: sieve_range(f, N)) <= bound
 
 
 def test_exact_codes_partition(l13):

@@ -23,7 +23,9 @@ from multfun import pretentious
 from multfun.arith import geometric_grid, primes_upto
 from multfun.mf_core import MultiplicativeFunction, PrimePowerSpec, make_repaired
 from multfun.pretentious import (
+    EULER_TAIL_TOL,
     PLATEAU_CAP,
+    _euler_terms,
     _first_plateau_character,
     _TwistScan,
     _two_decades_back,
@@ -143,6 +145,15 @@ def test_euler_product_constant_one():
 def test_euler_product_phi_over_n(phi):
     ep = euler_product_mean(phi, 10 ** 5)
     assert abs(ep.value - 0.6079) < 1e-4
+
+
+def test_euler_terms_match_the_scalar_formula():
+    """The vectorized term counts of the Euler factors equal the scalar
+    math.log formula at every prime <= 10^6."""
+    primes = primes_upto(10 ** 6)
+    scalar = [max(1, math.ceil(math.log(1.0 / (EULER_TAIL_TOL * (p - 1)), p)))
+              for p in primes.tolist()]
+    assert _euler_terms(primes).tolist() == scalar
 
 
 def test_euler_product_keeps_the_modulus_bound():
