@@ -54,21 +54,29 @@ def e(x):
     return np.exp(2j * np.pi * x)
 
 
-def root_table(b: int) -> np.ndarray:
-    """b-th roots of unity e(j/b), with exact 0 and +-1 components snapped.
+def roots_of_unity(j: np.ndarray, b: int) -> np.ndarray:
+    """e(j/b) at each integer j of an array (of int or float dtype), with
+    exact 0 and +-1 components snapped.
 
     Snapping makes the order-1, -2 and -4 roots exact, so catalog values
-    like lambda(n) and chi mod 4 compare exactly against +-1 and +-i.
+    like lambda(n) and chi mod 4 compare exactly against +-1 and +-i.  Each
+    root is computed on its own, so e(j/b) is the same bits whatever else j
+    holds: roots_of_unity(j, b) is root_table(b)[j].
     """
-    # 40 B per root, the ru_maxrss growth at b = 10^6, 10^7 and 3 * 10^7: the
-    # float angles (8), 2 pi i times them (16) and their exponentials (16)
-    check_budget(40 * b, f"a table of the {b}-th roots of unity")
-    tb = e(np.arange(b) / b)
-    for part in (tb.real, tb.imag):
+    roots = e(j / b)
+    for part in (roots.real, roots.imag):
         part[np.abs(part) < 1e-14] = 0.0
         part[np.abs(part - 1.0) < 1e-14] = 1.0
         part[np.abs(part + 1.0) < 1e-14] = -1.0
-    return tb
+    return roots
+
+
+def root_table(b: int) -> np.ndarray:
+    """The b-th roots of unity e(j/b), j = 0, ..., b - 1, snapped."""
+    # 40 B per root, the ru_maxrss growth at b = 10^6, 10^7 and 3 * 10^7: the
+    # float angles (8), 2 pi i times them (16) and their exponentials (16)
+    check_budget(40 * b, f"a table of the {b}-th roots of unity")
+    return roots_of_unity(np.arange(b), b)
 
 
 # --------------------------------------------------------------------------
@@ -153,10 +161,11 @@ def mem_cap_bytes() -> int:
     a positive number of megabytes, default 4096).
 
     A twist scan is charged for one chunk of K primes, about 16 MB: 8 B per
-    prime for each row it holds, per t cos(t log p), sin(t log p) when f or
-    a character is complex and the real and imaginary parts of the twisted
-    values when both are, and per character the real part of its conjugate
-    values, the imaginary part too when some character is complex."""
+    prime for each row it holds, per scanned t (the t >= 0 of a grid that is
+    its own negation, else every t) cos(t log p), sin(t log p) when f or a
+    character is complex and a scratch row when both are, and per character
+    the real part of its conjugate values, the imaginary part too when some
+    character is complex."""
     raw = os.environ.get("MULTFUN_MEM_CAP_MB", "").strip() or str(DEFAULT_MEM_CAP_MB)
     if not raw.isdecimal() or int(raw) < 1:
         raise InputError(f"MULTFUN_MEM_CAP_MB must be a positive integer (megabytes), "

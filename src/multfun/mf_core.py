@@ -9,14 +9,14 @@ n.  Catalog entries with rational phase parameters additionally carry an
 exact finite-alphabet representation (ExactCodes): every nonzero value is
 e(code/order), value 0 is code -1.  Codes are stored at the width of their
 alphabet (code_dtype: int8 for an order up to 127, int16 up to 32767, int32
-up to 2^31 - 1, int64 above).  A kind builds them as one lookup of the
+up to 2^31 - 1, int64 up to 2^63 - 1).  A kind builds them as one lookup of the
 table's additive statistic (or residue) in a table over the statistic's few
 values, cast to that width first, so no wider array of N + 1 codes is made.
 A table with codes is its codes: sieve_range builds no values for it, and
 the table builds them from the codes on first read, so level-set extraction
-downstream is integer-exact and never builds them.  The
-|f| <= 1 bound of a table of root-of-unity codes is checked on its alphabet,
-the order-th roots of unity.  phi(n)/n is determined by rad(n)
+downstream is integer-exact and never builds them.  A table of
+root-of-unity codes keeps |f| <= 1 by construction, so no bound is checked
+on it.  phi(n)/n is determined by rad(n)
 (RadicalCodes): its level set at phi(r)/r enumerates the n <= N with
 rad(n) = r directly, with no table over [0, N].  A zero-repaired function
 has no codes, whatever its base: the generic pass sieves it.
@@ -50,6 +50,7 @@ from .arith import (
     is_prime,
     large_prime_multiples,
     root_table,
+    roots_of_unity,
 )
 from .errors import InputError
 from . import characters as characters_mod_pkg
@@ -156,10 +157,10 @@ def members_of(mask: np.ndarray) -> np.ndarray:
 def code_dtype(order: int) -> np.dtype:
     """The narrowest signed integer type whose maximum is at least order: it
     holds the codes -1..order-1 of an alphabet of order roots of unity."""
-    for dtype in (np.int8, np.int16, np.int32):
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
         if order <= np.iinfo(dtype).max:
             return np.dtype(dtype)
-    return np.dtype(np.int64)
+    raise InputError(f"an alphabet of {order} roots of unity has no 64-bit codes")
 
 
 @dataclass(eq=False)
@@ -198,8 +199,13 @@ class ExactCodes:
         return members_of(m)
 
     def values(self) -> np.ndarray:
-        """e(code/order) at each code: one lookup in the roots of unity with a
-        0 appended, for code -1."""
+        """e(code/order) at each code and 0 at code -1: one lookup in the roots
+        of unity with a 0 appended, or, when there are more roots than codes,
+        the roots evaluated at the codes."""
+        if self.order > len(self.codes):
+            values = roots_of_unity(self.codes, self.order)
+            values[self.codes < 0] = 0
+            return values
         return np.append(root_table(self.order), 0)[self.codes]
 
 
@@ -272,9 +278,8 @@ class RadicalCodes:
 class SieveTable:
     """f on [0, N]: its exact codes, when the kind has them, and its values.
     A table with codes builds its values from them on first read, and checks
-    the |f| <= 1 bound on them unless they are root-of-unity codes, whose
-    alphabet sieve_range checked; sieve_range sets the values of a table
-    without codes."""
+    the |f| <= 1 bound on them unless they are root-of-unity codes, bounded
+    by construction; sieve_range sets the values of a table without codes."""
 
     N: int
     source: str
@@ -316,8 +321,8 @@ def sieve_range(f: MultiplicativeFunction, N: int) -> SieveTable:
     table its values from them on first read.  A kind without codes sieves its
     values here: from the additive statistics for irrational phases, by a
     generic prime-power pass otherwise (every zero-repaired function among
-    them).  The |f| <= 1 bound is checked here on the alphabet of root-of-unity
-    codes and on the values of kinds without codes.
+    them).  The |f| <= 1 bound is checked here on the values of kinds without
+    codes.
     """
     if N < 1:
         raise InputError(f"sieve bound must be >= 1, got {N}")
@@ -329,8 +334,6 @@ def sieve_range(f: MultiplicativeFunction, N: int) -> SieveTable:
     table = SieveTable(N=N, source=f.label, exact=kind.codes(f, N, ctx), function=f)
     if table.exact is None:
         table.values = _check_bound(f, _sealed(kind.sieve(f, N, ctx)))
-    elif isinstance(table.exact, ExactCodes):
-        _check_bound(f, root_table(table.exact.order))
     return table
 
 
@@ -520,7 +523,8 @@ def _phase_kind(stat: str) -> _Kind:
             return None
         a, b = f.meta["a"], f.meta["b"]
         s = getattr(ctx, stat)
-        c = ((a * np.arange(int(s.max()) + 1, dtype=np.int64)) % b).astype(code_dtype(b))[s]
+        # a * k mod b over the few k in Python integers, which cannot wrap
+        c = np.array([a * k % b for k in range(int(s.max()) + 1)], dtype=code_dtype(b))[s]
         if _squarefree_only(f):
             c[~ctx.squarefree] = -1
         c[0] = -1
@@ -621,7 +625,10 @@ def _phase_meta(xi) -> dict:
 
 def _xi_value(xi) -> complex:
     if isinstance(xi, Fraction):
-        return complex(root_table(xi.denominator)[xi.numerator % xi.denominator])
+        a, b = xi.numerator % xi.denominator, xi.denominator
+        # a as a float: the same bits as an integer array up to 2^53, and no
+        # object array when a passes int64
+        return complex(roots_of_unity(np.array([float(a)]), b)[0])
     return complex(e(float(xi)))
 
 

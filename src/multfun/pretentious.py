@@ -113,6 +113,14 @@ def _first_plateau_character(terms: np.ndarray, primes: np.ndarray, grid: np.nda
     return None
 
 
+def _symmetric_grid(half_width: float, n: int) -> np.ndarray:
+    """n evenly spaced t in [-half_width, half_width] that are their own
+    negation in floats: the t > 0 of np.linspace, 0 when n is odd, and the
+    negated t > 0 (np.linspace's own t < 0 may differ from them by an ulp)."""
+    pos = np.linspace(-half_width, half_width, n)[n // 2 + n % 2 :]
+    return np.concatenate([-pos[::-1], np.zeros(n % 2), pos])
+
+
 def _check_q_max(Q_max: int) -> None:
     if not 1 <= Q_max <= Q_MAX_BOUND:
         raise InputError(f"character modulus bound {Q_max} outside the supported "
@@ -261,8 +269,11 @@ def halasz_classify(f: MultiplicativeFunction, P: int = 10 ** 6,
     the Euler product); case_iii: a real t with finite twisted distance to
     n^{it} and f(2^k) = -2^{itk} for all k (checked to k = 20); case_iv: the
     twisted distance diverges for every t on the grid of 201 points in
-    [-10, 10], refined around the best t.  Conflicting signals produce
-    'inconclusive'.
+    [-10, 10], refined over 41 points around the best t.  Conflicting
+    signals produce 'inconclusive'.
+
+    Both grids are symmetric in floats (the refinement when it is centred
+    on 0), and a tie between t and -t reports -t.
     """
     primes = primes_upto(P)
     fp = f.prime_values(primes)
@@ -281,7 +292,7 @@ def halasz_classify(f: MultiplicativeFunction, P: int = 10 ** 6,
     # Archimedean scan: minimize the windowed twisted-distance score over t.
     # A genuine n^{it} pretender keeps every window increment near zero at
     # the same t; the scored minimum localizes that t.
-    t_grid = np.linspace(-10.0, 10.0, 201)
+    t_grid = _symmetric_grid(10.0, 201)
     cvec = fp * inv_p
     scan = _TwistScan(primes, P)
     tail_inc, ratio = (v[:, 0] for v in scan.scan_characters(cvec, t_grid, 1))
@@ -289,7 +300,7 @@ def halasz_classify(f: MultiplicativeFunction, P: int = 10 ** 6,
     min_tail = float(np.min(tail_inc))
     min_ratio = float(np.min(ratio))
     step = float(t_grid[1] - t_grid[0])
-    t_fine = np.linspace(t_star - step, t_star + step, 41)
+    t_fine = t_star + _symmetric_grid(step, 41)     # folded only when t_star == 0
     tail_f, ratio_f = (v[:, 0] for v in scan.scan_characters(cvec, t_fine, 1))
     if float(np.min(ratio_f)) < min_ratio:
         t_star = float(t_fine[int(np.argmin(ratio_f))])
@@ -350,11 +361,17 @@ class _TwistScan:
 
     Only Re sum_p c_p conj(chi(p)) p^{-it} is ever read, for every t of a
     grid and every chi mod q <= Q_max (the Halász scans read Q_max = 1, whose
-    chi_0 is the constant 1).  Per chunk of primes, with w = c p^{-it}, it is
-    Re w @ Re conj(chi) - Im w @ Im conj(chi), the second product only when
-    a character is complex, and Re w = Re c cos(t log p) + Im c sin(t log p),
-    Im w = Im c cos(t log p) - Re c sin(t log p): no complex exponential is
-    taken, and sin(t log p) only when c or a character is complex.
+    chi_0 is the constant 1).  With u = c conj(chi(p)) and theta = t log p it
+    is E + O, the even part E = sum Re u cos(theta) plus the odd part
+    O = sum Im u sin(theta), and at -t it is E - O.  Per chunk of primes, E
+    and O are matrix products of the cos and sin rows, times Re c or Im c,
+    with the Re conj(chi) and Im conj(chi) rows: no complex exponential is
+    taken, and O (with its sin rows) only when c or a character is complex.
+
+    The grid decides the fold.  When t_grid is its own negation in floats,
+    only its t >= 0 half is scanned and the t < 0 rows are E - O; then the
+    columns of a real c against a real character are bitwise equal at +-t.
+    Any other grid is scanned in full.
     """
 
     _CHUNK_BYTES = 16 << 20     # twist and character rows held at a time
@@ -399,26 +416,30 @@ class _TwistScan:
         complex_chi = any(im.any() for _, im in tables)
         m = sum(len(re) for re, _ in tables)
         n_t = len(t_grid)
-        # rows per t: cos, then sin when c or a character is complex, and
-        # Re w and Im w apart from them when both are; rows per character:
-        # Re conj(chi), then Im conj(chi) when some character is complex
-        n_twist = 4 if complex_c and complex_chi else 1 + (complex_c or complex_chi)
-        row_bytes = 8 * (n_twist * n_t + (1 + complex_chi) * m)
+        # on a grid that is its own negation the t < 0 rows are read from the
+        # scan of the t >= 0 half: its first h rows mirror the last h scanned
+        h = n_t // 2 if np.array_equal(-t_grid[::-1], t_grid) else 0
+        t_col = t_grid[h:, None]
+        n_s = len(t_col)
+        # rows per scanned t: cos, then sin when c or a character is complex,
+        # and a scratch row for the Im c products when both are; rows per
+        # character: Re conj(chi), then Im conj(chi) when some character is complex
+        n_twist = 1 + (complex_c or complex_chi) + (complex_c and complex_chi)
+        row_bytes = 8 * (n_twist * n_s + (1 + complex_chi) * m)
         longest = max(w[1].stop - w[1].start for w in self.windows)
         K = max(1, min(self._CHUNK_BYTES // row_bytes, longest))
-        check_budget(row_bytes * K, f"twist scan over {n_t} t and {m} characters, "
+        check_budget(row_bytes * K, f"twist scan over {n_s} of {n_t} t and {m} characters, "
                                     f"{K} primes at a time")
-        twist_rows = np.empty((n_twist, n_t * K))
+        twist_rows = np.empty((n_twist, n_s * K))
         chi_rows = np.empty((1 + complex_chi, m * K))
-        t_col = t_grid[:, None]
         tail_inc, max_ratio = np.zeros((n_t, m)), np.full((n_t, m), -np.inf)
         for lo, window, s_invp, mert in self.windows:
-            twisted = np.zeros((n_t, m))
+            even, odd = np.zeros((n_s, m)), np.zeros((n_s, m))
             for a in range(window.start, window.stop, K):
                 k = min(K, window.stop - a)
-                # contiguous n_t x k and m x k views: ufuncs and take write
+                # contiguous n_s x k and m x k views: ufuncs and take write
                 # into them unbuffered, and the products run in BLAS
-                tw = [r[: n_t * k].reshape(n_t, k) for r in twist_rows]
+                tw = [r[: n_s * k].reshape(n_s, k) for r in twist_rows]
                 ch = [r[: m * k].reshape(m, k) for r in chi_rows]
                 ps, re, im = self.primes[a : a + k], c_re[a : a + k], c_im[a : a + k]
                 row = 0
@@ -430,17 +451,23 @@ class _TwistScan:
                 cos = np.multiply(t_col, self.logp[a : a + k], out=tw[0])
                 sin = np.sin(cos, out=tw[1]) if n_twist > 1 else None
                 np.cos(cos, out=cos)
-                # w = c p^{-it}: Re w = Re c cos + Im c sin, Im w = Im c cos - Re c sin
-                re_w = np.multiply(cos, re, out=tw[2] if n_twist == 4 else cos)
+                # u = c conj(chi): even += Re u cos, odd += Im u sin, with
+                # Re u = Re c Re conj(chi) - Im c Im conj(chi) and
+                # Im u = Re c Im conj(chi) + Im c Re conj(chi); the Im c
+                # products go through the scratch row tw[-1] (sin itself when
+                # every character is real), each used before the next is made
                 if complex_c:
-                    re_w += np.multiply(sin, im, out=tw[-1])
-                twisted += re_w @ ch[0].T
+                    if complex_chi:
+                        even -= np.multiply(cos, im, out=tw[2]) @ ch[1].T
+                    odd += np.multiply(sin, im, out=tw[-1]) @ ch[0].T
                 if complex_chi:
-                    im_w = np.multiply(sin, -re, out=sin)
-                    if complex_c:
-                        im_w += np.multiply(cos, im, out=cos)
-                    twisted -= im_w @ ch[1].T
-            inc = s_invp - twisted
+                    odd += np.multiply(sin, re, out=sin) @ ch[1].T
+                even += np.multiply(cos, re, out=cos) @ ch[0].T
+            # Re sum u p^{-it} is even + odd at t and even - odd at -t
+            inc = np.empty((n_t, m))
+            np.add(even, odd, out=inc[h:])
+            np.subtract(even[n_s - h :], odd[n_s - h :], out=inc[:h][::-1])
+            np.subtract(s_invp, inc, out=inc)
             np.maximum(max_ratio, inc / mert, out=max_ratio)
             if lo >= self.tail_lo:
                 tail_inc += inc
@@ -466,13 +493,14 @@ def aperiodicity_test(f: MultiplicativeFunction, Q_max: int = 60,
 
     A plateauing profile yields periodic_structure(chi, t); if every profile
     diverges the verdict is aperiodic_evidence.  The verdict is heuristic:
-    finite truncations cannot certify divergence.
+    finite truncations cannot certify divergence.  The t grid is symmetric
+    in floats, and a tie between t and -t reports -t.
     """
     _check_q_max(Q_max)
     primes = primes_upto(P)
     fp = f.prime_values(primes)
     inv_p = 1.0 / primes
-    t_grid = np.linspace(-10.0, 10.0, 41)
+    t_grid = _symmetric_grid(10.0, 41)
     labels = [(q, chi.index) for q in range(1, Q_max + 1) for chi in characters_mod(q)]
     scans = _TwistScan(primes, P).scan_characters(fp * inv_p, t_grid, Q_max)
 

@@ -41,6 +41,7 @@ from multfun.characters import characters_mod
 from multfun.levelsets import level_set, sp_set
 from multfun.mf_core import (
     _cyclic_unit_group,
+    _xi_value,
     make_repaired,
     prime_power_value,
 )
@@ -118,6 +119,20 @@ def code_table(N, order, code_of):
         c = code_of(fs)
         out[n] = 0 if c is None else roots[c % order]
     return out
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 4, 6, 8, 12, 360, 1009, 10007, 65536, 10 ** 6 + 3])
+def test_single_root_is_the_table_entry(b):
+    # e(a/b) of a rational phase is one root, computed and snapped as
+    # root_table computes and snaps its entries: the same bits, whether a/b
+    # is in lowest terms or not
+    table = root_table(b)
+    rng = random.Random(b)
+    for j in sorted({j % b for j in (0, 1, b // 4, b // 3, b // 2, 3 * b // 4, b - 1,
+                                     *(rng.randrange(b) for _ in range(20)))}):
+        for a in (j, j + 5 * b, j - 3 * b):
+            got = np.array([_xi_value(Fraction(a, b))])
+            assert got.view(np.uint64).tolist() == table[j : j + 1].view(np.uint64).tolist(), (a, b)
 
 
 def test_root_table_charged_at_40_bytes_per_root(monkeypatch):

@@ -224,35 +224,54 @@ def test_oversized_input_exits_3(tmp_path, argv):
     assert err["type"] == "ResourceError" and err["exit_code"] == 3
 
 
-@pytest.mark.parametrize("cap, argv", [
-    # the sieve's 120 MiB charge passes; the U^2 transform at m = 2^23
-    # (about 3 B of RSS per output byte, 192 MiB) does not
-    ("160", ["gowers", "--function", "liouville", "--s", "2", "--grid", "4194304"]),
-    # the alphabet's roots of unity, 40 B each, are above the default cap
-    (None, ["sieve", "--function", "lambda_xi", "--xi", "1/3000000000", "--N", "100"]),
-], ids=["gowers-transform", "root-table"])
-def test_charged_allocations_exit_3_in_a_fresh_process(tmp_path, cap, argv):
-    """Each command, run as a user runs it, ends in exit 3 with a JSON
-    ResourceError report before it allocates, not in a traceback."""
+def run_fresh(argv, out, cap):
+    """multfun run as a user runs it, in a new process, under the memory cap
+    cap (None for the default)."""
     env = dict(os.environ, PYTHONPATH=str(Path(multfun.__file__).parents[1]))
     env.pop("MULTFUN_MEM_CAP_MB", None)
     if cap is not None:
         env["MULTFUN_MEM_CAP_MB"] = cap
-    out = tmp_path / "r.json"
-    proc = subprocess.run([sys.executable, "-c", "from multfun.cli import main; main()",
+    return subprocess.run([sys.executable, "-c", "from multfun.cli import main; main()",
                            *argv, "--out", str(out)],
                           env=env, capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("cap, argv", [
+    # the sieve's 120 MiB charge passes; the U^2 transform at m = 2^23
+    # (about 3 B of RSS per output byte, 192 MiB) does not
+    ("160", ["gowers", "--function", "liouville", "--s", "2", "--grid", "4194304"]),
+], ids=["gowers-transform"])
+def test_charged_allocations_exit_3_in_a_fresh_process(tmp_path, cap, argv):
+    """Each command, run as a user runs it, ends in exit 3 with a JSON
+    ResourceError report before it allocates, not in a traceback."""
+    out = tmp_path / "r.json"
+    proc = run_fresh(argv, out, cap)
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     err = read(out)["error"]
     assert err["type"] == "ResourceError" and err["exit_code"] == 3
 
 
+@pytest.mark.parametrize("xi", ["1/10000019", "1/3000000000"])
+def test_rational_phase_builds_no_root_table(tmp_path, xi):
+    """e(1/b) is one root, and a table of 101 codes evaluates its values at
+    the codes: no table of all b roots (40 B each) is built, so the sieve
+    runs under a 64 MB cap and writes the report it writes uncapped."""
+    out = tmp_path / "r.json"
+    argv = ["sieve", "--function", "lambda_xi", "--xi", xi, "--N", "100"]
+    reports = []
+    for cap in ("64", None):
+        proc = run_fresh(argv, out, cap)
+        assert proc.returncode == 0, proc.stderr
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_twist_matrices_charged_to_cap(tmp_path, monkeypatch):
-    # the Halász scans of a real f hold the 201 cos rows of one chunk of
-    # primes, here the 8363 of (10^4, 10^5], ~13.4 MB, not all 9592 primes
-    # as complex exponentials (~31 MB), and fit under 16 MB; the charges
-    # themselves are tested in test_pretentious
+    # the Halász scans of a real f hold the cos rows of the 101 t >= 0 of
+    # their 201 t over one chunk of primes, here the 8363 of (10^4, 10^5],
+    # ~6.8 MB, not all 9592 primes as complex exponentials (~31 MB), and fit
+    # under 16 MB; the charges themselves are tested in test_pretentious
     monkeypatch.setenv("MULTFUN_MEM_CAP_MB", "16")
     out = tmp_path / "c.json"
     rc = run(["classify", "--function", "liouville", "--P", "100000",

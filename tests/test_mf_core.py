@@ -146,9 +146,29 @@ def test_member_mask_matches_residue_formula(name, custom_path):
 
 
 def test_code_width_rule():
-    orders = [1, 2, 127, 128, 32767, 32768, 2 ** 31 - 1, 2 ** 31]
+    orders = [1, 2, 127, 128, 32767, 32768, 2 ** 31 - 1, 2 ** 31, 2 ** 63 - 1]
     assert [code_dtype(order) for order in orders] == [
-        np.int8, np.int8, np.int8, np.int16, np.int16, np.int32, np.int32, np.int64]
+        np.int8, np.int8, np.int8, np.int16, np.int16, np.int32, np.int32, np.int64, np.int64]
+    with pytest.raises(InputError, match="no 64-bit codes"):
+        code_dtype(2 ** 63)
+
+
+@pytest.mark.parametrize("xi", ["3/1009", "1/10000019", f"{2 ** 63 - 27}/{2 ** 63 - 25}"])
+def test_values_of_an_alphabet_larger_than_the_table(xi):
+    # an order above N + 1 evaluates the roots at the codes, not a table of
+    # every root: the same bits as the table entries, and the codes a * Omega(n)
+    # mod b reduced without wrapping where a * Omega(n) passes 2^63
+    f = builtin("lambda_xi", {"xi": xi})
+    a, b = f.meta["a"], f.meta["b"]
+    table = sieve_range(f, 100)
+    codes = table.exact.codes
+    assert codes[1:].tolist() == [a * sum(k for _, k in arith.factorize(n)) % b
+                                  for n in range(1, 101)]
+    values = table.values[1:].view(np.uint64).tolist()
+    roots = np.array([arith.roots_of_unity(np.array([float(c)]), b)[0] for c in codes[1:]])
+    assert values == roots.view(np.uint64).tolist()
+    if b < 10 ** 5:
+        assert values == root_table(b)[codes[1:]].view(np.uint64).tolist()
 
 
 @pytest.mark.parametrize("xi", ["126/127", "127/128", "32766/32767"])
@@ -267,14 +287,6 @@ def test_nan_value_breaks_the_modulus_bound():
 def test_modulus_bound_checked_when_values_are_built(mu):
     with pytest.raises(InputError, match="modulus bound"):
         sieve_range(make_repaired(mu, 2.0, 0.0), 100)
-
-
-def test_modulus_bound_checked_on_the_alphabet(lam, monkeypatch):
-    from multfun import mf_core
-
-    monkeypatch.setattr(mf_core, "root_table", lambda b: np.append(root_table(b)[:-1], 2.0))
-    with pytest.raises(InputError, match="modulus bound"):
-        sieve_range(lam, 100)
 
 
 def test_bound_check_holds_one_block_of_moduli(phi):

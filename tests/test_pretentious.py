@@ -21,12 +21,14 @@ from multfun import (
 )
 from multfun import pretentious
 from multfun.arith import geometric_grid, primes_upto
+from multfun.characters import character_table
 from multfun.mf_core import MultiplicativeFunction, PrimePowerSpec, make_repaired
 from multfun.pretentious import (
     EULER_TAIL_TOL,
     PLATEAU_CAP,
     _euler_terms,
     _first_plateau_character,
+    _symmetric_grid,
     _TwistScan,
     _two_decades_back,
     unit_function,
@@ -433,6 +435,55 @@ def test_streamed_and_stored_scans_agree(P, n_t, l13, lam):
                 assert np.max(np.abs(a - b[:, :m])) <= 1e-15, (f.label, Q_max)
 
 
+@pytest.mark.parametrize("n_t", [2, 40, 41, 201])
+@pytest.mark.parametrize("P", [7, 1009, 10 ** 5])
+def test_folded_scans_match_definition(P, n_t, l13, lam):
+    # on a grid that is its own negation only the t >= 0 half is scanned,
+    # and the t < 0 rows are the even part minus the odd part: against the
+    # definitional scans, for a complex (l13) and a real (lam) vector.  For
+    # the real one, each real character's column is the same at -t as at t
+    # bit for bit, since its odd part is 0
+    primes = primes_upto(P)
+    t_grid = _symmetric_grid(10.0, n_t)
+    scan = _TwistScan(primes, P)
+    real = np.concatenate([~character_table(q).imag.any(axis=1) for q in range(1, 6)])
+    for f in (l13, lam):
+        c = f.prime_values(primes) / primes
+        want = definitional_scans(c, primes, t_grid, P, 5)
+        for Q_max, m in ((5, 10), (1, 1)):
+            for a, b in zip(scan.scan_characters(c, t_grid, Q_max), want):
+                assert a.shape == (n_t, m)
+                assert np.max(np.abs(a - b[:, :m])) <= 1e-15, (f.label, Q_max)
+                if f is lam:
+                    cols = np.flatnonzero(real[:m])
+                    assert np.array_equal(a[:, cols], a[::-1, cols]), Q_max
+
+
+@pytest.mark.parametrize("n, half_width", [(2, 10.0), (3, 10.0), (40, 10.0), (41, 10.0),
+                                           (201, 10.0), (41, None)])
+def test_symmetric_grid_is_its_own_negation(n, half_width):
+    # the Halász and aperiodicity grids (201 and 41 t in [-10, 10]) and the
+    # Halász refinement around t = 0 (41 t within the coarse step): each is
+    # np.linspace to within 2 ulp of the half width, with t = 0 exactly
+    # when n is odd
+    if half_width is None:
+        coarse = _symmetric_grid(10.0, 201)
+        half_width = float(coarse[1] - coarse[0])
+    grid = _symmetric_grid(half_width, n)
+    assert np.array_equal(-grid[::-1], grid)
+    assert len(grid) == n and (n % 2 == 0 or grid[n // 2] == 0.0)
+    linear = np.linspace(-half_width, half_width, n)
+    assert np.max(np.abs(grid - linear)) <= 2 * np.spacing(half_width)
+
+
+def test_halasz_t_tie_reports_negative_t(chi4):
+    # chi mod 4 is real, so its Halász ratios at +-t are an exact tie on the
+    # symmetric grid and the scan reports the negative t, run after run
+    for _ in range(2):
+        t_star = halasz_classify(chi4, P=1009, N=1009).evidence["t_star"]
+        assert t_star == pytest.approx(-4.355, abs=1e-12)
+
+
 def test_twist_scan_peak_within_its_chunk_charge(monkeypatch, l13, lam):
     """A scan allocates the twist and character rows of one chunk of
     primes, the bytes it charges to the cap, and holds besides them log p
@@ -440,7 +491,8 @@ def test_twist_scan_peak_within_its_chunk_charge(monkeypatch, l13, lam):
     per-window sums and scores (slack: eight len(t) x m float arrays).
     Shapes: the Halász scans' 201 t against chi_0 mod 1 (m = 1) and the
     aperiodicity scan's 41 t against the 278 characters mod q <= 30, each
-    for a complex (l13) and a real (lam) vector."""
+    for a complex (l13) and a real (lam) vector, on np.linspace grids
+    (scanned in full) and on symmetric ones (folded: the t >= 0 half)."""
     P = 10 ** 5
     primes = primes_upto(P)
     charged = []
@@ -451,28 +503,29 @@ def test_twist_scan_peak_within_its_chunk_charge(monkeypatch, l13, lam):
     for f in (l13, lam):
         c = f.prime_values(primes) / primes
         for n_t, Q_max, m in ((201, 1, 1), (41, 30, 278)):
-            t_grid = np.linspace(-10.0, 10.0, n_t)
-            peak = traced_peak(lambda: scan.scan_characters(c, t_grid, Q_max))
-            assert charged[-1] <= _TwistScan._CHUNK_BYTES
-            assert charged[-1] <= peak <= charged[-1] + 32 * len(primes) + 8 * 8 * n_t * m, \
-                (f.label, n_t)
+            for t_grid in (np.linspace(-10.0, 10.0, n_t), _symmetric_grid(10.0, n_t)):
+                peak = traced_peak(lambda: scan.scan_characters(c, t_grid, Q_max))
+                assert charged[-1] <= _TwistScan._CHUNK_BYTES
+                assert charged[-1] <= peak <= charged[-1] + 32 * len(primes) + 8 * 8 * n_t * m, \
+                    (f.label, n_t, t_grid[1])
 
 
 def test_halasz_scan_charged_to_cap(monkeypatch, lam):
-    # the 201 cos rows of a real f over the 8363 primes of (10^4, 10^5],
-    # its longest window, are ~13.4 MB: refused under an 8 MB cap, where
-    # the sieve context for 10^5 (~2.6 MB) still fits
-    monkeypatch.setenv("MULTFUN_MEM_CAP_MB", "8")
+    # the folded scan of a real f holds the cos rows of the 101 t >= 0 of
+    # its 201 t and the chi_0 row over the 8363 primes of (10^4, 10^5], its
+    # longest window: 102 x 8363 x 8 B = 6824208 B (~6.5 MB), refused under
+    # a 6 MB cap, where the sieve context for 10^5 (~2.6 MB) still fits
+    monkeypatch.setenv("MULTFUN_MEM_CAP_MB", "6")
     with pytest.raises(ResourceError, match="twist scan"):
         halasz_classify(lam, P=10 ** 5, N=10 ** 5)
 
 
 def test_stored_twist_windows_charged_to_cap(monkeypatch, lam):
-    # the scan of the 278 characters mod q <= 30 for a real f holds the 41
-    # cos and 41 sin rows and the 278 Re and 278 Im character rows, 8 B each,
-    # over 3287 primes at a time, 16776848 B: it runs under a 16 MB cap and
-    # is refused under 15 MB, where the sieve context for 10^5 (~2.6 MB)
-    # still fits
+    # the scan of the 278 characters mod q <= 30 for a real f holds the cos
+    # and sin rows of the 21 t >= 0 of its 41 t and the 278 Re and 278 Im
+    # character rows, 8 B each, over 3506 primes at a time, 16772704 B: it
+    # runs under a 16 MB cap and is refused under 15 MB, where the sieve
+    # context for 10^5 (~2.6 MB) still fits
     monkeypatch.setenv("MULTFUN_MEM_CAP_MB", "16")
     aperiodicity_test(lam, Q_max=30, P=10 ** 5)
     monkeypatch.setenv("MULTFUN_MEM_CAP_MB", "15")
@@ -674,13 +727,14 @@ def test_aperiodicity_matches_per_character_scans(name):
 @pytest.mark.parametrize("K", [1, 7, 22])
 @pytest.mark.parametrize("P", [1000, 1009])
 def test_aperiodicity_chunk_boundaries(monkeypatch, P, K):
-    # chunks of K primes for the 41 t and 10 characters mod q <= 5: the
-    # window (10, 100] holds 21 primes, (100, 1000] 143 and (1000, 1009] one,
-    # so chunks end on, one short of and one past a window's end.  A chunk
-    # holds 8 B per prime for each of 2 rows per character (Re, Im) and
-    # per t: cos and sin, and for a complex f also Re w and Im w
+    # chunks of K primes for the 21 scanned t >= 0 of the 41 t and the 10
+    # characters mod q <= 5: the window (10, 100] holds 21 primes, (100, 1000]
+    # 143 and (1000, 1009] one, so chunks end on, one short of and one past a
+    # window's end.  A chunk holds 8 B per prime for each of 2 rows per
+    # character (Re, Im) and per scanned t: cos and sin, and for a complex f
+    # also a scratch row
     for f in ORACLE_CASES.values():
-        t_rows = 4 if f.prime_values(primes_upto(P)).imag.any() else 2
-        monkeypatch.setattr(_TwistScan, "_CHUNK_BYTES", 8 * (t_rows * 41 + 2 * 10) * K)
+        t_rows = 3 if f.prime_values(primes_upto(P)).imag.any() else 2
+        monkeypatch.setattr(_TwistScan, "_CHUNK_BYTES", 8 * (t_rows * 21 + 2 * 10) * K)
         assert_evidence_matches(aperiodicity_test(f, Q_max=5, P=P),
                                 *per_character_scans(f, 5, P))
