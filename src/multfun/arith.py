@@ -157,15 +157,8 @@ DEFAULT_MEM_CAP_MB = 4096
 
 
 def mem_cap_bytes() -> int:
-    """Configured memory cap for sieves and twist scans (env MULTFUN_MEM_CAP_MB,
-    a positive number of megabytes, default 4096).
-
-    A twist scan is charged for one chunk of K primes, about 16 MB: 8 B per
-    prime for each row it holds, per scanned t (the t >= 0 of a grid that is
-    its own negation, else every t) cos(t log p), sin(t log p) when f or a
-    character is complex and a scratch row when both are, and per character
-    the real part of its conjugate values, the imaginary part too when some
-    character is complex."""
+    """The memory cap in bytes: env MULTFUN_MEM_CAP_MB, a positive number of
+    megabytes, default 4096."""
     raw = os.environ.get("MULTFUN_MEM_CAP_MB", "").strip() or str(DEFAULT_MEM_CAP_MB)
     if not raw.isdecimal() or int(raw) < 1:
         raise InputError(f"MULTFUN_MEM_CAP_MB must be a positive integer (megabytes), "

@@ -67,10 +67,6 @@ class FiniteSystem:
             out.add(tuple(int(c) % m for c, m in zip(x, self.sizes)))
         return frozenset(out)
 
-    def shift_set(self, A: frozenset, a: int) -> frozenset:
-        """T^{-a} A = A - a (componentwise, mod each factor)."""
-        return frozenset(tuple((c - a) % m for c, m in zip(x, self.sizes)) for x in A)
-
 
 @dataclass(frozen=True)
 class TorusRotation:

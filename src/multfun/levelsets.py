@@ -190,6 +190,8 @@ class DensityProfile:
 
 def density_profile(E: LevelSet, q_max: int) -> DensityProfile:
     """Global density and every progression-cell density d(E cap (qN + r))."""
+    if q_max < 1:
+        raise InputError(f"q_max must be >= 1, got {q_max}")
     if E.count == 0:
         raise InputError("density profile of an empty truncation is meaningless")
     check_budget(_ROW_BYTES * (q_max * (q_max + 1) // 2),

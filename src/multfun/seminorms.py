@@ -19,7 +19,9 @@ conjugated shift of Delta_h f.  So
 S3 = E(|f|^2) + 2 sum_{h=1}^{N-1} E(f[h:N] conj f[0:N-h]), each energy at
 the least power-of-two length that holds its support.  The normalizing
 sums of 1_[N] are closed forms (_interval_raw), and a real f, or a complex
-f with vanishing imaginary parts, is transformed with real FFTs.
+f with vanishing imaginary parts, is transformed with real FFTs, whose
+mirrored bins are doubled.  Each energy is one numpy sum, with no BLAS call,
+so no BLAS thread count changes it.
 """
 
 from __future__ import annotations
@@ -121,6 +123,8 @@ def spectrum_scan(values, q_max: int, N: int | None = None,
     reported; the threshold is part of the result so callers can re-threshold.
     """
     vals, n = _as_values(values, N)
+    if q_max < 1:
+        raise InputError(f"q_max must be >= 1, got {q_max}")
     # each q takes its q class sums of the n values and phi(q) <= q sums of q terms
     if q_max * n + q_max ** 3 > _OP_BUDGET:
         raise ResourceError(f"spectrum scan to q_max={q_max} at N={n} is above the "
@@ -240,25 +244,20 @@ def _pow2(k: int) -> int:
 def _energies(rows, m: int) -> np.ndarray:
     """(1/m) sum_k |DFT_m row|^4 for each row.
 
-    Real rows take the half spectrum of np.fft.rfft: bin k and bin m - k
-    have equal modulus, so every bin counts twice except bin 0 and, for
-    even m, bin m/2.  At m = 1 the one bin is bin 0 and counts once.
+    Real rows take the half spectrum of np.fft.rfft: bins k and m - k have
+    equal modulus, so the mirrored bins 1..(m-1)//2 are doubled, and bin 0
+    and, for even m, bin m/2 count once.  Each row is one pairwise numpy sum.
     """
-    bins = m if np.iscomplexobj(rows) else m // 2 + 1
+    real = not np.iscomplexobj(rows)
+    bins = m // 2 + 1 if real else m
     check_budget(_FFT_RSS_PER_BYTE * 16 * len(rows) * bins + _FFT_RSS_FIXED,
                  f"a batch of {len(rows)} length-{m} transforms")
-    if np.iscomplexobj(rows):
-        F = np.fft.fft(rows, m, axis=1)
-        p = F.real ** 2 + F.imag ** 2
-        return (p * p).sum(axis=1) / m
-    F = np.fft.rfft(rows, m, axis=1)
+    F = (np.fft.rfft if real else np.fft.fft)(rows, m, axis=1)
     p = F.real ** 2 + F.imag ** 2
     p *= p
-    w = np.full(F.shape[1], 2.0)
-    w[0] = 1.0
-    if m % 2 == 0:
-        w[-1] = 1.0
-    return (p @ w) / m
+    if real:
+        p[:, 1 : (m + 1) // 2] *= 2
+    return p.sum(axis=1) / m
 
 
 def _energy_u3(x) -> float:

@@ -146,12 +146,16 @@ def test_non_finite_custom_value_exits_2(tmp_path, line):
     ["levelset", "--function", "liouville", "--z", "1", "--N", "100", "--tol", "-1"],
     ["divisibility", "--set", "squarefree", "--N", "100", "--floor", "nan"],
     ["levelset", "--set", "squarefree", "--N", "100", "--random-subset", "nan", "--seed", "1"],
+    ["levelset", "--set", "squarefree", "--N", "1000", "--qmax", "-3"],
+    ["spectrum", "--function", "moebius", "--N", "1000", "--qmax", "0"],
+    ["spectrum", "--function", "moebius", "--N", "1000", "--qmax", "-2"],
 ], ids=["xi-abc", "xi-1/0", "z-val:1/0", "A-x", "polys-n^", "file-missing", "polys-degree",
         "grid-a", "grid-0", "recurrence-Jmax-0", "convergence-Jmax-0", "Jmax-negative",
         "seed-negative", "gowers-direct-s-negative", "limit-0", "limit-negative",
         "shift-negative", "Qmax-0", "umax-0", "umax-negative", "gowers-csv-without-grid",
         "xi-nan", "t-inf", "threshold-nan", "tol-nan", "tol-negative", "floor-nan",
-        "random-subset-nan"])
+        "random-subset-nan", "levelset-qmax-negative", "spectrum-qmax-0",
+        "spectrum-qmax-negative"])
 def test_malformed_input_exits_2(tmp_path, argv):
     out = tmp_path / "e.json"
     assert run(argv + ["--out", str(out)]) == 2
@@ -224,10 +228,11 @@ def test_oversized_input_exits_3(tmp_path, argv):
     assert err["type"] == "ResourceError" and err["exit_code"] == 3
 
 
-def run_fresh(argv, out, cap):
+def run_fresh(argv, out, cap, env=None):
     """multfun run as a user runs it, in a new process, under the memory cap
-    cap (None for the default)."""
-    env = dict(os.environ, PYTHONPATH=str(Path(multfun.__file__).parents[1]))
+    cap (None for the default), with the variables of env set on top of the
+    current environment."""
+    env = dict(os.environ, PYTHONPATH=str(Path(multfun.__file__).parents[1]), **(env or {}))
     env.pop("MULTFUN_MEM_CAP_MB", None)
     if cap is not None:
         env["MULTFUN_MEM_CAP_MB"] = cap
@@ -262,6 +267,24 @@ def test_rational_phase_builds_no_root_table(tmp_path, xi):
     reports = []
     for cap in ("64", None):
         proc = run_fresh(argv, out, cap)
+        assert proc.returncode == 0, proc.stderr
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["gowers", "--function", "liouville", "--s", "2", "--grid", "4096,65536,262144"],
+    ["structure", "--function", "moebius", "--z", "1", "--N", "1000000"],
+    ["classify", "--function", "mu_squared", "--P", "1000000", "--N", "1000000"],
+    ["gowers", "--function", "liouville", "--s", "3", "--N", "1024"],
+], ids=["gowers-u2-readme", "structure-readme", "classify-readme", "gowers-u3"])
+def test_reports_do_not_depend_on_blas_threads(tmp_path, argv):
+    """The README's Gowers, structure and classify commands, and a U^3 run,
+    write byte-identical reports with one BLAS thread and with two."""
+    out = tmp_path / "r.json"
+    reports = []
+    for threads in ("1", "2"):
+        proc = run_fresh(argv, out, None, env={"OPENBLAS_NUM_THREADS": threads})
         assert proc.returncode == 0, proc.stderr
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]

@@ -40,17 +40,6 @@ def test_intersection_torus_quarter_shift():
     assert intersection_measure(tor, None, (1,)) == pytest.approx(0.25, abs=1e-12)
 
 
-def test_measure_preservation_exact():
-    rng = np.random.default_rng(3)
-    sys12 = FiniteSystem(12)
-    for _ in range(100):
-        size = int(rng.integers(1, 12))
-        A = rng.choice(12, size=size, replace=False).tolist()
-        a = int(rng.integers(-30, 30))
-        shifted = sys12.shift_set(sys12.normalize_set(A), a)
-        assert len(shifted) == len(sys12.normalize_set(A))
-
-
 def test_monotone_bound():
     rng = np.random.default_rng(5)
     sys10 = FiniteSystem(10)

@@ -1,9 +1,15 @@
+import json
 import math
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import multfun
 from multfun import (
     InputError,
     ResourceError,
@@ -738,3 +744,31 @@ def test_aperiodicity_chunk_boundaries(monkeypatch, P, K):
         monkeypatch.setattr(_TwistScan, "_CHUNK_BYTES", 8 * (t_rows * 21 + 2 * 10) * K)
         assert_evidence_matches(aperiodicity_test(f, Q_max=5, P=P),
                                 *per_character_scans(f, 5, P))
+
+
+_APERIODICITY_SCRIPT = """
+import json
+from multfun import aperiodicity_test, builtin
+reps = [aperiodicity_test(builtin(*spec), Q_max=30, P=10 ** 5)
+        for spec in (("liouville",), ("dirichlet_character", {"modulus": 5, "index": 1}))]
+print(json.dumps([[rep.verdict, rep.chi, rep.t, rep.evidence] for rep in reps]))
+"""
+
+
+def test_aperiodicity_thread_count_contract():
+    """The _TwistScan contract: the chunk products may be split across BLAS
+    threads, yet verdicts, chi and t are identical at 1 and 2 threads and
+    every evidence value agrees within 1e-15."""
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(multfun.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", _APERIODICITY_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads(proc.stdout))
+    for one, two in zip(*runs):
+        assert one[:3] == two[:3]
+        assert one[3].keys() == two[3].keys()
+        for key, value in one[3].items():
+            assert value == pytest.approx(two[3][key], rel=0, abs=1e-15), key
