@@ -3,8 +3,11 @@
 All bulk tables live in a SieveContext, built once per bound N and cached,
 so that several functions sieved at the same N share the primes and the
 additive statistics (Omega, omega, squarefree mask, tau, radical).  The primes
-come from a boolean sieve of Eratosthenes; every statistic is built on first
-use, and Omega and tau start from a copy of omega.
+come from an odd-only sieve of Eratosthenes, the first turn of Pritchard's
+wheel: its boolean mask holds the odd n <= N alone, half a byte per integer.
+Every statistic is built on first use, and Omega and tau start from a copy of
+omega.  `lookup` reads a small table at every entry of a statistic, a block
+of indices at a time.
 
 Every sieve over [1, N] splits the primes at sqrt(N).  A small prime p <= sqrt(N)
 gets one strided slice per prime power p^k <= N.  The large primes q > sqrt(N)
@@ -41,6 +44,7 @@ __all__ = [
     "totient",
     "mem_cap_bytes",
     "check_budget",
+    "lookup",
     "geometric_grid",
     "grid_sums",
     "running_means",
@@ -177,16 +181,45 @@ def check_budget(nbytes: int, what: str) -> None:
 
 
 # --------------------------------------------------------------------------
+# Table lookups
+
+_LOOKUP_BLOCK = 1 << 13    # indices np.take widens to intp at a time (64 KiB)
+
+
+def lookup(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """table[idx] for indices in [-len(table), len(table)): index -1 reads
+    the last entry.  One np.take (mode "wrap") per _LOOKUP_BLOCK indices,
+    into the output, so the only copy of the index is one block's intp."""
+    out = np.empty(len(idx), dtype=table.dtype)
+    for lo in range(0, len(idx), _LOOKUP_BLOCK):
+        hi = lo + _LOOKUP_BLOCK
+        np.take(table, idx[lo:hi], mode="wrap", out=out[lo:hi])
+    return out
+
+
+# --------------------------------------------------------------------------
 # Sieve context
 
-def _prime_mask(N: int) -> np.ndarray:
-    """Boolean sieve of Eratosthenes: entry n is True exactly for the primes n <= N."""
-    is_p = np.ones(N + 1, dtype=bool)
-    is_p[:2] = False
-    for p in range(2, math.isqrt(N) + 1):
-        if is_p[p]:
-            is_p[p * p :: p] = False
-    return is_p
+def _sieve_primes(N: int) -> np.ndarray:
+    """The primes <= N (int64), from an odd-only sieve of Eratosthenes.
+
+    Entry i of the mask stands for the odd n = 2i + 1, so an odd prime p
+    strikes every p-th entry from p^2 // 2 on.  Entry 0 (n = 1) is left set
+    as the slot of 2: the primes are 2i + 1 over the set entries, built in
+    place, with 2 written over the 1.
+    """
+    if N < 2:
+        return np.zeros(0, dtype=np.int64)
+    odd = np.ones((N + 1) // 2, dtype=bool)
+    for i in range(1, (math.isqrt(N) + 1) // 2):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2 :: p] = False
+    primes = np.flatnonzero(odd).astype(np.int64, copy=False)
+    primes *= 2
+    primes += 1
+    primes[0] = 2
+    return primes
 
 
 def large_prime_multiples(Q: np.ndarray, N: int):
@@ -214,13 +247,14 @@ class SieveContext:
     def __init__(self, N: int):
         if N < 1:
             raise InputError(f"sieve bound must be >= 1, got {N}")
-        # per entry the context holds at most 14 bytes, 12 below the charge:
-        # the prime mask (1) while the primes are sieved, the int8 Omega,
-        # omega and squarefree tables (3), the int16 tau (2) and the radical
-        # (8); the primes add 8 per prime, and a caller's tables are charged by it
+        # per entry the context holds at most 13.5 bytes, 12.5 below the
+        # charge: the odd-only prime mask (0.5) while the primes are sieved,
+        # the int8 Omega, omega and squarefree tables (3), the int16 tau (2)
+        # and the radical (8); the primes add 8 per prime, and a caller's
+        # tables are charged by it
         check_budget(26 * (N + 1), f"sieve context for N={N}")
         self.N = N
-        self.primes = np.flatnonzero(_prime_mask(N)).astype(np.int64)
+        self.primes = _sieve_primes(N)
         self.primes.flags.writeable = False
         split = int(np.searchsorted(self.primes, math.isqrt(N), "right"))
         self.small_primes: list[int] = self.primes[:split].tolist()

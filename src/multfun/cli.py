@@ -161,9 +161,18 @@ def write_report(out_path: str, payload: dict, started: float) -> None:
     Path(str(path) + ".meta.json").write_text(json.dumps(meta, sort_keys=True) + "\n")
 
 
+def _write_side_file(path, write) -> None:
+    """write(path) for a path given on the command line; a path that cannot
+    be written is an input error."""
+    try:
+        write(path)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _write_csv(path, text):
     if path:
-        Path(path).write_text(text, encoding="utf-8")
+        _write_side_file(path, lambda p: Path(p).write_text(text, encoding="utf-8"))
 
 
 def _config_echo(args) -> dict:
@@ -309,9 +318,9 @@ def cmd_levelset(args):
             "empty_cells": [f"{q},{r}" for q, r in prof.empty_cells],
         }
     if args.members:
-        E.to_text(args.members)
+        _write_side_file(args.members, E.to_text)
     if args.bitmap:
-        E.to_bitmap(args.bitmap)
+        _write_side_file(args.bitmap, E.to_bitmap)
     return payload
 
 
@@ -514,27 +523,28 @@ def run(argv=None) -> int:
         # argparse reports its own message; map parse failures to exit 2
         return 0 if exc.code in (0, None) else 2
     out = args.out or f"multfun_{args.command}.json"
+    payload = {"version": __version__, "command": args.command, "config": _config_echo(args)}
     try:
-        result = args.func(args)
+        payload["result"] = args.func(args)
+        code = 0
     except MultfunError as exc:
-        payload = {
-            "version": __version__,
-            "command": args.command,
-            "config": _config_echo(args),
-            "error": {"type": type(exc).__name__, "message": str(exc),
-                      "exit_code": exc.exit_code},
-        }
-        write_report(out, payload, started)
+        payload["error"] = _error(exc)
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    payload = {
-        "version": __version__,
-        "command": args.command,
-        "config": _config_echo(args),
-        "result": result,
-    }
-    write_report(out, payload, started)
-    return 0
+        code = exc.exit_code
+    try:
+        write_report(out, payload, started)
+    except OSError as exc:
+        # no report file can say so: the JSON error report goes to stderr
+        error = InputError(f"cannot write the report {out}: {exc.strerror or exc}")
+        payload.pop("result", None)
+        payload["error"] = _error(error)
+        print(json.dumps(jsonable(payload), sort_keys=True), file=sys.stderr)
+        return error.exit_code
+    return code
+
+
+def _error(exc: MultfunError) -> dict:
+    return {"type": type(exc).__name__, "message": str(exc), "exit_code": exc.exit_code}
 
 
 def main() -> None:

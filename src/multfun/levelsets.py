@@ -511,9 +511,11 @@ def divisibility_report(E: LevelSet, r: int, u_max: int,
     if not math.isfinite(floor):
         raise InputError(f"density floor must be finite, got {floor}")
     check_budget(_ROW_BYTES * u_max, f"divisibility report over {u_max} steps")
-    # ind[m] marks the members m in (r, n]; those in r + uN are ind[r+u::u]
+    # ind[m] marks the members m in (r, n], one slice of the sorted members;
+    # those in r + uN are ind[r+u::u]
+    lo, hi = np.searchsorted(E.members, [r, n], "right")
     ind = np.zeros(n + 1, dtype=bool)
-    ind[E.members[(E.members > r) & (E.members <= n)]] = True
+    ind[E.members[lo:hi]] = True
     rows = []
     witness = None
     certificate = None

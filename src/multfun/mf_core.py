@@ -9,9 +9,10 @@ n.  Catalog entries with rational phase parameters additionally carry an
 exact finite-alphabet representation (ExactCodes): every nonzero value is
 e(code/order), value 0 is code -1.  Codes are stored at the width of their
 alphabet (code_dtype: int8 for an order up to 127, int16 up to 32767, int32
-up to 2^31 - 1, int64 up to 2^63 - 1).  A kind builds them as one lookup of the
-table's additive statistic (or residue) in a table over the statistic's few
-values, cast to that width first, so no wider array of N + 1 codes is made.
+up to 2^31 - 1, int64 up to 2^63 - 1).  A kind builds them as one lookup
+(arith.lookup) of the table's additive statistic (or residue) in a table over
+the statistic's few values, cast to that width first, so no wider array of
+N + 1 codes is made.
 A table with codes is its codes: sieve_range builds no values for it, and
 the table builds them from the codes on first read, so level-set extraction
 downstream is integer-exact and never builds them.  A table of
@@ -49,6 +50,7 @@ from .arith import (
     get_context,
     is_prime,
     large_prime_multiples,
+    lookup,
     root_table,
     roots_of_unity,
 )
@@ -195,7 +197,7 @@ class ExactCodes:
             # over the alphabet, with power reduced mod order and False for
             # code -1, looked up at each code, so no wider array of codes is made
             hit = np.arange(self.order) * (power % self.order) % self.order == j
-            m = np.append(hit, False)[codes]
+            m = lookup(np.append(hit, False), codes)
         return members_of(m)
 
     def values(self) -> np.ndarray:
@@ -206,7 +208,7 @@ class ExactCodes:
             values = roots_of_unity(self.codes, self.order)
             values[self.codes < 0] = 0
             return values
-        return np.append(root_table(self.order), 0)[self.codes]
+        return lookup(np.append(root_table(self.order), 0), self.codes)
 
 
 @dataclass(eq=False)
@@ -355,9 +357,8 @@ def _check_bound(f: MultiplicativeFunction, values: np.ndarray) -> np.ndarray:
 
 
 def _squarefree_codes(f, N, ctx):
-    # squarefree[0] is False, so code 0 is -1 as well
-    zero, minus_one = np.array([0, -1], dtype=code_dtype(1))
-    return ExactCodes(order=1, codes=np.where(ctx.squarefree, zero, minus_one))
+    # True - 1 = 0 and False - 1 = -1; squarefree[0] is False, so code 0 is -1
+    return ExactCodes(order=1, codes=np.subtract(ctx.squarefree, 1, dtype=code_dtype(1)))
 
 
 def _period_codes(chi) -> ExactCodes:
@@ -375,7 +376,7 @@ def _periodic_codes(f, N, ctx):
 def _tau_character_codes(f, N, ctx):
     chi = f.meta["char"]
     lut = _period_codes(chi).codes[np.arange(int(ctx.tau.max()) + 1) % chi.modulus]
-    codes = lut[ctx.tau]
+    codes = lookup(lut, ctx.tau)
     codes[0] = -1
     return ExactCodes(order=chi.expo_mod, codes=codes)
 
@@ -524,15 +525,17 @@ def _phase_kind(stat: str) -> _Kind:
         a, b = f.meta["a"], f.meta["b"]
         s = getattr(ctx, stat)
         # a * k mod b over the few k in Python integers, which cannot wrap
-        c = np.array([a * k % b for k in range(int(s.max()) + 1)], dtype=code_dtype(b))[s]
+        lut = np.array([a * k % b for k in range(int(s.max()) + 1)], dtype=code_dtype(b))
+        c = lookup(lut, s)
         if _squarefree_only(f):
-            c[~ctx.squarefree] = -1
+            # squarefree - 1 is 0 (no bits) on the squarefree n, -1 (all bits) off them
+            c |= np.subtract(ctx.squarefree, 1, dtype=c.dtype)
         c[0] = -1
         return ExactCodes(order=b, codes=c)
 
     def sieve(f, N, ctx):
         s = getattr(ctx, stat)
-        values = e(f.meta["xi"] * np.arange(int(s.max()) + 1, dtype=np.float64))[s]
+        values = lookup(e(f.meta["xi"] * np.arange(int(s.max()) + 1, dtype=np.float64)), s)
         if _squarefree_only(f):
             values[~ctx.squarefree] = 0
         return values

@@ -31,6 +31,7 @@ from multfun.arith import (
     grid_sums,
     is_prime,
     large_prime_multiples,
+    lookup,
     primes_upto,
     residue_sums,
     root_table,
@@ -46,7 +47,7 @@ from multfun.mf_core import (
     prime_power_value,
 )
 
-from conftest import REGISTRY_CASES, trial_factor
+from conftest import REGISTRY_CASES, traced_peak, trial_factor
 
 NS = [1, 2, 3, 4, 8, 9, 10, 24, 25, 26, 48, 49, 50, 120, 121, 122, 168, 169, 170,
       10 ** 4, 10 ** 4 + 1]
@@ -149,6 +150,42 @@ def test_context_primes_without_spf(N):
     assert ctx.primes.dtype == np.int64
     want = [n for n in range(2, N + 1) if trial_factor(n) == [(n, 1)]]
     assert ctx.primes.tolist() == want
+
+
+@pytest.mark.parametrize("N, count", [(10 ** 6, 78498), (10 ** 7, 664579)])
+def test_context_prime_counts(N, count):
+    # pi(10^6) and pi(10^7), the known prime counts
+    assert len(SieveContext(N).primes) == count
+
+
+_LOOKUP_TABLES = {
+    "complex": np.array([1, -1, 1j, -1j, complex(-0.0, 0.5), complex(0.5, -0.0), 0j,
+                         complex(-0.0, -0.0)] * 125, dtype=np.complex128),
+    "int8": np.arange(1000).astype(np.int8),
+    "bool": np.arange(1000) % 3 == 0,
+}
+
+
+@pytest.mark.parametrize("table", list(_LOOKUP_TABLES))
+@pytest.mark.parametrize("idx_dtype", [np.int8, np.int16])
+@pytest.mark.parametrize("length", [0, 1, arith._LOOKUP_BLOCK - 1, arith._LOOKUP_BLOCK,
+                                    arith._LOOKUP_BLOCK + 1, 3 * arith._LOOKUP_BLOCK + 5])
+def test_lookup_is_fancy_indexing(table, idx_dtype, length):
+    # over the whole table (128 entries for int8 indices), -1 included
+    tab = _LOOKUP_TABLES[table][: min(1000, np.iinfo(idx_dtype).max + 1)]
+    idx = np.random.default_rng(length).integers(-1, len(tab), length).astype(idx_dtype)
+    idx[::5] = -1
+    assert_identical(lookup(tab, idx), tab[idx])
+
+
+@pytest.mark.parametrize("table", list(_LOOKUP_TABLES))
+def test_lookup_peak_is_its_output_and_one_block(table):
+    """lookup allocates its output and one block's intp index (64 KiB), plus
+    under 1 KiB for the Python objects of its loop."""
+    tab = _LOOKUP_TABLES[table][:100]
+    idx = (np.arange(10 ** 5) % 101 - 1).astype(np.int8)
+    out = lookup(tab, idx)
+    assert traced_peak(lambda: lookup(tab, idx)) <= out.nbytes + 8 * arith._LOOKUP_BLOCK + 1024
 
 
 def assert_same_integers(got, want, dtype):

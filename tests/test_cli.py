@@ -149,13 +149,17 @@ def test_non_finite_custom_value_exits_2(tmp_path, line):
     ["levelset", "--set", "squarefree", "--N", "1000", "--qmax", "-3"],
     ["spectrum", "--function", "moebius", "--N", "1000", "--qmax", "0"],
     ["spectrum", "--function", "moebius", "--N", "1000", "--qmax", "-2"],
+    ["distance", "--function", "liouville", "--P", "100", "--csv", "no/such/dir/x.csv"],
+    ["levelset", "--set", "squarefree", "--N", "100", "--members", "no/such/dir/q.txt"],
+    ["levelset", "--set", "squarefree", "--N", "100", "--bitmap", "no/such/dir/q.bin"],
 ], ids=["xi-abc", "xi-1/0", "z-val:1/0", "A-x", "polys-n^", "file-missing", "polys-degree",
         "grid-a", "grid-0", "recurrence-Jmax-0", "convergence-Jmax-0", "Jmax-negative",
         "seed-negative", "gowers-direct-s-negative", "limit-0", "limit-negative",
         "shift-negative", "Qmax-0", "umax-0", "umax-negative", "gowers-csv-without-grid",
         "xi-nan", "t-inf", "threshold-nan", "tol-nan", "tol-negative", "floor-nan",
         "random-subset-nan", "levelset-qmax-negative", "spectrum-qmax-0",
-        "spectrum-qmax-negative"])
+        "spectrum-qmax-negative", "csv-unwritable", "members-unwritable",
+        "bitmap-unwritable"])
 def test_malformed_input_exits_2(tmp_path, argv):
     out = tmp_path / "e.json"
     assert run(argv + ["--out", str(out)]) == 2
@@ -191,6 +195,19 @@ def test_parsers_raise_only_multfun_errors(text, tmp_path):
             parse(arg)
         except MultfunError:
             pass
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog"],
+    ["sieve", "--function", "moebius", "--N", "100", "--limit", "0"],
+], ids=["catalog", "failed-command"])
+def test_unwritable_out_exits_2(tmp_path, capsys, argv):
+    # with no report file to write, the JSON error report goes to stderr
+    out = tmp_path / "no" / "such" / "o.json"
+    assert run(argv + ["--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
+    assert err["type"] == "InputError" and err["exit_code"] == 2
+    assert err["message"].startswith(f"cannot write the report {out}")
 
 
 def test_resource_cap_exits_3(tmp_path, monkeypatch):

@@ -529,6 +529,24 @@ def test_divisibility_bare_empty_count_stays_inconclusive(lam):
     assert rep.witness_u is None
 
 
+@pytest.mark.parametrize("name, z, N", [("mu_squared", 1, 30), ("liouville", -1, 30),
+                                       ("liouville", 1, 100), ("moebius", 0, 100),
+                                       ("dirichlet_character", 1, 97)])
+def test_divisibility_rows_match_a_python_count(name, z, N):
+    """rows against a count in Python integers, at r = 0, at r a member, at
+    the largest r below N/2, with N itself a member."""
+    params = {"modulus": 4, "index": 1} if name == "dirichlet_character" else {}
+    E = level_set(builtin(name, params), z, N)
+    members = E.members.tolist()
+    assert members[-1] == N
+    for r in {0, max(m for m in members if m < N / 2), (N - 1) // 2}:
+        want = []
+        for u in range(1, N // 2 + 3):
+            count = sum(1 for m in members if m > r and (m - r) % u == 0)
+            want.append((u, count, count / (N - r)))
+        assert divisibility_report(E, r, N // 2 + 2).rows == want, r
+
+
 def modulo_rows(E, r, u_max, N=None):
     """(u, count, density) of (E - r) ∩ uN by one % pass per u."""
     n = N if N is not None else E.N
