@@ -289,11 +289,13 @@ class SieveContext:
         """omega(n): distinct prime divisors (int8)."""
 
         def build():
+            # no index of the large-prime pass repeats: it stores 1s into the
+            # zero table, before the small primes add theirs
             w = np.zeros(self.N + 1, dtype=np.int8)
+            for idx, _ in large_prime_multiples(self.large_primes, self.N):
+                w[idx] = 1
             for p in self.small_primes:
                 w[p::p] += 1
-            for idx, _ in large_prime_multiples(self.large_primes, self.N):
-                w[idx] += 1
             return w
 
         return self._lazy("small_omega", build)

@@ -83,6 +83,7 @@ K_MAX_BOUND = 64
 # its slot in the container), charged to the memory cap
 _ROW_BYTES = 200
 _TEXT_BLOCK = 1 << 14      # members formatted per write of LevelSet.to_text
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)   # the least of each width > 1
 
 
 def normalize_target(z):
@@ -128,12 +129,11 @@ class LevelSet:
     def to_text(self, path) -> None:
         """One member per line (a lone newline for the empty set), written
         _TEXT_BLOCK members at a time, so no string of the whole file is built."""
-        with open(path, "w") as out:
+        with open(path, "wb") as out:
             if not self.count:
-                out.write("\n")
+                out.write(b"\n")
             for lo in range(0, self.count, _TEXT_BLOCK):
-                block = self.members[lo : lo + _TEXT_BLOCK].tolist()
-                out.write("\n".join(map(str, block)) + "\n")
+                out.write(_decimal_lines(self.members[lo : lo + _TEXT_BLOCK]))
 
     def to_bitmap(self, path) -> None:
         """Length-N bitmap, one bit per integer, little-endian bit order."""
@@ -143,6 +143,26 @@ class LevelSet:
     def __repr__(self):
         return (f"LevelSet({self.source}, z={self.z!r}, N={self.N}, "
                 f"count={self.count})")
+
+
+def _decimal_lines(members: np.ndarray) -> np.ndarray:
+    """The ASCII lines of sorted nonnegative integers, one per line.  Sorted
+    members of one decimal width w are one contiguous run, which fills a
+    (run, w + 1) block of bytes: w digit columns, last digit first, and a
+    newline column."""
+    bounds = [0, *np.searchsorted(members, _POWERS_OF_TEN).tolist(), len(members)]
+    runs = [(w, lo, hi) for w, (lo, hi) in enumerate(zip(bounds, bounds[1:]), 1) if hi > lo]
+    buf = np.empty(sum((w + 1) * (hi - lo) for w, lo, hi in runs), dtype=np.uint8)
+    at = 0
+    for w, lo, hi in runs:
+        lines = buf[at : at + (w + 1) * (hi - lo)].reshape(hi - lo, w + 1)
+        at += lines.size
+        rest = members[lo:hi]
+        for col in range(w - 1, -1, -1):
+            rest, lines[:, col] = np.divmod(rest, 10)
+        lines[:, :w] += ord("0")
+        lines[:, w] = ord("\n")
+    return buf
 
 
 def level_set(f: MultiplicativeFunction, z, N: int, tol: float | None = None,
@@ -437,7 +457,11 @@ def structure_pair(f: MultiplicativeFunction, z, N: int, k_max: int = 8,
     """Decompose the level set E(f, z): find g = zero-repaired f, the least
     k with g^k pretending to a character, the superset R = E(g^k, z^k), and
     score the relative-uniformity function u = dR 1_E - dE 1_R by its U^2
-    norms at N/16, N/4 and N (at least 1024, at most N)."""
+    norms at N/16, N/4 and N (at least 1024, at most N).
+
+    The norms are computed largest N first and reported in grid order, so
+    the process peaks at the one transform of length 2^(ceil log2(2N - 1))
+    (48 MiB of RSS at N = 10^6) on top of u and the tables."""
     target = normalize_target(z)
     table = sieve_range(f, N)
     E = level_set(f, target, N, table=table)
@@ -464,14 +488,20 @@ def structure_pair(f: MultiplicativeFunction, z, N: int, k_max: int = 8,
         R = LevelSet(source=f"{g.label}^{k}", z=zk, N=N,
                      members=table.exact.members(zk, power=k), exact=True, function=g)
         rap = rap_test(g ** k, Q_max=Q_max, P=P)
-    ind_E = E.indicator()
-    ind_R = R.indicator()
-    if not np.all(ind_R[ind_E]):
-        raise SearchError("containment E ⊆ R failed; exact pipeline is inconsistent")
     dE, dR = E.density, R.density
-    u = dR * ind_E.astype(np.float64) - dE * ind_R.astype(np.float64)
+    # u = dR 1_E - dE 1_R, rounded as those float products round: +0.0 off R,
+    # 0.0 - dE on R \ E and dR - dE on E
+    u = np.zeros(N + 1)
+    u[R.members] = 0.0 - dE
+    # a nonempty E has dE > 0, so its members off R are the zeros of u there
+    if not np.all(u[E.members]):
+        raise SearchError("containment E ⊆ R failed; exact pipeline is inconsistent")
+    u[E.members] = dR - dE
     u_grid = sorted({min(N, max(1 << 10, N // 16)), min(N, max(1 << 10, N // 4)), N})
-    u_norms = [(n, 2, gowers_fast(u, n, 2)) for n in u_grid]
+    # largest N first: its transform then runs before the smaller ones leave
+    # their freed memory resident, so the peak is that one transform's
+    norms = {n: gowers_fast(u, n, 2) for n in reversed(u_grid)}
+    u_norms = [(n, 2, norms[n]) for n in u_grid]
     u_mean = float(u[1 : N + 1].mean())
     return StructurePair(E=E, R=R, k=k, chi=chi, dE=dE, dR=dR, u_norms=u_norms,
                          rap=rap, concentration=conc, u_mean=u_mean, notes=notes)

@@ -234,24 +234,32 @@ def _energy(x) -> float:
     m >= 2 len(x) - 1, where no difference wraps around; m is the least
     power of two of that size.  A real x is transformed with a real FFT.
     """
-    return float(_energies(x[None, :], _pow2(2 * len(x) - 1)).sum())
+    m = _pow2(2 * len(x) - 1)
+    check_budget(_transform_charge(1, m, not np.iscomplexobj(x)),
+                 f"a batch of 1 length-{m} transforms")
+    return float(_energies(x[None, :], m).sum())
 
 
 def _pow2(k: int) -> int:
     return 1 << max(0, k - 1).bit_length()
 
 
+def _transform_charge(count: int, m: int, real: bool) -> int:
+    """The bytes charged for count length-m transforms: _FFT_RSS_PER_BYTE per
+    byte of their output, which a real transform halves, and _FFT_RSS_FIXED."""
+    bins = m // 2 + 1 if real else m
+    return _FFT_RSS_PER_BYTE * 16 * count * bins + _FFT_RSS_FIXED
+
+
 def _energies(rows, m: int) -> np.ndarray:
-    """(1/m) sum_k |DFT_m row|^4 for each row.
+    """(1/m) sum_k |DFT_m row|^4 for each row; the caller charges the
+    transform (_transform_charge).
 
     Real rows take the half spectrum of np.fft.rfft: bins k and m - k have
     equal modulus, so the mirrored bins 1..(m-1)//2 are doubled, and bin 0
     and, for even m, bin m/2 count once.  Each row is one pairwise numpy sum.
     """
     real = not np.iscomplexobj(rows)
-    bins = m // 2 + 1 if real else m
-    check_budget(_FFT_RSS_PER_BYTE * 16 * len(rows) * bins + _FFT_RSS_FIXED,
-                 f"a batch of {len(rows)} length-{m} transforms")
     F = (np.fft.rfft if real else np.fft.fft)(rows, m, axis=1)
     p = F.real ** 2 + F.imag ** 2
     p *= p
@@ -271,6 +279,7 @@ def _energy_u3(x) -> float:
     share a length transformed as one batch.
     """
     L = len(x)
+    real = not np.iscomplexobj(x)
     total = _energy(x.real ** 2 + x.imag ** 2)     # |x|^2, a real row
     lo = L - 1                  # largest difference length still to do
     top = _pow2(2 * lo - 1)
@@ -284,6 +293,9 @@ def _energy_u3(x) -> float:
         step = max(1, _ROW_BUDGET // m)
         for h0 in range(L - hi, L - lo, step):
             h1 = min(h0 + step, L - lo)
+            # the rows and their transform, charged before the rows are formed
+            check_budget(ext.itemsize * (h1 - h0) * m + _transform_charge(h1 - h0, m, real),
+                         f"a batch of {h1 - h0} length-{m} rows and their transforms")
             total += 2.0 * float(_energies(win[h0:h1] * cj[:m], m).sum())
     return total
 

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +25,7 @@ from multfun import (
     structure_pair,
     zero_repair,
 )
-from multfun import levelsets
+from multfun import levelsets, seminorms
 from multfun.arith import ONE, ZERO, RootOfUnity, primes_upto
 from multfun.levelsets import (
     _TEXT_BLOCK,
@@ -30,7 +34,7 @@ from multfun.levelsets import (
     _collision_free,
     _off_group,
 )
-from multfun.mf_core import MultiplicativeFunction, PrimePowerSpec
+from multfun.mf_core import ExactCodes, MultiplicativeFunction, PrimePowerSpec
 from multfun.seminorms import gowers_fast
 
 from conftest import squarefree_count_oracle, traced_peak
@@ -467,6 +471,100 @@ def test_structure_pair_zero_target_short_circuits(mu):
     assert pair.dE == pair.dR
 
 
+def recorded_u_calls(monkeypatch, *args, **kwargs):
+    """structure_pair(*args, **kwargs) and the (values, N) of each U^2 call."""
+    calls = []
+
+    def recording(values, N, s):
+        calls.append((values, N))
+        return gowers_fast(values, N, s)
+
+    monkeypatch.setattr(levelsets, "gowers_fast", recording)
+    return structure_pair(*args, **kwargs), calls
+
+
+def test_structure_pair_takes_the_largest_transform_first(monkeypatch):
+    lengths = []
+
+    def recording(rows, m):
+        lengths.append(m)
+        return energies(rows, m)
+
+    energies = seminorms._energies
+    monkeypatch.setattr(seminorms, "_energies", recording)
+    pair = structure_pair(builtin("moebius"), 1, 10 ** 5, P=10 ** 5)
+    assert [n for n, _, _ in pair.u_norms] == [6250, 25000, 10 ** 5]
+    assert len(lengths) == 3
+    assert lengths[0] == max(lengths) == 1 << 18
+
+
+@pytest.mark.parametrize("name, z, N", [
+    ("moebius", 1, 10 ** 5),
+    ("liouville", -1, 3 * 10 ** 4),
+    ("moebius", 0, 10 ** 4),            # R = E
+    ("mu_squared", 1, 1000),            # every grid point is N
+])
+def test_structure_pair_u_is_the_indicator_formula(monkeypatch, name, z, N):
+    """u, built in place, has the bits of dR 1_E - dE 1_R, signed zeros
+    included, and its norms, taken largest N first, are those of ascending
+    gowers_fast calls on that formula."""
+    pair, calls = recorded_u_calls(monkeypatch, builtin(name), z, N, P=10 ** 5)
+    u = calls[0][0]
+    want = (pair.dR * pair.E.indicator().astype(np.float64)
+            - pair.dE * pair.R.indicator().astype(np.float64))
+    assert u.dtype == want.dtype and np.array_equal(u.view(np.uint64), want.view(np.uint64))
+    grid = sorted({min(N, max(1 << 10, N // 16)), min(N, max(1 << 10, N // 4)), N})
+    assert [n for _, n in calls] == grid[::-1]
+    assert pair.u_norms == [(n, 2, gowers_fast(want, n, 2)) for n in grid]
+    assert pair.u_mean == float(want[1 : N + 1].mean())
+
+
+def test_structure_pair_refuses_a_member_of_E_off_R(mu, monkeypatch):
+    # R is read from f's codes at z^k; codes that drop a member of E from R
+    # break the pipeline's containment
+    members = ExactCodes.members
+
+    def dropping(self, target, power=1):
+        found = members(self, target, power)
+        return found[1:] if power > 1 else found
+
+    monkeypatch.setattr(ExactCodes, "members", dropping)
+    with pytest.raises(SearchError, match="containment"):
+        structure_pair(mu, 1, 10 ** 4, P=10 ** 4)
+
+
+_STRUCTURE_RSS_SCRIPT = """
+from pathlib import Path
+from multfun import builtin, structure_pair
+
+def status_kib(key):
+    line = next(x for x in Path("/proc/self/status").read_text().splitlines()
+                if x.startswith(key + ":"))
+    return int(line.split()[1])
+
+before = status_kib("VmRSS")
+structure_pair(builtin("moebius"), 1, 10 ** 6)
+print(status_kib("VmHWM") - before)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux /proc")
+def test_structure_pair_peaks_at_one_transform():
+    """In a fresh process, structure_pair(moebius, 1, 10^6) lifts the peak
+    RSS at most 80 MiB over the RSS after import.  The 2^21-point U^2
+    transform alone takes 48 MiB (its 16 MiB output, 3 B of RSS per output
+    byte); taken last, after the two smaller transforms left their memory
+    resident, the growth read 86.0 MiB, and taken first 73.5 MiB.  The peak
+    is the address space's high-water mark, VmHWM, which ru_maxrss reports
+    for a process started small; a child of a large process such as this
+    test's inherits the parent's RSS in its ru_maxrss at exec."""
+    env = dict(os.environ, PYTHONPATH=str(Path(levelsets.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _STRUCTURE_RSS_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= 80 * 1024
+
+
 # --------------------------------------------------------------------------
 # Divisibility
 
@@ -665,6 +763,27 @@ def test_members_text_is_one_string_of_lines(tmp_path, count):
     path = tmp_path / "members.txt"
     E.to_text(path)
     assert path.read_bytes() == ("\n".join(map(str, members.tolist())) + "\n").encode()
+
+
+_WIDTH_EDGES = [10 ** k + d for k in range(1, 8) for d in (-1, 0)]   # 9, 10, ..., 10^7
+
+
+@pytest.mark.parametrize("members", [
+    [],
+    [1],
+    _WIDTH_EDGES,
+    [0] + _WIDTH_EDGES + [2 ** 63 - 1],
+    # more than two blocks, runs of every width from 1 to 7 digits
+    sorted({int(x) for x in np.geomspace(1, 10 ** 7 - 1, 2 * _TEXT_BLOCK + 100)}
+           | set(range(1, 3000))),
+], ids=["empty", "one", "width-edges", "int64-ends", "three-blocks"])
+def test_members_text_digits_match_str(tmp_path, members):
+    """The digit-arithmetic writer gives the bytes of str() on each member,
+    where the decimal width steps and across block boundaries."""
+    E = LevelSet("t", ONE, 10 ** 7, np.array(members, dtype=np.int64), exact=True)
+    path = tmp_path / "members.txt"
+    E.to_text(path)
+    assert path.read_bytes() == ("\n".join(map(str, members)) + "\n").encode()
 
 
 def test_members_text_memory_is_one_block(tmp_path):

@@ -23,7 +23,7 @@ from multfun import seminorms
 from multfun.arith import e
 from multfun.pretentious import unit_function
 
-from conftest import catalog_functions
+from conftest import catalog_functions, traced_peak
 
 
 def vals_from(seq):
@@ -356,6 +356,24 @@ def test_direct_budget_error():
 def test_fast_unsupported_degree():
     with pytest.raises(InputError, match="degree"):
         gowers_fast(vals_from([1.0] * 16), 16, 4)
+
+
+def test_u3_batch_rows_are_charged_before_they_are_formed(monkeypatch):
+    """At N = 4096 the first U^3 batch is 128 complex rows of length 8192
+    (16 MiB) and their transform is charged 49 MiB.  A 50 MiB cap admits the
+    transform alone but not rows and transform, and the refusal comes
+    before the rows exist."""
+    x = vals_from(e(np.random.default_rng(3).random(4096)))
+    m, count = 8192, seminorms._ROW_BUDGET // 8192
+    assert seminorms._transform_charge(count, m, False) <= 50 * 2 ** 20
+    assert 16 * count * m + seminorms._transform_charge(count, m, False) > 50 * 2 ** 20
+    monkeypatch.setenv("MULTFUN_MEM_CAP_MB", "50")
+
+    def refused():
+        with pytest.raises(ResourceError, match=f"{count} length-{m} rows"):
+            gowers_fast(x, 4096, 3)
+
+    assert traced_peak(refused) < 16 * count * m // 4
 
 
 def test_fast_u3_budget():
