@@ -119,10 +119,6 @@ class RootOfUnity:
     def value(self) -> complex:
         return complex(e(self.num / self.den))
 
-    def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
-        d = self.den * other.den
-        return RootOfUnity(self.num * other.den + other.num * self.den, d)
-
     def __pow__(self, k: int) -> "RootOfUnity":
         return RootOfUnity(self.num * k, self.den)
 

@@ -30,7 +30,7 @@ from .levelsets import (
     random_relative_subset,
     structure_pair,
 )
-from .mf_core import BUILTIN_NAMES, builtin, sieve_range
+from .mf_core import BUILTIN_NAMES, BUILTIN_PARAMETERS, builtin, sieve_range
 from .pretentious import (
     ap_mean,
     euler_product_mean,
@@ -201,14 +201,7 @@ def _level_set(args):
 def cmd_catalog(args):
     return {
         "builtins": list(BUILTIN_NAMES),
-        "parameters": {
-            "lambda_xi": "xi (rational a/b or float)",
-            "mu_xi": "xi",
-            "kappa_xi": "xi",
-            "dirichlet_character": "modulus, index",
-            "chi_of_tau": "modulus in {2, 4, p, 2p}",
-            "custom_file": "file path; lines 'p k re im', optional 'default: zero|one'",
-        },
+        "parameters": dict(BUILTIN_PARAMETERS),
         "named_sets": {k: {"function": v[0], "z": v[1]} for k, v in NAMED_SETS.items()},
     }
 

@@ -284,9 +284,10 @@ def recurrence_average(system, A, polys: PolynomialFamily, E, J_max: int) -> Rec
 
 def convergence_average(system, A, polys: PolynomialFamily, E, J_max: int,
                         observable=None) -> RecurrenceReport:
-    """Running averages of int prod_i observable(T^{p_i(n_j)} x) dmu along E,
-    with last-decade oscillation as the convergence diagnostic.  The observable
-    is the indicator of A when None, else a dict from FiniteSystem points to values."""
+    """Running averages of int observable(x) prod_i observable(T^{p_i(n_j)} x) dmu
+    along E, the unshifted factor included, with last-decade oscillation as the
+    convergence diagnostic.  The observable is the indicator of A when None, else
+    a dict from FiniteSystem points to values."""
     mem, _, truncated = _prefix(E, J_max)
     J = len(mem)
     if isinstance(system, TorusRotation):

@@ -387,21 +387,17 @@ class FindKResult:
     fallback: bool = False
 
 
-def find_k_and_character(g: MultiplicativeFunction, k_max: int = 8,
-                         Q_max: int = 60, P: int = 10 ** 6) -> FindKResult:
+def find_k_and_character(g: MultiplicativeFunction, k_max: int = 8, Q_max: int = 60,
+                         P: int = 10 ** 6, conc: ConcentrationAnalysis | None = None
+                         ) -> FindKResult:
     """Smallest k (then deterministic character order) with a plateauing
     distance profile between g^k and a character of modulus <= Q_max.
 
     Falls back to k = |G| with the trivial character when the scan misses
     but the concentration group is finite; otherwise raises SearchError.
+    The fallback reads conc, the concentration analysis of g at P, when the
+    caller has one, and runs it otherwise.
     """
-    return _find_k(g, k_max, Q_max, P, None)
-
-
-def _find_k(g: MultiplicativeFunction, k_max: int, Q_max: int, P: int,
-            conc: ConcentrationAnalysis | None) -> FindKResult:
-    """find_k_and_character, whose fallback reads conc, the concentration
-    analysis of g at P, when the caller has one, and runs it otherwise."""
     if not 1 <= k_max <= K_MAX_BOUND:
         raise InputError(f"power bound k_max = {k_max} outside the supported [1, {K_MAX_BOUND}]")
     _check_q_max(Q_max)
@@ -477,7 +473,7 @@ def structure_pair(f: MultiplicativeFunction, z, N: int, k_max: int = 8,
         # E is exact: without a tolerance, level_set refuses a table without codes
         g = zero_repair(f, target, N_check=min(N, 10 ** 4))
         conc = concentration_analysis(g, P)      # P < 1000 exits here
-        res = _find_k(g, k_max, Q_max, P, conc)
+        res = find_k_and_character(g, k_max, Q_max, P, conc)
         k, chi = res.k, res.chi
         if res.fallback:
             notes.append("(k, chi) from the concentration-group fallback")

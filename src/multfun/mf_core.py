@@ -67,6 +67,7 @@ __all__ = [
     "sieve_range",
     "builtin",
     "BUILTIN_NAMES",
+    "BUILTIN_PARAMETERS",
     "parse_custom_file",
     "make_repaired",
 ]
@@ -584,20 +585,6 @@ _KINDS = {
 # --------------------------------------------------------------------------
 # Builtin catalog
 
-BUILTIN_NAMES = (
-    "liouville",
-    "moebius",
-    "lambda_xi",
-    "mu_xi",
-    "kappa_xi",
-    "mu_squared",
-    "phi_over_n",
-    "dirichlet_character",
-    "chi_of_tau",
-    "custom_file",
-)
-
-
 def _parse_xi(raw) -> Fraction | float:
     if isinstance(raw, Fraction):
         return raw
@@ -635,106 +622,127 @@ def _xi_value(xi) -> complex:
     return complex(e(float(xi)))
 
 
-# name -> (kind, vanishes at p^k for k >= 2, completely multiplicative, fixed xi)
-_PHASE_ENTRIES = {
-    "liouville": ("omega_phase", False, True, Fraction(1, 2)),
-    "moebius": ("omega_phase", True, False, Fraction(1, 2)),
-    "lambda_xi": ("omega_phase", False, True, None),
-    "mu_xi": ("omega_phase", True, False, None),
-    "kappa_xi": ("small_omega_phase", False, False, None),
-}
+def _phase(kind: str, squarefree_only: bool, completely_multiplicative: bool, fixed_xi):
+    """The constructor of a phase entry: e(xi Omega(n)) or e(xi omega(n)),
+    vanishing at p^k for k >= 2 when squarefree_only; xi is read from the
+    parameters unless fixed_xi gives it."""
+
+    def make(name: str, params: dict) -> MultiplicativeFunction:
+        xi = _parse_xi(params.get("xi")) if fixed_xi is None else fixed_xi
+        v = _xi_value(xi)
+        if squarefree_only:
+            rule = lambda p, k: v if k == 1 else 0.0
+            meta = dict(_phase_meta(xi), squarefree_only=True)
+        else:
+            rule = lambda p, k: v
+            meta = _phase_meta(xi)
+        return MultiplicativeFunction(
+            name,
+            PrimePowerSpec(rule, completely_multiplicative=completely_multiplicative),
+            params={} if fixed_xi is not None else {"xi": xi},
+            kind=kind,
+            meta=meta,
+        )
+
+    return make
 
 
-def _phase_function(name: str, params: dict) -> MultiplicativeFunction:
-    """The phase entries: e(xi Omega(n)) (mu_xi and moebius restricted to the
-    squarefree n) and e(xi omega(n)); liouville and moebius fix xi = 1/2."""
-    kind, squarefree_only, cm, xi = _PHASE_ENTRIES[name]
-    fixed = xi is not None
-    if not fixed:
-        xi = _parse_xi(params.get("xi"))
-    v = _xi_value(xi)
-    if squarefree_only:
-        rule = lambda p, k: v if k == 1 else 0.0
-        meta = dict(_phase_meta(xi), squarefree_only=True)
-    else:
-        rule = lambda p, k: v
-        meta = _phase_meta(xi)
+def _mu_squared(name: str, params: dict) -> MultiplicativeFunction:
     return MultiplicativeFunction(
-        name,
-        PrimePowerSpec(rule, completely_multiplicative=cm),
-        params={} if fixed else {"xi": xi},
-        kind=kind,
-        meta=meta,
+        "mu_squared",
+        PrimePowerSpec(lambda p, k: 1.0 if k == 1 else 0.0),
+        kind="squarefree_indicator",
     )
+
+
+def _phi_over_n(name: str, params: dict) -> MultiplicativeFunction:
+    return MultiplicativeFunction(
+        "phi_over_n",
+        PrimePowerSpec(lambda p, k: 1.0 - 1.0 / p),
+        kind="phi_ratio",
+    )
+
+
+def _dirichlet_character(name: str, params: dict) -> MultiplicativeFunction:
+    q = int(params.get("modulus", 1))
+    index = int(params.get("index", 0))
+    chars = characters_mod_pkg.characters_mod(q)
+    if not 0 <= index < len(chars):
+        raise InputError(f"character index {index} out of range for modulus {q} "
+                         f"(phi({q}) = {len(chars)})")
+    chi = chars[index]
+    return MultiplicativeFunction(
+        "dirichlet_character",
+        PrimePowerSpec(lambda p, k: complex(chi(p)), completely_multiplicative=True),
+        params={"modulus": q, "index": index},
+        kind="periodic",
+        meta={"char": chi},
+    )
+
+
+def _chi_of_tau(name: str, params: dict) -> MultiplicativeFunction:
+    b = int(params.get("modulus", 0))
+    if not _cyclic_unit_group(b):
+        raise InputError(
+            f"chi_of_tau needs modulus b in {{2, 4, p, 2p}} (p an odd prime) so that "
+            f"the multiplicative group mod b is cyclic; got b = {b}"
+        )
+    chars = characters_mod_pkg.characters_mod(b)
+    phi_b = len(chars)
+    gen = next(c for c in chars if c.order == phi_b)
+    return MultiplicativeFunction(
+        "chi_of_tau",
+        PrimePowerSpec(lambda p, k: complex(gen(k + 1))),
+        params={"modulus": b, "index": gen.index},
+        kind="tau_character",
+        meta={"char": gen},
+    )
+
+
+def _custom_file(name: str, params: dict) -> MultiplicativeFunction:
+    path = params.get("path")
+    if not path:
+        raise InputError("custom_file needs a 'path' parameter")
+    rule_map, default = parse_custom_file(path)
+    dv = 0.0 if default == "zero" else 1.0
+
+    def rule(p, k):
+        return rule_map.get((p, k), dv)
+
+    return MultiplicativeFunction(
+        "custom_file",
+        PrimePowerSpec(rule),
+        params={"path": str(path), "default": default},
+        kind="generic",
+        meta={"rule_map": rule_map, "default": default},
+    )
+
+
+# name -> (constructor(name, params), parameter doc or None), in catalog order.
+# The phase factory's flags: kind, vanishes at p^k for k >= 2, completely
+# multiplicative, fixed xi.
+_CATALOG = {
+    "liouville": (_phase("omega_phase", False, True, Fraction(1, 2)), None),
+    "moebius": (_phase("omega_phase", True, False, Fraction(1, 2)), None),
+    "lambda_xi": (_phase("omega_phase", False, True, None), "xi (rational a/b or float)"),
+    "mu_xi": (_phase("omega_phase", True, False, None), "xi"),
+    "kappa_xi": (_phase("small_omega_phase", False, False, None), "xi"),
+    "mu_squared": (_mu_squared, None),
+    "phi_over_n": (_phi_over_n, None),
+    "dirichlet_character": (_dirichlet_character, "modulus, index"),
+    "chi_of_tau": (_chi_of_tau, "modulus in {2, 4, p, 2p}"),
+    "custom_file": (_custom_file,
+                    "file path; lines 'p k re im', optional 'default: zero|one'"),
+}
+BUILTIN_NAMES = tuple(_CATALOG)
+BUILTIN_PARAMETERS = {name: doc for name, (_, doc) in _CATALOG.items() if doc is not None}
 
 
 def builtin(name: str, params: dict | None = None) -> MultiplicativeFunction:
     """Catalog constructor; see BUILTIN_NAMES for the available keys."""
-    params = dict(params or {})
-    if name in _PHASE_ENTRIES:
-        return _phase_function(name, params)
-    if name == "mu_squared":
-        return MultiplicativeFunction(
-            "mu_squared",
-            PrimePowerSpec(lambda p, k: 1.0 if k == 1 else 0.0),
-            kind="squarefree_indicator",
-        )
-    if name == "phi_over_n":
-        return MultiplicativeFunction(
-            "phi_over_n",
-            PrimePowerSpec(lambda p, k: 1.0 - 1.0 / p),
-            kind="phi_ratio",
-        )
-    if name == "dirichlet_character":
-        q = int(params.get("modulus", 1))
-        index = int(params.get("index", 0))
-        chars = characters_mod_pkg.characters_mod(q)
-        if not 0 <= index < len(chars):
-            raise InputError(f"character index {index} out of range for modulus {q} "
-                             f"(phi({q}) = {len(chars)})")
-        chi = chars[index]
-        return MultiplicativeFunction(
-            "dirichlet_character",
-            PrimePowerSpec(lambda p, k: complex(chi(p)), completely_multiplicative=True),
-            params={"modulus": q, "index": index},
-            kind="periodic",
-            meta={"char": chi},
-        )
-    if name == "chi_of_tau":
-        b = int(params.get("modulus", 0))
-        if not _cyclic_unit_group(b):
-            raise InputError(
-                f"chi_of_tau needs modulus b in {{2, 4, p, 2p}} (p an odd prime) so that "
-                f"the multiplicative group mod b is cyclic; got b = {b}"
-            )
-        chars = characters_mod_pkg.characters_mod(b)
-        phi_b = len(chars)
-        gen = next(c for c in chars if c.order == phi_b)
-        return MultiplicativeFunction(
-            "chi_of_tau",
-            PrimePowerSpec(lambda p, k: complex(gen(k + 1))),
-            params={"modulus": b, "index": gen.index},
-            kind="tau_character",
-            meta={"char": gen},
-        )
-    if name == "custom_file":
-        path = params.get("path")
-        if not path:
-            raise InputError("custom_file needs a 'path' parameter")
-        rule_map, default = parse_custom_file(path)
-        dv = 0.0 if default == "zero" else 1.0
-
-        def rule(p, k):
-            return rule_map.get((p, k), dv)
-
-        return MultiplicativeFunction(
-            "custom_file",
-            PrimePowerSpec(rule),
-            params={"path": str(path), "default": default},
-            kind="generic",
-            meta={"rule_map": rule_map, "default": default},
-        )
-    raise InputError(f"unknown builtin {name!r}; known: {', '.join(BUILTIN_NAMES)}")
+    if name not in _CATALOG:
+        raise InputError(f"unknown builtin {name!r}; known: {', '.join(BUILTIN_NAMES)}")
+    return _CATALOG[name][0](name, dict(params or {}))
 
 
 def _cyclic_unit_group(b: int) -> bool:

@@ -152,6 +152,15 @@ def test_non_finite_custom_value_exits_2(tmp_path, line):
     ["distance", "--function", "liouville", "--P", "100", "--csv", "no/such/dir/x.csv"],
     ["levelset", "--set", "squarefree", "--N", "100", "--members", "no/such/dir/q.txt"],
     ["levelset", "--set", "squarefree", "--N", "100", "--bitmap", "no/such/dir/q.bin"],
+    ["divisibility", "--set", "squarefree", "--N", "1000", "--shift", "-1"],
+    ["divisibility", "--set", "squarefree", "--N", "1000", "--shift", "500"],
+    ["structure", "--function", "moebius", "--z", "1", "--N", "100", "--kmax", "0"],
+    ["structure", "--function", "moebius", "--z", "1", "--N", "100", "--kmax", "65"],
+    ["apmean", "--function", "moebius", "--q", "5", "--r", "2", "--N", "5"],
+    ["gowers", "--function", "liouville", "--grid", "4096,4096"],
+    ["levelset", "--function", "moebius", "--z", "1/3", "--N", "100", "--qmax", "2"],
+    ["mean", "--function", "custom_file", "--file", "{tmp}/exponent-0.txt", "--N", "100",
+     "--P", "100"],
 ], ids=["xi-abc", "xi-1/0", "z-val:1/0", "A-x", "polys-n^", "file-missing", "polys-degree",
         "grid-a", "grid-0", "recurrence-Jmax-0", "convergence-Jmax-0", "Jmax-negative",
         "seed-negative", "gowers-direct-s-negative", "limit-0", "limit-negative",
@@ -159,8 +168,12 @@ def test_non_finite_custom_value_exits_2(tmp_path, line):
         "xi-nan", "t-inf", "threshold-nan", "tol-nan", "tol-negative", "floor-nan",
         "random-subset-nan", "levelset-qmax-negative", "spectrum-qmax-0",
         "spectrum-qmax-negative", "csv-unwritable", "members-unwritable",
-        "bitmap-unwritable"])
+        "bitmap-unwritable", "shift-negative-divisibility", "shift-beyond-N", "kmax-0",
+        "kmax-65", "apmean-no-terms", "grid-repeated", "levelset-empty-truncation",
+        "custom-exponent-0"])
 def test_malformed_input_exits_2(tmp_path, argv):
+    (tmp_path / "exponent-0.txt").write_text("2 0 1 0\n")
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     out = tmp_path / "e.json"
     assert run(argv + ["--out", str(out)]) == 2
     data = read(out)
@@ -410,7 +423,18 @@ def test_catalog_command(tmp_path):
     out = tmp_path / "c.json"
     assert run(["catalog", "--out", str(out)]) == 0
     data = read(out)["result"]
-    assert "liouville" in data["builtins"]
+    assert data["builtins"] == [
+        "liouville", "moebius", "lambda_xi", "mu_xi", "kappa_xi", "mu_squared",
+        "phi_over_n", "dirichlet_character", "chi_of_tau", "custom_file",
+    ]
+    assert data["parameters"] == {
+        "lambda_xi": "xi (rational a/b or float)",
+        "mu_xi": "xi",
+        "kappa_xi": "xi",
+        "dirichlet_character": "modulus, index",
+        "chi_of_tau": "modulus in {2, 4, p, 2p}",
+        "custom_file": "file path; lines 'p k re im', optional 'default: zero|one'",
+    }
     assert "squarefree" in data["named_sets"]
 
 

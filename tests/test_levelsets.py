@@ -397,6 +397,21 @@ def test_structure_pair_runs_one_concentration_analysis(monkeypatch):
     assert calls == [10 ** 4]
 
 
+def test_structure_pair_calls_find_k_and_character_once(monkeypatch):
+    # the scan runs through the public name, so a trace attributes its time
+    calls = []
+
+    def counting(g, k_max, Q_max, P, conc):
+        calls.append(conc)
+        return find_k_and_character(g, k_max, Q_max, P, conc)
+
+    monkeypatch.setattr(levelsets, "find_k_and_character", counting)
+    pair = structure_pair(builtin("lambda_xi", {"xi": "1/3"}), 1, 10 ** 4, Q_max=10,
+                          P=10 ** 4)
+    assert pair.k == 3
+    assert len(calls) == 1 and calls[0] is pair.concentration
+
+
 def test_structure_pair_moebius(mu, mu2):
     N = 10 ** 5
     pair = structure_pair(mu, 1, N, P=10 ** 5)
