@@ -6,8 +6,10 @@ additive statistics (Omega, omega, squarefree mask, tau, radical).  The primes
 come from an odd-only sieve of Eratosthenes, the first turn of Pritchard's
 wheel: its boolean mask holds the odd n <= N alone, half a byte per integer.
 Every statistic is built on first use, and Omega and tau start from a copy of
-omega.  `lookup` reads a small table at every entry of a statistic, a block
-of indices at a time.
+omega.  The library's sieves cache only omega and Omega: they build tau a
+range at a time (`tau_range`) and strike the non-squarefree n in their own
+arrays (`strike_squares`).  `lookup` reads a small table at every entry of a
+statistic, a block of indices at a time.
 
 Every sieve over [1, N] splits the primes at sqrt(N).  A small prime p <= sqrt(N)
 gets one strided slice per prime power p^k <= N.  The large primes q > sqrt(N)
@@ -243,11 +245,12 @@ class SieveContext:
     def __init__(self, N: int):
         if N < 1:
             raise InputError(f"sieve bound must be >= 1, got {N}")
-        # per entry the context holds at most 13.5 bytes, 12.5 below the
-        # charge: the odd-only prime mask (0.5) while the primes are sieved,
-        # the int8 Omega, omega and squarefree tables (3), the int16 tau (2)
-        # and the radical (8); the primes add 8 per prime, and a caller's
-        # tables are charged by it
+        # per entry the library's sieves keep 2 bytes here, the int8 omega
+        # and Omega, after the odd-only prime mask (0.5) while the primes
+        # are sieved; the primes add 8 per prime.  The squarefree mask (1),
+        # the int16 tau (2) and the radical (8), built only when read
+        # directly, bring it to at most 13.5, 12.5 below the charge; a
+        # caller's tables are charged by it
         check_budget(26 * (N + 1), f"sieve context for N={N}")
         self.N = N
         self.primes = _sieve_primes(N)
@@ -303,36 +306,45 @@ class SieveContext:
         def build():
             m = np.ones(self.N + 1, dtype=bool)
             m[0] = False
-            for p in self.small_primes:
-                pp = p * p
-                m[pp::pp] = False
-            return m
+            return self.strike_squares(m, False)
 
         return self._lazy("squarefree", build)
 
+    def strike_squares(self, a: np.ndarray, fill) -> np.ndarray:
+        """Write fill into a (indexed by n, 0 <= n <= N) at every multiple of
+        p^2 of each prime p <= sqrt(N), the n >= 1 that are not squarefree,
+        in place; returns a.  Index 0 is left as it was."""
+        for p in self.small_primes:
+            pp = p * p
+            a[pp::pp] = fill
+        return a
+
     @property
     def tau(self) -> np.ndarray:
-        """tau(n): number of divisors, derived from omega: 2^omega(n), then
-        (k + 1) / k at each multiple of each p^k, k >= 2.  int16, which holds
-        every tau(n) for n <= 10^15 (the largest is 26880); int32 above.  A
-        partial product never exceeds the final tau(n), and each update
-        divides before it multiplies, so no entry wraps."""
+        """tau(n), n = 0..N: tau_range over the whole of [0, N]."""
+        return self._lazy("tau", lambda: self.tau_range(0, self.N + 1))
 
-        def build():
-            dtype = np.int16 if self.N <= _TAU_INT16_MAX_N else np.int32
-            t = np.left_shift(1, self.small_omega, dtype=dtype)
-            t[0] = 0
-            for p in self.small_primes:
-                pk, j = p * p, 2
-                while pk <= self.N:
-                    sl = t[pk::pk]
-                    sl //= j
-                    sl *= j + 1
-                    pk *= p
-                    j += 1
-            return t
-
-        return self._lazy("tau", build)
+    def tau_range(self, lo: int, hi: int) -> np.ndarray:
+        """tau(n) for lo <= n < hi (within [0, N]; tau(0) = 0), derived from
+        omega: 2^omega(n), then (k + 1) / k at each multiple of each p^k,
+        k >= 2, of which the first at or above lo sits at (-lo) % p^k.
+        int16, which holds every tau(n) for n <= 10^15 (the largest is
+        26880); int32 above.  A partial product never exceeds the final
+        tau(n), and each update divides before it multiplies, so no entry
+        wraps.  Nothing is cached."""
+        dtype = np.int16 if self.N <= _TAU_INT16_MAX_N else np.int32
+        t = np.left_shift(1, self.small_omega[lo:hi], dtype=dtype)
+        if lo == 0:
+            t[:1] = 0
+        for p in self.small_primes:
+            pk, j = p * p, 2
+            while pk < hi:
+                sl = t[(-lo) % pk :: pk]
+                sl //= j
+                sl *= j + 1
+                pk *= p
+                j += 1
+        return t
 
     @property
     def radical(self) -> np.ndarray:

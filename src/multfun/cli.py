@@ -542,3 +542,7 @@ def _error(exc: MultfunError) -> dict:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -37,7 +37,6 @@ from .arith import (
 from .characters import DirichletCharacter, characters_mod, principal_character
 from .errors import InputError, SearchError
 from .mf_core import (
-    _KINDS,
     MultiplicativeFunction,
     SieveTable,
     make_repaired,
@@ -572,10 +571,9 @@ def _residue_obstruction(E: LevelSet, r: int, u: int) -> dict | None:
     f = E.function
     if f is None:
         return None
-    kind = _KINDS[f.kind]
     target = E.z
     # squarefree support: p^2 | u and p^2 | r force a square factor of n + r
-    if kind.squarefree_only(f) and not isinstance(target, Zero):
+    if f.squarefree_only() and not isinstance(target, Zero):
         for p in range(2, math.isqrt(u) + 1):
             if u % (p * p) == 0 and r % (p * p) == 0:
                 return {
@@ -589,7 +587,7 @@ def _residue_obstruction(E: LevelSet, r: int, u: int) -> dict | None:
     # periodic constraint: members lie in fixed residue classes mod q, the
     # residues whose code is the target's (-1 for zero); any other target
     # allows every residue, and so never obstructs
-    period = kind.period_codes(f)
+    period = f.period_codes()
     if period is not None and isinstance(target, (Zero, RootOfUnity)):
         q = len(period.codes)
         code = -1 if isinstance(target, Zero) else period.code_of(target)
@@ -614,7 +612,7 @@ def sp_set(prime_set, N: int) -> np.ndarray:
     """Squarefree integers <= N with every prime factor in the given set
     (1 included as the empty product).  prime_set: iterable or predicate."""
     ctx = get_context(N)
-    mask = ctx.squarefree.copy()
+    mask = ctx.strike_squares(np.ones(N + 1, dtype=bool), False)
     if callable(prime_set):
         keep = prime_set
     else:

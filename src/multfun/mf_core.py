@@ -126,6 +126,14 @@ class MultiplicativeFunction:
         values = _KINDS[self.kind].prime_values(self, np.asarray(ps, dtype=np.int64), m)
         return _check_bound(self, values)
 
+    def squarefree_only(self) -> bool:
+        """True when f(n) = 0 off the squarefree n, by its kind."""
+        return _KINDS[self.kind].squarefree_only(self)
+
+    def period_codes(self) -> ExactCodes | None:
+        """A periodic f's codes on one period [0, q), by its kind; None otherwise."""
+        return _KINDS[self.kind].period_codes(self)
+
     def __repr__(self):
         return f"MultiplicativeFunction({self.label})"
 
@@ -358,8 +366,10 @@ def _check_bound(f: MultiplicativeFunction, values: np.ndarray) -> np.ndarray:
 
 
 def _squarefree_codes(f, N, ctx):
-    # True - 1 = 0 and False - 1 = -1; squarefree[0] is False, so code 0 is -1
-    return ExactCodes(order=1, codes=np.subtract(ctx.squarefree, 1, dtype=code_dtype(1)))
+    # code 0 (the value 1) on the squarefree n, -1 (the value 0) off them and at 0
+    codes = np.zeros(N + 1, dtype=code_dtype(1))
+    codes[0] = -1
+    return ExactCodes(order=1, codes=ctx.strike_squares(codes, -1))
 
 
 def _period_codes(chi) -> ExactCodes:
@@ -375,9 +385,15 @@ def _periodic_codes(f, N, ctx):
 
 
 def _tau_character_codes(f, N, ctx):
+    # tau a quarter of [0, N] at a time, so no table of N + 1 tau is made
     chi = f.meta["char"]
-    lut = _period_codes(chi).codes[np.arange(int(ctx.tau.max()) + 1) % chi.modulus]
-    codes = lookup(lut, ctx.tau)
+    period = _period_codes(chi).codes
+    codes = np.empty(N + 1, dtype=period.dtype)
+    step = -(-(N + 1) // 4)
+    for lo in range(0, N + 1, step):
+        tau = ctx.tau_range(lo, min(lo + step, N + 1))
+        lut = period[np.arange(int(tau.max()) + 1) % chi.modulus]
+        codes[lo : lo + step] = lookup(lut, tau)
     codes[0] = -1
     return ExactCodes(order=chi.expo_mod, codes=codes)
 
@@ -529,8 +545,7 @@ def _phase_kind(stat: str) -> _Kind:
         lut = np.array([a * k % b for k in range(int(s.max()) + 1)], dtype=code_dtype(b))
         c = lookup(lut, s)
         if _squarefree_only(f):
-            # squarefree - 1 is 0 (no bits) on the squarefree n, -1 (all bits) off them
-            c |= np.subtract(ctx.squarefree, 1, dtype=c.dtype)
+            ctx.strike_squares(c, -1)
         c[0] = -1
         return ExactCodes(order=b, codes=c)
 
@@ -538,7 +553,7 @@ def _phase_kind(stat: str) -> _Kind:
         s = getattr(ctx, stat)
         values = lookup(e(f.meta["xi"] * np.arange(int(s.max()) + 1, dtype=np.float64)), s)
         if _squarefree_only(f):
-            values[~ctx.squarefree] = 0
+            ctx.strike_squares(values, 0)
         return values
 
     return _Kind(codes=codes, sieve=sieve, prime_values=_constant_prime_values,

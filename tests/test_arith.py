@@ -360,6 +360,57 @@ def test_lookup_codes_match_the_formulas(N):
             assert_identical(sieve_range(f, N).values, want)
 
 
+# N + 1 below 4, and on both sides of the quarter boundaries of the chi(tau) codes
+IDENTITY_NS = [1, 2, 3, 4, 5, 7, 8, 97, 1000, 65535, 65536, 100003]
+
+
+def cached_sp_set(prime_set, ctx):
+    """The squarefree n <= ctx.N with every prime factor in the list, from
+    the cached squarefree mask."""
+    mask = ctx.squarefree.copy()
+    for p in ctx.primes.tolist():
+        if p not in prime_set:
+            mask[p::p] = False
+    mask[1] = True
+    return np.flatnonzero(mask).astype(np.int64)
+
+
+@pytest.mark.parametrize("N", IDENTITY_NS)
+def test_sieves_match_the_cached_tau_and_squarefree_formulas(N):
+    """The chi(tau) codes, built from tau a quarter of [0, N] at a time, and
+    the squarefree kinds and sp_set, which strike p^2 in their own arrays,
+    equal the formulas over one whole cached tau and squarefree mask, dtype
+    and signed zeros included."""
+    ctx = SieveContext(N)
+    tau, sqf = ctx.tau, ctx.squarefree
+    for lo, hi in [(0, N + 1), (0, 1), (N // 3, N // 2 + 1), (N, N + 1)]:
+        assert_identical(ctx.tau_range(lo, hi), tau[lo:hi])
+    for b in (b for b in range(1, 31) if _cyclic_unit_group(b)):
+        f = builtin("chi_of_tau", {"modulus": b})
+        chi = f.meta["char"]
+        lut = chi.expo.astype(code_width(chi.expo_mod))[np.arange(int(tau.max()) + 1) % b]
+        want = lookup(lut, tau)
+        want[0] = -1
+        assert_identical(sieve_range(f, N).exact.codes, want)
+    for f in [builtin("moebius")] + [builtin("mu_xi", {"xi": xi}) for xi in ("1/4", "3/7", "1")]:
+        a, b = f.meta["a"], f.meta["b"]
+        lut = np.array([a * k % b for k in range(int(ctx.big_omega.max()) + 1)],
+                       dtype=code_width(b))
+        want = lookup(lut, ctx.big_omega) | np.subtract(sqf, 1, dtype=code_width(b))
+        want[0] = -1
+        assert_identical(sieve_range(f, N).exact.codes, want)
+    assert_identical(sieve_range(builtin("mu_squared"), N).exact.codes,
+                     np.subtract(sqf, 1, dtype=np.int8))
+    for xi in (0.3, math.sqrt(2), -0.5 - 1e-9):
+        s = ctx.big_omega
+        want = lookup(e(xi * np.arange(int(s.max()) + 1, dtype=np.float64)), s)
+        want[~sqf] = 0
+        want[0] = 0
+        assert_identical(sieve_range(builtin("mu_xi", {"xi": xi}), N).values, want)
+    for prime_set in ([], [2], [2, 3], [3, 5, 7, 11], [97, 101, 313, 317]):
+        assert_identical(sp_set(prime_set, N), cached_sp_set(prime_set, ctx))
+
+
 SQUAREFREE_R = [r for r in range(1, 2001) if all(k == 1 for _, k in factorize(r))]
 
 

@@ -438,6 +438,21 @@ def test_catalog_command(tmp_path):
     assert "squarefree" in data["named_sets"]
 
 
+def test_module_run_as_a_script_runs_the_command(tmp_path, monkeypatch):
+    """python -m multfun.cli runs the command as the multfun script does
+    and writes the same report."""
+    env = dict(os.environ, PYTHONPATH=str(Path(multfun.__file__).parents[1]))
+    script, direct = tmp_path / "script", tmp_path / "direct"
+    script.mkdir()
+    direct.mkdir()
+    proc = subprocess.run([sys.executable, "-m", "multfun.cli", "catalog", "--out", "c.json"],
+                          cwd=script, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    monkeypatch.chdir(direct)
+    assert run(["catalog", "--out", "c.json"]) == 0
+    assert (script / "c.json").read_bytes() == (direct / "c.json").read_bytes()
+
+
 def test_recurrence_command_with_certificate(tmp_path):
     out = tmp_path / "rec.json"
     rc = run(["recurrence", "--set", "squarefree", "--shift", "4", "--m", "4",

@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from multfun import InputError, builtin, eval_at, sieve_range
+from multfun import InputError, builtin, eval_at, level_set, sieve_range, sp_set
 from multfun import arith
 from multfun.arith import (
     ONE,
@@ -469,6 +473,57 @@ def test_coded_sieve_memory_within_its_codes(name, custom_path):
     exact = sieve_range(f, N).exact
     bound = (code_dtype(exact.order).itemsize + 1) * (N + 1) + 2 ** 17
     assert traced_peak(lambda: sieve_range(f, N)) <= bound
+
+
+def test_sieves_cache_only_the_omegas(custom_path, monkeypatch):
+    """Sieving every registry kind and an irrational mu_xi at N = 10^5,
+    their values read, and the squarefree sets of levelsets, leaves only
+    omega and Omega in the context: no library path builds tau or the
+    squarefree mask."""
+    monkeypatch.setattr(arith, "_CONTEXTS", {})
+    N = 10 ** 5
+    fs = [case(custom_path) for case in REGISTRY_CASES.values()]
+    fs.append(builtin("mu_xi", {"xi": 0.3}))
+    ctx = get_context(N)
+    for f in fs:
+        sieve_range(f, N).values
+    sp_set([2, 3, 7], N)
+    level_set(builtin("mu_squared"), ONE, N)
+    assert get_context(N) is ctx
+    assert set(ctx._cache) == {"small_omega", "big_omega"}
+
+
+_SIEVE_RSS_SCRIPT = """
+from pathlib import Path
+from multfun import builtin, sieve_range
+
+def status_kib(key):
+    line = next(x for x in Path("/proc/self/status").read_text().splitlines()
+                if x.startswith(key + ":"))
+    return int(line.split()[1])
+
+before = status_kib("VmRSS")
+for name, params in (("chi_of_tau", {"modulus": 5}), ("moebius", {}), ("mu_squared", {})):
+    sieve_range(builtin(name, params), 4 * 10 ** 6).values
+print(status_kib("VmHWM") - before)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux /proc")
+def test_sieves_peak_without_tau_or_the_squarefree_mask():
+    """In a fresh process, sieving chi_of_tau(5), moebius and mu_squared at
+    N = 4 * 10^6, each with its values read, lifts the peak RSS at most
+    84 MiB over the RSS after import.  With tau (2 B per entry) and the
+    squarefree mask (1 B) cached beside omega and Omega, the growth read
+    90.8 MiB (92940 KiB); with only omega and Omega cached, 75.4 MiB
+    (77248-77256 KiB).  The peak is VmHWM, as in the structure-pair test of
+    test_levelsets, since a child of this large process inherits its RSS in
+    ru_maxrss."""
+    env = dict(os.environ, PYTHONPATH=str(Path(arith.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _SIEVE_RSS_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= 84 * 1024
 
 
 def test_exact_codes_partition(l13):
